@@ -22,28 +22,24 @@ from .bc import (
 from .dirac import (
     DiracKernel,
     DiracPoint,
-    KernelValue,
     MassModeError,
     PhysicalConfig,
     Regime,
     SpectralPoleError,
-    build_Apm,
-    kernel_at,
-    mass_mode_B,
     mass_mode_membership,
-    spectral_value,
     wavenumber,
 )
 from .iso import IsoClassification, classify, compare_spectra, orbit_spectra
-from .matalg import (
-    NonUnitaryError,
-    UnitaryEigen,
-    det2x2_difference,
-    pauli_decompose,
-    unitary_eigen,
+from .matalg import NonUnitaryError, det2x2_difference, pauli_decompose
+from .roots import (
+    NumericalError,
+    PhaseProfile,
+    Root,
+    SpectrumSlice,
+    eigenphase_profile,
+    find_spectrum,
 )
-from .roots import PhaseProfile, Root, SpectrumSlice, eigenphase_profile, find_spectrum
-from .schrod import SchrodKernel, SchrodPoint, schrod_boundary_map, schrod_spectral_value
+from .schrod import SchrodKernel
 from .triple import (
     DIRAC_REP,
     CliffordRep,
@@ -67,25 +63,22 @@ __all__ = [
     "DiracPoint",
     "InvariantTriple",
     "IsoClassification",
-    "KernelValue",
     "MassModeError",
     "NonUnitaryError",
+    "NumericalError",
     "PhaseProfile",
     "PhysicalConfig",
     "Regime",
     "RepKernel",
     "Root",
     "SchrodKernel",
-    "SchrodPoint",
     "SpectralPoleError",
     "SpectrumSlice",
     "SpinorSample",
     "UnitaryBC",
-    "UnitaryEigen",
     "bc_in_rep",
     "boundary_eigvecs",
     "boundary_form_check",
-    "build_Apm",
     "classify",
     "compare_spectra",
     "conjugate_orbit",
@@ -96,8 +89,6 @@ __all__ = [
     "gamma_maps",
     "invariant_triple",
     "is_parity_symmetric",
-    "kernel_at",
-    "mass_mode_B",
     "mass_mode_membership",
     "named_family",
     "orbit_spectra",
@@ -105,9 +96,5 @@ __all__ = [
     "pauli_decompose",
     "random_unitary_bc",
     "representation_transform",
-    "schrod_boundary_map",
-    "schrod_spectral_value",
-    "spectral_value",
-    "unitary_eigen",
     "wavenumber",
 ]

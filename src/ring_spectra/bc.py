@@ -5,7 +5,8 @@ two boundary-data vectors of the wavefunction.  Every U carries the
 chart U = e^{i eta} (m0 I + i m.sigma) with eta in [0, pi) and
 (m0, m) a unit 4-vector; the spectral function sees U only through the
 invariant triple (det U, tr U, tr(U sx)), which is what makes whole
-orbits of boundary conditions isospectral.
+orbits of boundary conditions isospectral.  The spectral function
+itself is written once, here, in terms of that triple.
 """
 
 from __future__ import annotations
@@ -198,6 +199,14 @@ def invariant_triple(u: UnitaryBC | np.ndarray) -> InvariantTriple:
         tr_u=complex(tr2(mat)),
         tr_u_sx=complex(mat[0, 1] + mat[1, 0]),
     )
+
+
+def spectral_function(a, b, c, u: UnitaryBC):
+    """F_U = det(B - U) = det U - a tr U + b tr(U sx) + c for the
+    transfer matrix B = a I + b sx with c = det B; broadcasts over
+    arrays of kernel coefficients."""
+    t = invariant_triple(u)
+    return t.det_u - a * t.tr_u + b * t.tr_u_sx + c
 
 
 def sx_rotation(lam: float) -> np.ndarray:

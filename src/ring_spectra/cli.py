@@ -9,7 +9,8 @@ reproduces every value exactly.
 
 Exit codes: 0 success, 2 malformed boundary-condition text, 3 boundary
 condition violating a constraint (non-unitary, off the unit sphere),
-4 numerical failure (unresolvable pole interval).
+4 numerical failure (unresolvable pole interval, a root failing
+residual verification, or coincident eigenphase crossings).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .roots import (
     DEFAULT_TOL_RESIDUAL,
     DEFAULT_TOL_ROOT,
     SEPARATION_FACTOR,
+    NumericalError,
     SpectrumSlice,
     find_spectrum,
 )
@@ -319,6 +321,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_BC
     except SpectralPoleError as exc:
         print(f"error: {exc} (interval could not be resolved)", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # window/density/tolerance validation
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,11 @@ The boundary transfer matrix is B(mu) = a I + b sx with
 
 and the spectrum of the condition U is the zero set of the spectral
 function F_U(mu) = det(B(mu) - U) = det U - a tr U + b tr(U sx) + c.
-The energies mu = +-mu0 (zero wavenumber) are covered by closed-form
-matrices and enter the grid machinery as ordinary points.
+The kernel only ever hands out the scalars (a, b, c); the matrix B is
+never built here.  The energies mu = +-mu0 (zero wavenumber) have
+closed-form coefficients and enter the root search as ordinary points;
+which energies snap to them is decided in one place,
+:func:`mass_mode_masks`.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bc import UnitaryBC, invariant_triple
-from .matalg import I2, SX
+from .bc import UnitaryBC, spectral_function
 
 #: |mu -+ mu0| below this (times max(1, mu0)) is treated as the exact
 #: zero-wavenumber point, which has its own analytic solution.
@@ -109,13 +111,11 @@ class DiracPoint:
     def classify(cls, mu: float, mu0: float) -> "DiracPoint":
         if mu0 < 0:
             raise ValueError("mu0 must be non-negative")
-        snap = MASS_SNAP_TOL * max(1.0, mu0)
-        if mu0 > 0 and abs(mu - mu0) < snap:
+        plus, minus = mass_mode_masks(mu, mu0)
+        if plus:
             return cls(mu0, mu0, Regime.MASS_MODE_PLUS)
-        if mu0 > 0 and abs(mu + mu0) < snap:
+        if minus:
             return cls(-mu0, mu0, Regime.MASS_MODE_MINUS)
-        if mu0 == 0 and abs(mu) < snap:
-            return cls(0.0, 0.0, Regime.MASS_MODE_PLUS)
         if abs(mu) < mu0:
             return cls(mu, mu0, Regime.INSIDE_GAP)
         return cls(mu, mu0, Regime.ABOVE_GAP if mu > 0 else Regime.BELOW_GAP)
@@ -123,19 +123,6 @@ class DiracPoint:
     @property
     def is_mass_mode(self) -> bool:
         return self.regime in (Regime.MASS_MODE_PLUS, Regime.MASS_MODE_MINUS)
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel coefficients at one energy: c = a^2 - b^2 = det B and
-    B = a I + b sx is unitary.  ``f`` is only set once a boundary
-    condition has been supplied."""
-
-    a: complex
-    b: complex
-    c: complex
-    B: np.ndarray
-    f: complex | None = None
 
 
 def wavenumber(p: DiracPoint) -> complex:
@@ -161,16 +148,24 @@ def mass_mode_coefficients(sign: int, mu0: float) -> tuple[complex, complex, com
     return a, b, c
 
 
-def mass_mode_B(sign: int, mu0: float) -> np.ndarray:
-    """B(+-mu0) = +-(mu0 I - i sx) / (mu0 -+ i); unitary closed form."""
-    a, b, _ = mass_mode_coefficients(sign, mu0)
-    return a * I2 + b * SX
-
-
 def _check_poles(d: np.ndarray, mu: np.ndarray, k: np.ndarray) -> None:
     bad = np.abs(d) < 1e-13 * (np.abs(mu) + np.abs(k))
     if np.any(bad):
         raise SpectralPoleError(mu[bad])
+
+
+def mass_mode_masks(mu, mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (plus, minus) of the energies that snap to mu = +mu0 and
+    mu = -mu0: within MASS_SNAP_TOL * max(1, mu0) of them.  For mu0 = 0
+    the single point mu = 0 counts as ``plus`` (the K -> 0 limit
+    B = sx) and ``minus`` is empty.
+    """
+    mu = np.asarray(mu, dtype=float)
+    snap = MASS_SNAP_TOL * max(1.0, mu0)
+    plus = np.abs(mu - mu0) < snap
+    if mu0 > 0:
+        return plus, np.abs(mu + mu0) < snap
+    return plus, np.zeros(mu.shape, dtype=bool)
 
 
 def coefficient_arrays(mu, mu0: float):
@@ -187,13 +182,7 @@ def coefficient_arrays(mu, mu0: float):
     b = np.empty(mu.shape, dtype=complex)
     c = np.empty(mu.shape, dtype=complex)
 
-    snap = MASS_SNAP_TOL * max(1.0, mu0)
-    if mu0 > 0:
-        plus = np.abs(mu - mu0) < snap
-        minus = np.abs(mu + mu0) < snap
-    else:
-        plus = np.abs(mu) < snap
-        minus = np.zeros(mu.shape, dtype=bool)
+    plus, minus = mass_mode_masks(mu, mu0)
     inside = (np.abs(mu) < mu0) & ~plus & ~minus
     outside = ~(plus | minus | inside)
 
@@ -229,93 +218,6 @@ def coefficient_arrays(mu, mu0: float):
     return a, b, c
 
 
-def boundary_matrix_arrays(mu, mu0: float) -> np.ndarray:
-    """B(mu) = a I + b sx over an array of energies, shape (..., 2, 2)."""
-    a, b, c = coefficient_arrays(mu, mu0)
-    out = np.empty(a.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = a
-    out[..., 1, 1] = a
-    out[..., 0, 1] = b
-    out[..., 1, 0] = b
-    return out
-
-
-def kernel_at(p: DiracPoint, u: UnitaryBC | None = None) -> KernelValue:
-    """Kernel coefficients at one non-special energy.
-
-    With a boundary condition supplied, the spectral value rides along
-    in the ``f`` slot.
-    """
-    if p.is_mass_mode:
-        raise MassModeError(
-            "kernel coefficients at mu = +-mu0 come from mass_mode_B"
-        )
-    a, b, c = (complex(arr[0]) for arr in coefficient_arrays(p.mu, p.mu0))
-    f = None
-    if u is not None:
-        t = invariant_triple(u)
-        f = t.det_u - a * t.tr_u + b * t.tr_u_sx + c
-    return KernelValue(a, b, c, a * I2 + b * SX, f)
-
-
-def build_Apm(p: DiracPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The plane-wave boundary matrices (A_plus, A_minus).
-
-    Built verbatim from the two plane-wave solutions, with the amplitude
-    ratio r = K / (mu + mu0); det A_pm = -4i/(mu + mu0) [mu sin K -+
-    i K cos K] holds in every regime.  Undefined at the zero-wavenumber
-    points, where the solution basis degenerates.  Entries grow like
-    e^{kappa/2} inside the gap, so this path is an oracle for moderate
-    kappa; production code uses the normalized coefficients.
-    """
-    if p.is_mass_mode:
-        raise MassModeError("plane-wave basis degenerates at mu = +-mu0")
-    k = wavenumber(p)
-    r = k / (p.mu + p.mu0)
-    ep = np.exp(1j * k / 2.0)
-    em = np.exp(-1j * k / 2.0)
-    a_plus = np.array(
-        [[em * (1.0 - r), ep * (1.0 + r)], [ep * (1.0 + r), em * (1.0 - r)]]
-    )
-    a_minus = np.array(
-        [[em * (1.0 + r), ep * (1.0 - r)], [ep * (1.0 - r), em * (1.0 + r)]]
-    )
-    return a_plus, a_minus
-
-
-def mass_mode_Apm(sign: int, mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary matrices of the polynomial solution basis at mu = +-mu0.
-
-    Both are invertible, and A_minus A_plus^{-1} reproduces
-    :func:`mass_mode_B`.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not mu0 > 0:
-        raise MassModeError("mass modes need mu0 > 0")
-    if sign == +1:
-        # basis (1, 0) and (x, -i/(2 mu0))
-        a_plus = np.array([[1.0, -0.5 * (1.0 - 1j / mu0)], [1.0, 0.5 * (1.0 - 1j / mu0)]])
-        a_minus = np.array([[1.0, -0.5 * (1.0 + 1j / mu0)], [1.0, 0.5 * (1.0 + 1j / mu0)]])
-    else:
-        # basis (0, 1) and (i/(2 mu0), x)
-        a_plus = np.array([[-1.0, 0.5 * (1j / mu0 + 1.0)], [1.0, 0.5 * (1j / mu0 + 1.0)]])
-        a_minus = np.array([[1.0, 0.5 * (1j / mu0 - 1.0)], [-1.0, 0.5 * (1j / mu0 - 1.0)]])
-    return a_plus, a_minus
-
-
-def spectral_values(mu, mu0: float, u: UnitaryBC) -> np.ndarray:
-    """F_U over an array of energies (special points included)."""
-    a, b, c = coefficient_arrays(mu, mu0)
-    t = invariant_triple(u)
-    return t.det_u - a * t.tr_u + b * t.tr_u_sx + c
-
-
-def spectral_value(p: DiracPoint, u: UnitaryBC) -> complex:
-    """F_U(mu) = det U - a tr U + b tr(U sx) + c at one energy."""
-    return complex(spectral_values(np.array([p.mu]), p.mu0, u)[0])
-
-
 def mass_mode_membership(
     u: UnitaryBC, sign: int, mu0: float, tol: float = 1e-10
 ) -> bool:
@@ -335,7 +237,12 @@ def mass_mode_membership(
 
 
 class DiracKernel:
-    """Relativistic kernel bound to a fixed dimensionless mass."""
+    """Relativistic kernel bound to a fixed dimensionless mass.
+
+    The kernel protocol the root search uses: ``theory``,
+    ``special_points()`` and ``coefficients(mu) -> (a, b, c)``;
+    ``spectral_values`` evaluates F_U from those coefficients.
+    """
 
     theory = "dirac"
 
@@ -344,11 +251,11 @@ class DiracKernel:
             raise ValueError("mu0 must be non-negative")
         self.mu0 = float(mu0)
 
-    def boundary_matrices(self, mu) -> np.ndarray:
-        return boundary_matrix_arrays(mu, self.mu0)
+    def coefficients(self, mu):
+        return coefficient_arrays(mu, self.mu0)
 
     def spectral_values(self, mu, u: UnitaryBC) -> np.ndarray:
-        return spectral_values(mu, self.mu0, u)
+        return spectral_function(*self.coefficients(mu), u)
 
     def special_points(self) -> tuple[float, ...]:
         if self.mu0 > 0:

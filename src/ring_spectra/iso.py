@@ -25,15 +25,21 @@ ORBIT_LAMBDAS = tuple(k * np.pi / 8.0 for k in range(1, 16))
 
 
 def thread_count() -> int:
-    """Worker cap from RING_SPECTRA_THREADS (unset or 0 means auto)."""
+    """Worker cap from RING_SPECTRA_THREADS (unset or 0 means auto).
+
+    Auto is the number of CPUs this process may run on (its affinity
+    set where the platform reports one, else the machine's CPU count).
+    """
     raw = os.environ.get("RING_SPECTRA_THREADS", "0")
     try:
         val = int(raw)
     except ValueError as exc:
         raise ValueError(f"RING_SPECTRA_THREADS must be an integer, got {raw!r}") from exc
-    if val <= 0:
-        return os.cpu_count() or 1
-    return val
+    if val > 0:
+        return val
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

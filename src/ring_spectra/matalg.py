@@ -3,13 +3,11 @@
 Everything downstream (boundary conditions, spectral kernels, root
 finding) manipulates 2x2 unitaries, so the few primitives that must
 behave identically everywhere live here: the determinant-of-difference
-identity, Pauli decomposition, and a closed-form eigendecomposition of
-unitary matrices with a fixed eigenphase branch.
+identity, Pauli decomposition, the fixed (-pi, pi] angle branch, and
+the closed-form eigenphases of a unitary given in Pauli form.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,71 +91,16 @@ def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
     return complex(c0), complex(c1), complex(c2), complex(c3)
 
 
-def pauli_compose(c0: complex, c1: complex, c2: complex, c3: complex) -> np.ndarray:
-    """Inverse of :func:`pauli_decompose`."""
-    return c0 * I2 + c1 * SX + c2 * SY + c3 * SZ
+def unitary_eigenphases(s0, s_norm, h):
+    """Both eigenphases of a unitary W = s0 I + s.sigma (complex s0, s).
 
-
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first nonzero entry is real positive."""
-    idx = 0 if abs(v[0]) > 1e-12 else 1
-    phase = v[idx] / abs(v[idx])
-    return v / phase
-
-
-@dataclass(frozen=True)
-class UnitaryEigen:
-    """Eigendecomposition of a 2x2 unitary.
-
-    ``phases`` are the two eigenphases in (-pi, pi] (exactly-pi maps to
-    +pi); ``vectors[:, j]`` is the orthonormal eigenvector belonging to
-    ``phases[j]``.  Sum_j exp(i phases[j]) |v_j><v_j| reconstructs the
-    input.
+    With h a half phase of det W (any branch, e.g. one unwrapped along
+    a grid), W = e^{ih} (w0 I + i w.sigma) for a real unit 4-vector
+    (w0, w) with w0 = Re(s0 e^{-ih}) and |w| = |s|, so the eigenphases
+    are h +- atan2(|s|, w0).  Taking |s| from the coefficients keeps the
+    spread accurate to machine precision through a degeneracy
+    (|s| -> 0), where arccos(w0) would lose half the digits.  Inputs
+    broadcast; output has shape (..., 2), not wrapped.
     """
-
-    phases: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for j in range(2):
-            v = self.vectors[:, j]
-            out += np.exp(1j * self.phases[j]) * np.outer(v, v.conj())
-        return out
-
-
-def unitary_eigen(w: np.ndarray, tol: float = 1e-10) -> UnitaryEigen:
-    """Eigenphases and eigenvectors of a 2x2 unitary, closed form.
-
-    Writes W = e^{i delta} (w0 I + i w.sigma) with real delta, w0, w;
-    the eigenphases are delta +- arccos(w0) reduced to (-pi, pi].  For
-    w ~ 0 (scalar W) the canonical basis is returned, which keeps the
-    output deterministic.
-    """
-    w = np.asarray(w, dtype=complex)
-    require_unitary(w, tol)
-    delta = 0.5 * np.angle(det2(w))
-    v = np.exp(-1j * delta) * w
-    w0 = float(np.clip(0.5 * tr2(v).real, -1.0, 1.0))
-    # v = w0 I + i (w1 sx + w2 sy + w3 sz) with real w's
-    w1 = 0.5 * (v[0, 1] + v[1, 0]).imag
-    w2 = 0.5 * (v[0, 1] - v[1, 0]).real
-    w3 = 0.5 * (v[0, 0] - v[1, 1]).imag
-    wvec = np.array([w1, w2, w3])
-    spread = float(np.arccos(w0))
-    phases = wrap_angle(np.array([delta + spread, delta - spread]))
-
-    wnorm = np.linalg.norm(wvec)
-    if wnorm < 1e-12:
-        vectors = np.eye(2, dtype=complex)
-    else:
-        n1, n2, n3 = wvec / wnorm
-        # +1 eigenvector of n.sigma; pick the better-conditioned pivot
-        if 1.0 + n3 >= 1.0 - n3:
-            vp = np.array([1.0 + n3, n1 + 1j * n2])
-        else:
-            vp = np.array([n1 - 1j * n2, 1.0 - n3])
-        vp = vp / np.linalg.norm(vp)
-        vm = np.array([-np.conj(vp[1]), np.conj(vp[0])])
-        vectors = np.column_stack([_canonical_phase(vp), _canonical_phase(vm)])
-    return UnitaryEigen(phases=phases, vectors=vectors)
+    spread = np.arctan2(s_norm, np.real(s0 * np.exp(-1j * h)))
+    return np.stack([h + spread, h - spread], axis=-1)

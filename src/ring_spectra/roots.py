@@ -3,20 +3,30 @@
 F_U(x) = det(B(x) - U) is complex on the real axis, so minimizing |F|
 cannot bracket.  Instead, with W(x) = B(x) U^H (unitary, since both
 factors are), F_U = 0 exactly when W has eigenvalue 1, i.e. when an
-eigenphase of W crosses zero.  The two eigenphases are
+eigenphase of W crosses zero.  In U's chart U = e^{i eta} (m0 I +
+i m.sigma) and with B = a I + b sx,
 
-    t_pm(x) = delta(x) +- arccos(w0(x)),
-    delta = arg(det W)/2 unwrapped along the grid,
-    w0 = Re(tr W e^{-i delta}) / 2,
+    W = e^{-i eta} (s0 I + s.sigma),   det(s0 I + s.sigma) = c,
+    s0 = a m0 - i b m1,
+    s  = (b m0 - i a m1, -i a m2 - b m3, b m2 - i a m3),
 
-continuous real functions whose crossings of 2 pi n are bracketed by
-sign changes on a fine grid and then refined by bisection.  Bisection
-evaluates eigenvalues of W directly (they are perfectly conditioned for
-normal matrices, also at degeneracies) so double roots are located as
-sharply as simple ones.  Two crossings closer than the separation
-tolerance merge into one root of multiplicity 2, which is the maximum
-for 2x2 unitaries; a larger cluster raises, since it would mean the
-dimension count failed.
+so the two eigenphases are
+
+    t_pm(x) = h(x) - eta +- atan2(|s|, w0),   w0 = Re(s0 e^{-i h}),
+
+with h = arg(c)/2, unwrapped along the grid for the tracks.  Their
+crossings of 2 pi n are bracketed by sign changes on a fine grid and
+refined by bisection on the same closed form (taken with the plain
+branch of h).  |s| comes straight from the coefficients, so the phases
+stay accurate to machine precision through degeneracies and double
+roots are located as sharply as simple ones.  Two crossings closer
+than the separation tolerance merge into one root of multiplicity 2,
+which is the maximum for 2x2 unitaries; a larger cluster raises, since
+it would mean the dimension count failed.
+
+A kernel is anything with ``theory``, ``special_points()``,
+``coefficients(x) -> (a, b, c)`` and ``spectral_values(x, u)``; the
+search calls nothing else, and never builds a 2x2 matrix per point.
 
 Everything here is pure-function over value inputs; concurrent searches
 on shared read-only kernels are safe.
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bc import UnitaryBC
-from .matalg import TAU, det2, tr2, wrap_angle
+from .matalg import TAU, unitary_eigenphases, wrap_angle
 
 #: grid nodes per 2*pi of window length (default; >= 64 enforced)
 DEFAULT_DENSITY = 1024
@@ -39,6 +49,12 @@ DEFAULT_TOL_ROOT = 1e-12
 DEFAULT_TOL_RESIDUAL = 1e-9
 
 _MAX_BISECT = 200
+
+
+class NumericalError(RuntimeError):
+    """A search could not meet its numerical contract: a root failed
+    residual verification or more than two eigenphase crossings
+    coincided."""
 
 
 @dataclass(frozen=True)
@@ -83,16 +99,30 @@ class PhaseProfile:
     tracks: np.ndarray  # (n, 2), unwrapped
 
 
-def _det_tr_w(bmats: np.ndarray, udag: np.ndarray):
-    w = bmats @ udag
-    return det2(w), tr2(w)
+def eigenphases(a, b, c, u: UnitaryBC, h=None) -> np.ndarray:
+    """Both eigenphases of W = (a I + b sx) U^H, shape (..., 2).
+
+    Closed form in U's chart (see the module docstring).  ``h`` is a
+    half phase of c; the plain branch arg(c)/2 by default.  |s| is
+    summed one component at a time so a long grid never holds all
+    four Pauli coefficients at once.
+    """
+    m0, (m1, m2, m3) = u.m0, u.m
+    if h is None:
+        h = 0.5 * np.angle(c)
+    s_norm2 = np.abs(b * m0 - 1j * m1 * a) ** 2
+    s_norm2 += np.abs(-1j * m2 * a - b * m3) ** 2
+    s_norm2 += np.abs(b * m2 - 1j * m3 * a) ** 2
+    s0 = a * m0 - 1j * m1 * b
+    out = unitary_eigenphases(s0, np.sqrt(s_norm2), h)
+    out -= u.eta
+    return out
 
 
-def _unwrapped_tracks(detw: np.ndarray, trw: np.ndarray):
-    delta = 0.5 * np.unwrap(np.angle(detw))
-    w0 = np.clip(0.5 * np.real(trw * np.exp(-1j * delta)), -1.0, 1.0)
-    spread = np.arccos(w0)
-    return np.column_stack([delta + spread, delta - spread])
+def _tracks(kernel, grid: np.ndarray, u: UnitaryBC) -> np.ndarray:
+    """Continuous eigenphase tracks along a sorted grid, shape (n, 2)."""
+    a, b, c = kernel.coefficients(grid)
+    return eigenphases(a, b, c, u, h=0.5 * np.unwrap(np.angle(c)))
 
 
 def eigenphase_profile(u: UnitaryBC, grid, kernel) -> PhaseProfile:
@@ -105,8 +135,7 @@ def eigenphase_profile(u: UnitaryBC, grid, kernel) -> PhaseProfile:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be 1-d, sorted, strictly increasing")
-    detw, trw = _det_tr_w(kernel.boundary_matrices(grid), u.matrix.conj().T)
-    tracks = _unwrapped_tracks(detw, trw)
+    tracks = _tracks(kernel, grid, u)
     phases = wrap_angle(tracks)
     wraps = np.round((tracks - phases) / TAU).astype(int)
     return PhaseProfile(grid=grid, phases=phases, wraps=wraps, tracks=tracks)
@@ -132,19 +161,7 @@ def _build_grid(window, density: int, specials) -> np.ndarray:
     return merged[keep]
 
 
-def _phase_candidates(bmats: np.ndarray, udag: np.ndarray) -> np.ndarray:
-    """Eigenvalue phases of W at a batch of points, shape (m, 2).
-
-    Uses the QR-based eigenvalue solver rather than the closed-form
-    quadratic: for normal matrices its eigenvalues stay accurate to
-    machine precision through degeneracies, which the discriminant
-    formula does not.
-    """
-    lam = np.linalg.eigvals(bmats @ udag)
-    return np.angle(lam)
-
-
-def _bisect(kernel, udag, xl, xr, tl, tr, target, tol_root, tol_residual):
+def _bisect(kernel, u, xl, xr, tl, tr, target, tol_root, tol_residual):
     """Vectorized bisection of track crossings.
 
     State per bracket: [xl, xr] with lifted track values tl, tr
@@ -153,9 +170,12 @@ def _bisect(kernel, udag, xl, xr, tl, tr, target, tol_root, tol_residual):
     interpolation of the bracket.
 
     Brackets stay active until the width tolerance holds *and* the
-    endpoint phases are small enough that |F| ~ |phase| clears the
-    residual contract, with a hard floor at the fp grid spacing (a
+    nearer endpoint's phase is small enough that |F| ~ |phase| clears
+    the residual contract, with a hard floor at the fp grid spacing (a
     steep crossing far from the origin cannot be localized below it).
+    That nearer endpoint is what gets returned: it is the point the
+    stop rule certified, where the midpoint of a wide-in-phase bracket
+    need not be.
     """
     xl = xl.copy()
     xr = xr.copy()
@@ -173,7 +193,7 @@ def _bisect(kernel, udag, xl, xr, tl, tr, target, tol_root, tol_residual):
         if not np.any(active):
             break
         xa = xm[active]
-        cand = _phase_candidates(kernel.boundary_matrices(xa), udag)
+        cand = eigenphases(*kernel.coefficients(xa), u)
         texp = 0.5 * (tl[active] + tr[active])
         lifted = cand + TAU * np.round((texp[:, None] - cand) / TAU)
         pick = np.argmin(np.abs(lifted - texp[:, None]), axis=1)
@@ -193,7 +213,7 @@ def _bisect(kernel, udag, xl, xr, tl, tr, target, tol_root, tol_residual):
         tr[left] = tm[~go_right & ~exact]
         xl[hit] = xm[hit]
         xr[hit] = xm[hit]
-    return 0.5 * (xl + xr)
+    return np.where(np.abs(tl - target) <= np.abs(tr - target), xl, xr)
 
 
 def find_spectrum(
@@ -226,9 +246,7 @@ def find_spectrum(
     # (up to fp fuzz) belongs to the half-open window and must be bracketed
     pad = tol_root * max(1.0, abs(hi))
     grid = _build_grid((lo, hi + pad), density, kernel.special_points())
-    udag = u.matrix.conj().T
-    detw, trw = _det_tr_w(kernel.boundary_matrices(grid), udag)
-    tracks = _unwrapped_tracks(detw, trw)
+    tracks = _tracks(kernel, grid, u)
 
     brackets: list[tuple[float, float, float, float, float]] = []
     exact_hits: list[float] = []
@@ -251,7 +269,7 @@ def find_spectrum(
     if brackets:
         arr = np.array(brackets, dtype=float)
         located = _bisect(
-            kernel, udag, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4],
+            kernel, u, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4],
             tol_root, tol_residual,
         )
         found = sorted(located.tolist() + exact_hits)
@@ -270,7 +288,7 @@ def find_spectrum(
             cluster.append(found[i])
         i += 1
         if len(cluster) > 2:
-            raise RuntimeError(
+            raise NumericalError(
                 f"{len(cluster)} coincident eigenphase crossings near x = "
                 f"{cluster[0]:.6g}; multiplicity of a 2x2 unitary cannot exceed 2"
             )
@@ -281,7 +299,7 @@ def find_spectrum(
             continue
         residual = float(abs(kernel.spectral_values(np.array([x]), u)[0]))
         if residual > tol_residual:
-            raise RuntimeError(
+            raise NumericalError(
                 f"root at x = {x:.12g} failed residual verification: "
                 f"|F| = {residual:.3e} > {tol_residual:.1e}"
             )

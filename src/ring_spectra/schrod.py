@@ -9,20 +9,19 @@ e^{+-i q x/L} give a boundary transfer matrix B(e) = a I + b sx with
     D = (1 + e) sin q - 2 i q cos q.
 
 These closed forms were derived once from the matrix path
-B = A_minus A_plus^{-1} and the two routes are required to agree to
-1e-11 (tests).  For e < 0 the same expressions continue analytically to
-a cosh-normalized hyperbolic form; e = 0 is the polynomial-basis limit
-with a = -1/(1 - 2i), b = 2i/(1 - 2i), c = (1 + 2i)/(1 - 2i).
+B = A_minus A_plus^{-1} (kept as an oracle in :mod:`ring_spectra.oracles`)
+and the two routes are required to agree to 1e-11 (tests).  For e < 0
+the same expressions continue analytically to a cosh-normalized
+hyperbolic form; e = 0 is the polynomial-basis limit with
+a = -1/(1 - 2i), b = 2i/(1 - 2i), c = (1 + 2i)/(1 - 2i).  As with the
+relativistic kernel, only the scalars (a, b, c) are handed out.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bc import UnitaryBC, invariant_triple
+from .bc import UnitaryBC, spectral_function
 from .dirac import _check_poles
 
 #: |e| below this is treated as the exact e = 0 point.
@@ -32,62 +31,6 @@ ZERO_SNAP_TOL = 1e-12
 _A0 = -1.0 / (1.0 - 2.0j)
 _B0 = 2.0j / (1.0 - 2.0j)
 _C0 = (1.0 + 2.0j) / (1.0 - 2.0j)
-
-
-class SchrodRegime(str, enum.Enum):
-    POSITIVE = "positive"
-    ZERO = "zero"
-    NEGATIVE = "negative"
-
-
-@dataclass(frozen=True)
-class SchrodPoint:
-    """A dimensionless energy with its sign regime."""
-
-    e: float
-    regime: SchrodRegime
-
-    @classmethod
-    def classify(cls, e: float) -> "SchrodPoint":
-        if abs(e) < ZERO_SNAP_TOL:
-            return cls(0.0, SchrodRegime.ZERO)
-        return cls(e, SchrodRegime.POSITIVE if e > 0 else SchrodRegime.NEGATIVE)
-
-
-def schrod_boundary_map(p: SchrodPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary matrices (A_plus, A_minus) of the solution basis.
-
-    Columns are the boundary-data images of the two basis solutions:
-    plane waves e^{+-i q x/L} for e > 0, (cosh, sinh)(kappa x/L) for
-    e < 0, and the polynomials (1, x/L) at e = 0.  B = A_minus
-    A_plus^{-1} is basis independent.
-    """
-    if p.regime is SchrodRegime.ZERO:
-        a_plus = np.array([[1j, -1.0 - 0.5j], [1j, 1.0 + 0.5j]])
-        a_minus = np.array([[-1j, -1.0 + 0.5j], [-1j, 1.0 - 0.5j]])
-        return a_plus, a_minus
-    if p.regime is SchrodRegime.POSITIVE:
-        q = np.sqrt(p.e)
-        ep = np.exp(1j * q / 2.0)
-        em = np.exp(-1j * q / 2.0)
-        # columns: psi = e^{iqx}, psi = e^{-iqx}
-        a_plus = 1j * np.array(
-            [[em * (1.0 - q), ep * (1.0 + q)], [ep * (1.0 + q), em * (1.0 - q)]]
-        )
-        a_minus = -1j * np.array(
-            [[em * (1.0 + q), ep * (1.0 - q)], [ep * (1.0 - q), em * (1.0 + q)]]
-        )
-        return a_plus, a_minus
-    kap = np.sqrt(-p.e)
-    sh, ch = np.sinh(kap / 2.0), np.cosh(kap / 2.0)
-    # columns: psi = cosh(kap x), psi = sinh(kap x)
-    a_plus = np.array(
-        [[kap * sh + 1j * ch, -(kap * ch + 1j * sh)], [kap * sh + 1j * ch, kap * ch + 1j * sh]]
-    )
-    a_minus = np.array(
-        [[kap * sh - 1j * ch, -(kap * ch - 1j * sh)], [kap * sh - 1j * ch, kap * ch - 1j * sh]]
-    )
-    return a_plus, a_minus
 
 
 def coefficient_arrays(e):
@@ -127,39 +70,17 @@ def coefficient_arrays(e):
     return a, b, c
 
 
-def boundary_matrix_arrays(e) -> np.ndarray:
-    """B(e) = a I + b sx over an array of energies."""
-    a, b, _ = coefficient_arrays(e)
-    out = np.empty(a.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = a
-    out[..., 1, 1] = a
-    out[..., 0, 1] = b
-    out[..., 1, 0] = b
-    return out
-
-
-def spectral_values(e, u: UnitaryBC) -> np.ndarray:
-    """F_U over an array of energies."""
-    a, b, c = coefficient_arrays(e)
-    t = invariant_triple(u)
-    return t.det_u - a * t.tr_u + b * t.tr_u_sx + c
-
-
-def schrod_spectral_value(p: SchrodPoint, u: UnitaryBC) -> complex:
-    """F_U(e) = det U - a tr U + b tr(U sx) + c at one energy."""
-    return complex(spectral_values(np.array([p.e]), u)[0])
-
-
 class SchrodKernel:
-    """Non-relativistic kernel (no free parameters after rescaling)."""
+    """Non-relativistic kernel (no free parameters after rescaling);
+    same protocol as :class:`~ring_spectra.dirac.DiracKernel`."""
 
     theory = "schrod"
 
-    def boundary_matrices(self, e) -> np.ndarray:
-        return boundary_matrix_arrays(e)
+    def coefficients(self, e):
+        return coefficient_arrays(e)
 
     def spectral_values(self, e, u: UnitaryBC) -> np.ndarray:
-        return spectral_values(e, u)
+        return spectral_function(*self.coefficients(e), u)
 
     def special_points(self) -> tuple[float, ...]:
         return (0.0,)

@@ -24,10 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .bc import UnitaryBC, from_matrix
+from .bc import UnitaryBC, from_matrix, spectral_function
+from .dirac import mass_mode_masks
 from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
 
 _REP_TOL = 1e-12
+#: RepKernel's transfer matrix, back in the standard basis, must be
+#: a I + b sx to this absolute tolerance
+_FORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -246,14 +250,12 @@ def representation_transform(rep_from: CliffordRep, rep_to: CliffordRep) -> np.n
     return v
 
 
-def bc_in_rep(rep: CliffordRep, u: UnitaryBC) -> UnitaryBC:
-    """Transport a standard-representation boundary condition to ``rep``.
+def _boundary_phases(rep: CliffordRep) -> dict[int, np.ndarray]:
+    """Diagonals of the phase matrices Q_pm with Gamma'_pm = Q_pm Gamma_pm.
 
-    The endpoint eigenvectors of the two representations differ by
-    phases once both are canonicalized, so the same self-adjoint
-    extension is labelled by U' = Q_- U Q_+^H with diagonal phase
-    matrices Q_pm.  Spectra computed from (rep, U') and (standard, U)
-    agree identically.
+    The canonical endpoint eigenvectors of ``rep``, carried to the
+    standard representation, differ from the standard ones by phases
+    only; Q_+ (key +1) and Q_- (key -1) collect them per endpoint.
     """
     v = representation_transform(rep, DIRAC_REP)
     qs = {}
@@ -265,9 +267,21 @@ def bc_in_rep(rep: CliffordRep, u: UnitaryBC) -> UnitaryBC:
             e_r = ep_r if g > 0 else em_r
             e_d = ep_d if g > 0 else em_d
             phases.append(np.angle(np.vdot(e_d, v @ e_r)))
-        qs[g] = np.diag(np.exp(-1j * np.array(phases)))
-    mat = qs[-1] @ u.matrix @ qs[+1].conj().T
-    return from_matrix(mat)
+        qs[g] = np.exp(-1j * np.array(phases))
+    return qs
+
+
+def bc_in_rep(rep: CliffordRep, u: UnitaryBC) -> UnitaryBC:
+    """Transport a standard-representation boundary condition to ``rep``.
+
+    The endpoint eigenvectors of the two representations differ by
+    phases once both are canonicalized, so the same self-adjoint
+    extension is labelled by U' = Q_- U Q_+^H with diagonal phase
+    matrices Q_pm.  Spectra computed from (rep, U') and (standard, U)
+    agree identically.
+    """
+    qs = _boundary_phases(rep)
+    return from_matrix(qs[-1][:, None] * u.matrix * np.conj(qs[+1]))
 
 
 class RepKernel:
@@ -276,11 +290,14 @@ class RepKernel:
     Basis solutions of the eigenvalue equation are transported from the
     standard representation with V^H, projected onto the representation's
     own endpoint eigenvectors to build A_pm, and combined into
-    B = A_minus A_plus^{-1}.  With the matching transported boundary
-    condition this reproduces the standard spectra; the route shares no
-    code with the closed-form coefficients, which is the point.
-    In-gap basis columns are rescaled by e^{-kappa/2} (B is invariant
-    under column scaling) so the assembly stays finite.
+    B' = A_minus A_plus^{-1}.  The same phases Q_pm that
+    :func:`bc_in_rep` uses carry B' back to the standard basis,
+    B = Q_-^H B' Q_+, which must come out as a I + b sx; the
+    coefficients then go through the same protocol as the closed-form
+    kernels, so spectra are searched with the standard U.  The route
+    shares no formula with the closed-form coefficients, which is the
+    point.  In-gap basis columns are rescaled by e^{-kappa/2} (B is
+    invariant under column scaling) so the assembly stays finite.
     """
 
     theory = "dirac"
@@ -297,6 +314,7 @@ class RepKernel:
             ep, em = boundary_eigvecs(rep, side)
             self._w[(+1, side)] = v @ ep
             self._w[(-1, side)] = v @ em
+        self._q = _boundary_phases(rep)
 
     def _basis_boundary_values(self, mu: np.ndarray):
         """Standard-representation basis solutions at the endpoints.
@@ -307,13 +325,7 @@ class RepKernel:
         n = mu.shape[0]
         out = [np.empty((n, 2), dtype=complex) for _ in range(4)]
 
-        snap = 1e-12 * max(1.0, mu0)
-        if mu0 > 0:
-            plus = np.abs(mu - mu0) < snap
-            minus = np.abs(mu + mu0) < snap
-        else:
-            plus = np.abs(mu) < snap
-            minus = np.zeros(mu.shape, dtype=bool)
+        plus, minus = mass_mode_masks(mu, mu0)
         wave = ~(plus | minus)
 
         if np.any(wave):
@@ -360,7 +372,7 @@ class RepKernel:
             out[3][minus] = np.broadcast_to(np.array([phi, +0.5]), (npts, 2))
         return out
 
-    def boundary_matrices(self, mu) -> np.ndarray:
+    def coefficients(self, mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         p1l, p1r, p2l, p2r = self._basis_boundary_values(mu)
         a = {}
@@ -373,17 +385,23 @@ class RepKernel:
             mat[:, 1, 0] = p1r @ wr
             mat[:, 1, 1] = p2r @ wr
             a[g] = mat
-        det = det2(a[+1])
-        inv = np.empty_like(a[+1])
-        inv[:, 0, 0] = a[+1][:, 1, 1]
-        inv[:, 1, 1] = a[+1][:, 0, 0]
-        inv[:, 0, 1] = -a[+1][:, 0, 1]
-        inv[:, 1, 0] = -a[+1][:, 1, 0]
-        return a[-1] @ (inv / det[:, None, None])
+        b_rep = a[-1] @ np.linalg.inv(a[+1])
+        bmat = np.conj(self._q[-1])[:, None] * b_rep * self._q[+1]
+        off = np.maximum(
+            np.abs(bmat[:, 0, 0] - bmat[:, 1, 1]), np.abs(bmat[:, 0, 1] - bmat[:, 1, 0])
+        )
+        if np.any(off > _FORM_TOL):
+            raise RuntimeError(
+                f"representation kernel is {off.max():.2e} off the a I + b sx form"
+            )
+        return (
+            0.5 * (bmat[:, 0, 0] + bmat[:, 1, 1]),
+            0.5 * (bmat[:, 0, 1] + bmat[:, 1, 0]),
+            det2(bmat),
+        )
 
     def spectral_values(self, mu, u: UnitaryBC) -> np.ndarray:
-        b = self.boundary_matrices(mu)
-        return det2(b - u.matrix)
+        return spectral_function(*self.coefficients(mu), u)
 
     def special_points(self) -> tuple[float, ...]:
         if self.mu0 > 0:

@@ -139,6 +139,18 @@ def test_exit_code_invalid_window_or_density(capsys):
     assert code == 2 and "density" in err
 
 
+def test_exit_code_numerical_failure(capsys):
+    # no root can meet a 1e-30 residual bound: exit 4 with an error line,
+    # not a traceback
+    code, out, err = run_cli(capsys, ["spectrum", "--theory", "schrod",
+                                      "--bc", "qp:alpha=0", "--window", "0", "50",
+                                      "--tol-residual", "1e-30"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "residual verification" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_constraint_violation(capsys):
     code, _, err = run_cli(capsys, ["classify", "--bc", "mat:1,0,1,0,0,0,1,0"])
     assert code == 3

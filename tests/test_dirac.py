@@ -6,22 +6,27 @@ import pytest
 
 from ring_spectra import bc
 from ring_spectra.dirac import (
+    DiracKernel,
     DiracPoint,
     MassModeError,
     PhysicalConfig,
     Regime,
-    boundary_matrix_arrays,
-    build_Apm,
     coefficient_arrays,
-    kernel_at,
-    mass_mode_Apm,
-    mass_mode_B,
     mass_mode_membership,
-    spectral_value,
-    spectral_values,
     wavenumber,
 )
 from ring_spectra.matalg import I2, SX, det2, det2x2_difference
+from ring_spectra.oracles import boundary_matrix, build_Apm, mass_mode_Apm, mass_mode_B
+
+
+def closed_form_B(mu, mu0):
+    """B = a I + b sx from the production coefficients, shape (n, 2, 2)."""
+    a, b, _ = coefficient_arrays(np.atleast_1d(mu), mu0)
+    return boundary_matrix(a, b)
+
+
+def spectral_value(p: DiracPoint, u) -> complex:
+    return complex(DiracKernel(p.mu0).spectral_values(p.mu, u)[0])
 
 
 def test_wavenumber_pythagorean():
@@ -67,17 +72,8 @@ def test_kernel_against_matrix_path_345():
     p = DiracPoint.classify(5.0, 3.0)
     a_plus, a_minus = build_Apm(p)
     b_mat = a_minus @ np.linalg.inv(a_plus)
-    kv = kernel_at(p)
-    assert np.max(np.abs(b_mat - kv.B)) < 1e-12
-    assert np.max(np.abs(kv.B - (kv.a * I2 + kv.b * SX))) == 0.0
-    assert kv.f is None
-
-
-def test_kernel_at_carries_spectral_value_for_bc():
-    u = bc.named_family("qp", 0.9)
-    p = DiracPoint.classify(4.0, 1.0)
-    kv = kernel_at(p, u)
-    assert kv.f == pytest.approx(spectral_value(p, u), abs=1e-14)
+    a, b, _ = (v[0] for v in coefficient_arrays(np.array([5.0]), 3.0))
+    assert np.max(np.abs(b_mat - (a * I2 + b * SX))) < 1e-12
 
 
 def test_hyperbolic_form_equals_complex_wavenumber_form():
@@ -108,8 +104,7 @@ def test_build_Apm_det_example():
 def test_build_Apm_massless_dual_path():
     p = DiracPoint.classify(2 * np.pi, 0.0)
     a_plus, a_minus = build_Apm(p)
-    kv = kernel_at(p)
-    assert np.max(np.abs(a_minus @ np.linalg.inv(a_plus) - kv.B)) < 1e-12
+    assert np.max(np.abs(a_minus @ np.linalg.inv(a_plus) - closed_form_B(p.mu, 0.0)[0])) < 1e-12
 
 
 def test_build_Apm_rejects_mass_modes():
@@ -137,16 +132,10 @@ def test_mass_mode_B_matches_polynomial_matrix_path():
 
 def test_mass_mode_B_continuity():
     b0 = mass_mode_B(+1, 1.0)
-    gaps = [
-        np.linalg.norm(boundary_matrix_arrays(np.array([1.0 + d]), 1.0)[0] - b0)
-        for d in (1e-3, 1e-5)
-    ]
+    gaps = [np.linalg.norm(closed_form_B(1.0 + d, 1.0)[0] - b0) for d in (1e-3, 1e-5)]
     assert gaps[1] < gaps[0] < 2e-3
     # approach from inside the gap converges as well
-    inner = [
-        np.linalg.norm(boundary_matrix_arrays(np.array([1.0 - d]), 1.0)[0] - b0)
-        for d in (1e-3, 1e-5)
-    ]
+    inner = [np.linalg.norm(closed_form_B(1.0 - d, 1.0)[0] - b0) for d in (1e-3, 1e-5)]
     assert inner[1] < inner[0] < 2e-3
 
 
@@ -172,17 +161,18 @@ def test_spectral_value_assembly_paths_agree():
         if p.is_mass_mode:
             continue
         via_triple = spectral_value(p, u)
-        via_det = det2x2_difference(kernel_at(p).B, u.matrix)
+        via_det = det2x2_difference(closed_form_B(p.mu, mu0)[0], u.matrix)
         assert abs(via_triple - via_det) < 1e-11
 
 
 def test_spectral_value_orbit_invariance_pointwise():
     rng = np.random.default_rng(22)
     mu = np.linspace(-6.0, 6.0, 500)
+    kernel = DiracKernel(1.0)
     for _ in range(10):
         u = bc.random_unitary_bc(rng)
         v = bc.conjugate_orbit(u, rng.uniform(0, np.pi))
-        gap = np.abs(spectral_values(mu, 1.0, u) - spectral_values(mu, 1.0, v))
+        gap = np.abs(kernel.spectral_values(mu, u) - kernel.spectral_values(mu, v))
         assert gap.max() < 1e-12
 
 
@@ -213,7 +203,7 @@ def test_c_equals_a2_minus_b2_everywhere():
 def test_B_unitary_including_mass_modes():
     mu0 = 1.0
     mu = np.concatenate([np.linspace(-3.0, 3.0, 3001), [-1.0, 1.0]])
-    mats = boundary_matrix_arrays(mu, mu0)
+    mats = closed_form_B(mu, mu0)
     gram = np.einsum("nki,nkj->nij", mats.conj(), mats)
     assert np.max(np.linalg.norm(gram - I2, axis=(1, 2))) < 1e-10
 

@@ -1,5 +1,7 @@
 """Tests for isospectrality classification and spectrum comparison."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,18 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("RING_SPECTRA_THREADS", "lots")
     with pytest.raises(ValueError):
         thread_count()
+
+
+def test_thread_count_auto_uses_affinity(monkeypatch):
+    monkeypatch.delenv("RING_SPECTRA_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert thread_count() == 3
+    # platforms without an affinity call fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_count() == 1
 
 
 def test_orbit_spectra_respects_thread_env(monkeypatch):

@@ -1,4 +1,8 @@
-"""Tests for the 2x2 matrix-algebra primitives."""
+"""Tests for the 2x2 matrix-algebra primitives.
+
+The ``unitary_eigen`` tests check the closed-form eigenphases of a
+unitary given in Pauli form, against known cases and against LAPACK.
+"""
 
 import numpy as np
 import pytest
@@ -11,9 +15,9 @@ from ring_spectra.matalg import (
     NonUnitaryError,
     det2,
     det2x2_difference,
-    pauli_compose,
     pauli_decompose,
-    unitary_eigen,
+    require_unitary,
+    unitary_eigenphases,
     wrap_angle,
 )
 
@@ -66,45 +70,64 @@ def test_pauli_decompose_basis_matrices():
 def test_pauli_roundtrip_random():
     rng = np.random.default_rng(2)
     for m in random_matrices(rng, 200):
-        rebuilt = pauli_compose(*pauli_decompose(m))
+        c0, c1, c2, c3 = pauli_decompose(m)
+        rebuilt = c0 * I2 + c1 * SX + c2 * SY + c3 * SZ
         assert np.max(np.abs(rebuilt - m)) < 1e-14
 
 
+def pair_gap(lam, ref):
+    """Largest eigenvalue mismatch under the better of the two pairings."""
+    return np.minimum(
+        np.max(np.abs(lam - ref), axis=-1), np.max(np.abs(lam - ref[..., ::-1]), axis=-1)
+    )
+
+
+def eigenphases_of(w, h=None):
+    """Closed-form eigenphases of a unitary (or a batch, shape (n, 2, 2))."""
+    s0 = 0.5 * (w[..., 0, 0] + w[..., 1, 1])
+    s1 = 0.5 * (w[..., 0, 1] + w[..., 1, 0])
+    s2 = 0.5j * (w[..., 0, 1] - w[..., 1, 0])
+    s3 = 0.5 * (w[..., 0, 0] - w[..., 1, 1])
+    s_norm = np.sqrt(np.abs(s1) ** 2 + np.abs(s2) ** 2 + np.abs(s3) ** 2)
+    if h is None:
+        h = 0.5 * np.angle(det2(w))
+    return unitary_eigenphases(s0, s_norm, h)
+
+
 def test_unitary_eigen_identity():
-    dec = unitary_eigen(I2)
-    assert np.allclose(dec.phases, [0.0, 0.0])
-    assert np.allclose(dec.vectors, I2)
+    assert np.allclose(wrap_angle(eigenphases_of(I2)), [0.0, 0.0])
 
 
 def test_unitary_eigen_sx():
-    dec = unitary_eigen(SX)
-    assert sorted(dec.phases) == pytest.approx([0.0, np.pi])
+    assert sorted(wrap_angle(eigenphases_of(SX))) == pytest.approx([0.0, np.pi])
 
 
 def test_unitary_eigen_global_phase():
-    dec = unitary_eigen(np.exp(1j * np.pi / 4) * I2)
-    assert np.allclose(dec.phases, [np.pi / 4, np.pi / 4])
+    phases = wrap_angle(eigenphases_of(np.exp(1j * np.pi / 4) * I2))
+    assert np.allclose(phases, [np.pi / 4, np.pi / 4])
 
 
 def test_unitary_eigen_branch_convention_at_pi():
     # eigenvalues of -I are both e^{i pi}; the branch maps them to +pi
-    dec = unitary_eigen(-I2)
-    assert np.allclose(dec.phases, [np.pi, np.pi])
+    assert np.allclose(wrap_angle(eigenphases_of(-I2)), [np.pi, np.pi])
 
 
-def test_unitary_eigen_rejects_non_unitary():
+def test_require_unitary_rejects_non_unitary():
     with pytest.raises(NonUnitaryError) as err:
-        unitary_eigen(1.5 * SX)
+        require_unitary(1.5 * SX)
     assert err.value.residual > 1e-10
+    require_unitary(SX)
 
 
-def test_unitary_eigen_reconstruction_and_orthonormality():
+def test_unitary_eigen_reconstruction():
+    # batched: e^{i phases} are the eigenvalues, so they rebuild tr W
+    # and det W, and they match LAPACK's eigenvalues
     rng = np.random.default_rng(3)
-    for w in random_unitaries(rng, 10_000):
-        dec = unitary_eigen(w)
-        assert np.linalg.norm(dec.reconstruct() - w) < 1e-12
-        gram = dec.vectors.conj().T @ dec.vectors
-        assert np.linalg.norm(gram - I2) < 1e-12
+    w = random_unitaries(rng, 10_000)
+    lam = np.exp(1j * eigenphases_of(w))
+    assert np.max(np.abs(lam.sum(axis=1) - (w[:, 0, 0] + w[:, 1, 1]))) < 1e-12
+    assert np.max(np.abs(lam.prod(axis=1) - det2(w))) < 1e-12
+    assert pair_gap(lam, np.linalg.eigvals(w)).max() < 1e-12
 
 
 def test_unitary_eigen_closed_form_phases():
@@ -115,9 +138,20 @@ def test_unitary_eigen_closed_form_phases():
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
         w = np.exp(1j * delta) * (v[0] * I2 + 1j * (v[1] * SX + v[2] * SY + v[3] * SZ))
-        dec = unitary_eigen(w)
+        got = wrap_angle(eigenphases_of(w))
         expect = wrap_angle(np.array([delta + np.arccos(v[0]), delta - np.arccos(v[0])]))
-        assert np.allclose(np.sort(dec.phases), np.sort(expect), atol=1e-12)
+        assert np.allclose(np.sort(got), np.sort(expect), atol=1e-12)
+
+
+def test_unitary_eigen_explicit_half_phase_branch():
+    # any half phase of det W gives the same eigenvalues: h -> h + pi
+    # flips the sign of w0 and maps the spread s to pi - s
+    rng = np.random.default_rng(6)
+    w = random_unitaries(rng, 100)
+    h = 0.5 * np.angle(det2(w))
+    plain = np.exp(1j * eigenphases_of(w, h))
+    shifted = np.exp(1j * eigenphases_of(w, h + np.pi))
+    assert pair_gap(plain, shifted).max() < 1e-12
 
 
 def test_unimodular_determinants_on_random_unitaries():

@@ -10,16 +10,19 @@ import pytest
 
 from ring_spectra import bc
 from ring_spectra.matalg import I2, det2x2_difference
+from ring_spectra.oracles import SchrodPoint, SchrodRegime, boundary_matrix, schrod_boundary_map
 from ring_spectra.roots import find_spectrum
-from ring_spectra.schrod import (
-    SchrodKernel,
-    SchrodPoint,
-    SchrodRegime,
-    boundary_matrix_arrays,
-    schrod_boundary_map,
-    schrod_spectral_value,
-    spectral_values,
-)
+from ring_spectra.schrod import SchrodKernel, coefficient_arrays
+
+
+def closed_form_B(e) -> np.ndarray:
+    """B = a I + b sx from the production coefficients, shape (n, 2, 2)."""
+    a, b, _ = coefficient_arrays(e)
+    return boundary_matrix(a, b)
+
+
+def spectral_value(p: SchrodPoint, u) -> complex:
+    return complex(SchrodKernel().spectral_values(p.e, u)[0])
 
 
 def matrix_path_B(e: float) -> np.ndarray:
@@ -30,24 +33,24 @@ def matrix_path_B(e: float) -> np.ndarray:
 def test_zero_energy_limit_consistency():
     # polynomial-basis B(0) equals the e -> 0 limit of the e > 0 closed form
     b0 = matrix_path_B(0.0)
-    b_small = boundary_matrix_arrays(np.array([1e-9]))[0]
+    b_small = closed_form_B(np.array([1e-9]))[0]
     assert np.max(np.abs(b_small - b0)) < 1e-8
     # and the hardcoded coefficients are that limit to machine precision
-    b_closed = boundary_matrix_arrays(np.array([0.0]))[0]
+    b_closed = closed_form_B(np.array([0.0]))[0]
     assert np.max(np.abs(b_closed - b0)) < 1e-14
 
 
 def test_periodic_bc_plane_wave_oracle():
     u_pp = bc.named_family("pp", 0.0)
     # qL = pi is antiperiodic, not periodic
-    assert abs(schrod_spectral_value(SchrodPoint.classify(np.pi**2), u_pp)) > 0.1
+    assert abs(spectral_value(SchrodPoint.classify(np.pi**2), u_pp)) > 0.1
     # qL = 2 pi is periodic
-    assert abs(schrod_spectral_value(SchrodPoint.classify(4 * np.pi**2), u_pp)) < 1e-12
+    assert abs(spectral_value(SchrodPoint.classify(4 * np.pi**2), u_pp)) < 1e-12
 
 
 def test_closed_form_agrees_with_matrix_path():
     for e in np.linspace(-80.0, 380.0, 877):
-        b_closed = boundary_matrix_arrays(np.array([e]))[0]
+        b_closed = closed_form_B(np.array([e]))[0]
         assert np.max(np.abs(b_closed - matrix_path_B(e))) < 1e-11
 
 
@@ -56,7 +59,7 @@ def test_spectral_value_equals_det_difference():
     for _ in range(100):
         u = bc.random_unitary_bc(rng)
         e = rng.uniform(-50.0, 200.0)
-        via_triple = schrod_spectral_value(SchrodPoint.classify(e), u)
+        via_triple = spectral_value(SchrodPoint.classify(e), u)
         via_det = det2x2_difference(matrix_path_B(e), u.matrix)
         assert abs(via_triple - via_det) < 1e-11
 
@@ -83,13 +86,14 @@ def test_orbit_invariance_pointwise():
     for _ in range(10):
         u = bc.random_unitary_bc(rng)
         v = bc.conjugate_orbit(u, rng.uniform(0, np.pi))
-        assert np.max(np.abs(spectral_values(e, u) - spectral_values(e, v))) < 1e-12
+        kernel = SchrodKernel()
+        assert np.max(np.abs(kernel.spectral_values(e, u) - kernel.spectral_values(e, v))) < 1e-12
 
 
 def test_B_unitary_across_regimes():
     e = np.linspace(-100.0, 400.0, 5001)  # includes e = 0 by construction
     assert np.any(e == 0.0)
-    mats = boundary_matrix_arrays(e)
+    mats = closed_form_B(e)
     gram = np.einsum("nki,nkj->nij", mats.conj(), mats)
     assert np.max(np.linalg.norm(gram - I2, axis=(1, 2))) < 1e-10
 

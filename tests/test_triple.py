@@ -6,6 +6,7 @@ import pytest
 from ring_spectra import bc
 from ring_spectra.dirac import DiracKernel
 from ring_spectra.matalg import I2, SX, SY, SZ
+from ring_spectra.oracles import boundary_matrix
 from ring_spectra.roots import find_spectrum
 from ring_spectra.triple import (
     DIRAC_REP,
@@ -220,25 +221,59 @@ def test_spectra_match_across_representations():
         u = bc.random_unitary_bc(rng)
         base = find_spectrum(u, window, base_kernel)
         for rep in (DIRAC_REP, SY_SZ, random_rep(rng)):
-            kern = RepKernel(rep, mu0)
-            other = find_spectrum(bc_in_rep(rep, u), window, kern)
+            other = find_spectrum(u, window, RepKernel(rep, mu0))
             assert len(base.expanded()) == len(other.expanded())
             assert np.max(np.abs(base.expanded() - other.expanded())) < 1e-8
 
 
+def test_bc_in_rep_relabels_the_same_boundary_data():
+    # a spinor obeying Gamma_- = U Gamma_+ in the standard representation,
+    # carried to rep as V^H psi, obeys Gamma'_- = U' Gamma'_+ there
+    rng = np.random.default_rng(70)
+    for rep in (DIRAC_REP, SY_SZ, random_rep(rng)):
+        u = bc.random_unitary_bc(rng)
+        v = representation_transform(rep, DIRAC_REP)
+        g_plus = rng.normal(size=2) + 1j * rng.normal(size=2)
+        g_minus = u.matrix @ g_plus
+        ends = []
+        for k, side in enumerate((-0.5, +0.5)):
+            ep, em = boundary_eigvecs(DIRAC_REP, side)
+            ends.append(v.conj().T @ (g_plus[k] * ep + g_minus[k] * em))
+
+        def psi(x, ends=ends):
+            out = np.zeros((len(x), 2), dtype=complex)
+            out[x == -0.5] = ends[0]
+            out[x == +0.5] = ends[1]
+            return out
+
+        sample = SpinorSample.from_callables(psi, lambda x: np.zeros((len(x), 2), dtype=complex))
+        gm, gp = gamma_maps(rep, sample)
+        assert np.linalg.norm(gm - bc_in_rep(rep, u).matrix @ gp) < 1e-12
+
+
 def test_rep_kernel_matches_closed_form_in_dirac_rep():
     mu = np.linspace(-6.0, 6.0, 501)
-    kern = RepKernel(DIRAC_REP, 1.0)
-    direct = DiracKernel(1.0)
-    assert np.max(np.abs(kern.boundary_matrices(mu) - direct.boundary_matrices(mu))) < 1e-11
+    rep_b = boundary_matrix(*RepKernel(DIRAC_REP, 1.0).coefficients(mu)[:2])
+    direct_b = boundary_matrix(*DiracKernel(1.0).coefficients(mu)[:2])
+    assert np.max(np.abs(rep_b - direct_b)) < 1e-11
 
 
 def test_rep_kernel_handles_mass_modes():
     # grid containing +-mu0 exactly: polynomial basis takes over there
     kern = RepKernel(SY_SZ, 1.0)
-    mats = kern.boundary_matrices(np.array([-1.0, 1.0]))
+    mats = boundary_matrix(*kern.coefficients(np.array([-1.0, 1.0]))[:2])
     gram = np.einsum("nki,nkj->nij", mats.conj(), mats)
     assert np.max(np.linalg.norm(gram - I2, axis=(1, 2))) < 1e-12
+
+
+def test_rep_kernel_rejects_a_transfer_matrix_off_the_ab_form():
+    # with one endpoint phase wrong, Q_-^H B' Q_+ is no longer a I + b sx
+    kern = RepKernel(SY_SZ, 1.0)
+    mu = np.linspace(-6.0, 6.0, 11)
+    kern.coefficients(mu)
+    kern._q = {+1: kern._q[+1], -1: kern._q[-1] * np.array([1.0, 1j])}
+    with pytest.raises(RuntimeError, match="off the a I"):
+        kern.coefficients(mu)
 
 
 def test_spinor_sample_grid_contract():
