@@ -37,6 +37,7 @@ from .roots import (
     Root,
     SpectrumSlice,
     eigenphase_profile,
+    find_spectra,
     find_spectrum,
 )
 from .schrod import SchrodKernel
@@ -84,6 +85,7 @@ __all__ = [
     "conjugate_orbit",
     "det2x2_difference",
     "eigenphase_profile",
+    "find_spectra",
     "find_spectrum",
     "from_matrix",
     "gamma_maps",

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, acceptance
 from .bc import BCConstraintError, BCParseError, UnitaryBC, parse_bc
 from .dirac import DiracKernel, PhysicalConfig, SpectralPoleError
-from .iso import classify, compare_spectra, orbit_spectra, thread_count
+from .iso import classify, compare_spectra, orbit_spectra
 from .matalg import NonUnitaryError
 from .roots import (
     DEFAULT_DENSITY,
@@ -127,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ring-spectra",
         description="Exact spectra of a quantum particle on a ring with a "
         "junction, for every self-adjoint U(2) boundary condition. "
-        f"Root separation tolerance is {SEPARATION_FACTOR:g}*max(1,|x|); "
-        "RING_SPECTRA_THREADS caps parallelism (0 = auto).",
+        f"Root separation tolerance is {SEPARATION_FACTOR:g}*max(1,|x|).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,7 +253,7 @@ def cmd_classify(args) -> int:
             {"lambda": (k + 1) * np.pi / 8.0, **_bc_chart(s)}
             for k, s in enumerate(result.orbit_samples)
         ],
-        "meta": {"version": __version__, "threads": thread_count()},
+        "meta": {"version": __version__},
     }
     _write_output(_dump_json(payload), args.out)
     return EXIT_OK

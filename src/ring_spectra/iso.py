@@ -11,35 +11,17 @@ window that produced them.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, conjugate_orbit, invariant_triple, is_parity_symmetric
-from .roots import SpectrumSlice, find_spectrum
+# find_spectrum stays importable from here: perfbench's traced run rebinds
+# iso.find_spectrum around its measured loop
+from .roots import SpectrumSlice, find_spectra, find_spectrum  # noqa: F401
 
 #: classify() sweeps the orbit at lambda = k pi / 8, k = 1..15
 ORBIT_LAMBDAS = tuple(k * np.pi / 8.0 for k in range(1, 16))
-
-
-def thread_count() -> int:
-    """Worker cap from RING_SPECTRA_THREADS (unset or 0 means auto).
-
-    Auto is the number of CPUs this process may run on (its affinity
-    set where the platform reports one, else the machine's CPU count).
-    """
-    raw = os.environ.get("RING_SPECTRA_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RING_SPECTRA_THREADS must be an integer, got {raw!r}") from exc
-    if val > 0:
-        return val
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -100,22 +82,13 @@ def orbit_spectra(
 ) -> list[tuple[float, UnitaryBC, SpectrumSlice]]:
     """Spectra across the conjugation orbit, lambda = k pi / n_lambda.
 
-    The orbit has period pi.  Spectra are computed in parallel over the
-    lambda samples (worker count from RING_SPECTRA_THREADS); results
-    come back in lambda order regardless of scheduling.
+    The orbit has period pi.  All samples go through one batched search
+    (:func:`~ring_spectra.roots.find_spectra`), which evaluates the
+    kernel on the grid once for the whole orbit; results come back in
+    lambda order.
     """
     if n_lambda < 1:
         raise ValueError("need at least one orbit sample")
     lams = [k * np.pi / n_lambda for k in range(n_lambda)]
     bcs = [conjugate_orbit(u, lam) for lam in lams]
-
-    def run(bc: UnitaryBC) -> SpectrumSlice:
-        return find_spectrum(bc, window, kernel, density=density)
-
-    workers = min(thread_count(), len(bcs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(run, bcs))
-    else:
-        slices = [run(bc) for bc in bcs]
-    return list(zip(lams, bcs, slices))
+    return list(zip(lams, bcs, find_spectra(bcs, window, kernel, density=density)))

@@ -2,6 +2,8 @@
 unit conversion, and exit codes."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +153,21 @@ def test_exit_code_numerical_failure(capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_grid_over_cap(capsys):
+    # (0, 1e6] would need ~163M grid points (~26 GB): refused at once,
+    # before the grid is allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["spectrum", "--theory", "schrod",
+                                          "--bc", "qp:alpha=0", "--window", "0", "1e6"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "grid points" in err and "split" in err
+    assert peak < 16e6
+
+
 def test_exit_code_constraint_violation(capsys):
     code, _, err = run_cli(capsys, ["classify", "--bc", "mat:1,0,1,0,0,0,1,0"])
     assert code == 3
@@ -204,6 +221,8 @@ def test_verify_subset(capsys):
     assert lines[0] == "1..2"
     assert lines[1].startswith("ok 1 - [1]")
     assert lines[2].startswith("ok 2 - [7]")
+    # every check line ends in its wall time
+    assert all(re.search(r" \(\d+\.\d\d s\)$", line) for line in lines[1:])
 
 
 def test_verify_rejects_bad_selection(capsys):

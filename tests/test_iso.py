@@ -1,13 +1,11 @@
 """Tests for isospectrality classification and spectrum comparison."""
 
-import os
-
 import numpy as np
 import pytest
 
 from ring_spectra import bc
 from ring_spectra.dirac import DiracKernel
-from ring_spectra.iso import ORBIT_LAMBDAS, classify, compare_spectra, orbit_spectra, thread_count
+from ring_spectra.iso import ORBIT_LAMBDAS, classify, compare_spectra, orbit_spectra
 from ring_spectra.roots import find_spectrum
 from ring_spectra.schrod import SchrodKernel
 
@@ -83,13 +81,14 @@ def test_compare_spectra_window_mismatch():
         compare_spectra(s1, s2, tol=1e-8)
 
 
-@pytest.mark.parametrize("kernel,window", [
-    (DiracKernel(1.0), (-10.0, 10.0)),
-    (SchrodKernel(), (-20.0, 80.0)),
-])
-def test_orbit_spectra_all_equal(kernel, window):
-    rng = np.random.default_rng(73)
-    u = bc.random_unitary_bc(rng)
+@pytest.mark.parametrize("kernel,window,u", [
+    (DiracKernel(1.0), (-10.0, 10.0), None),
+    (SchrodKernel(), (-20.0, 80.0), None),
+    (SchrodKernel(), (0.0, 100.0), bc.named_family("qp", 0.4)),
+], ids=["kernel0-window0", "kernel1-window1", "qp-alpha0.4"])
+def test_orbit_spectra_all_equal(kernel, window, u):
+    if u is None:
+        u = bc.random_unitary_bc(np.random.default_rng(73))
     entries = orbit_spectra(u, window, kernel, n_lambda=6)
     assert [lam for lam, _, _ in entries] == pytest.approx(
         [k * np.pi / 6 for k in range(6)]
@@ -114,35 +113,3 @@ def test_parity_pairs_distinguishable_in_window():
         s1 = find_spectrum(bc.named_family("parity", eta=eta1, theta=th1), window, kernel)
         s2 = find_spectrum(bc.named_family("parity", eta=eta2, theta=th2), window, kernel)
         assert not compare_spectra(s1, s2, tol=1e-4).equal
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("RING_SPECTRA_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("RING_SPECTRA_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("RING_SPECTRA_THREADS")
-    assert thread_count() >= 1
-    monkeypatch.setenv("RING_SPECTRA_THREADS", "lots")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-def test_thread_count_auto_uses_affinity(monkeypatch):
-    monkeypatch.delenv("RING_SPECTRA_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert thread_count() == 3
-    # platforms without an affinity call fall back to the CPU count
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert thread_count() == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert thread_count() == 1
-
-
-def test_orbit_spectra_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("RING_SPECTRA_THREADS", "2")
-    u = bc.named_family("qp", 0.4)
-    entries = orbit_spectra(u, (0.0, 100.0), SchrodKernel(), n_lambda=4)
-    base = entries[0][2]
-    assert all(compare_spectra(base, s, tol=1e-8).equal for _, _, s in entries[1:])

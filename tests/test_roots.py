@@ -1,5 +1,7 @@
 """Tests for eigenphase profiles and spectrum extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,13 +11,16 @@ from ring_spectra import bc
 from ring_spectra.dirac import DiracKernel, coefficient_arrays
 from ring_spectra.oracles import boundary_matrix
 from ring_spectra.roots import (
+    MAX_GRID_POINTS,
     NumericalError,
     SpectrumSlice,
     eigenphase_profile,
     eigenphases,
+    find_spectra,
     find_spectrum,
 )
 from ring_spectra.schrod import SchrodKernel
+from ring_spectra.triple import DIRAC_REP, CliffordRep, RepKernel
 
 PROPERTY = settings(deadline=None, derandomize=True)
 
@@ -60,7 +65,7 @@ def lapack_gap(kernel, x, u) -> float:
     """Largest |e^{i phase} - lambda| between the closed-form eigenphases
     and LAPACK's eigenvalues of W = B U^H, under the better pairing."""
     a, b, c = kernel.coefficients(np.array([x]))
-    lam = np.exp(1j * eigenphases(a, b, c, u)[0])
+    lam = np.exp(1j * eigenphases(a, b, c, u.eta, u.m0, u.m)[0])
     ref = np.linalg.eigvals(boundary_matrix(a, b)[0] @ u.matrix.conj().T)
     return min(np.max(np.abs(lam - ref)), np.max(np.abs(lam - ref[::-1])))
 
@@ -125,7 +130,7 @@ def test_eigenphases_match_lapack_at_exact_degeneracy(point, offset):
     a, b, _ = kernel.coefficients(np.array([x]))
     u = bc.from_matrix(boundary_matrix(a, b)[0])
     assert lapack_gap(kernel, x + offset, u) <= 1e-12
-    assert np.max(np.abs(np.exp(1j * eigenphases(*kernel.coefficients(x), u)) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.exp(1j * eigenphases(*kernel.coefficients(x), u.eta, u.m0, u.m)) - 1.0)) < 1e-12
 
 
 @PROPERTY
@@ -211,6 +216,15 @@ def test_window_is_half_open():
     assert s.roots[0].x == pytest.approx(e0, abs=1e-10)
 
 
+def test_root_on_a_grid_node_at_lo_is_excluded():
+    # periodic conditions put a track exactly on 0 at the node e = 0; that
+    # crossing is the window's lo and must not come back as a root just
+    # above it
+    s = find_spectrum(bc.named_family("pp", 0.0), (0.0, 200.0), SchrodKernel())
+    assert [r.multiplicity for r in s.roots] == [2, 2]
+    assert s.values() == pytest.approx([4 * np.pi**2, 16 * np.pi**2], abs=1e-9)
+
+
 def test_residual_contract():
     rng = np.random.default_rng(51)
     kernel = DiracKernel(1.0)
@@ -289,3 +303,91 @@ def test_spectrum_slice_expansion():
         theory="schrod",
     )
     assert s.expanded().size == 0
+
+
+def test_grid_over_cap_raises_before_allocating():
+    # (0, 1e6] at the default density needs ~163M points (~26 GB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="grid points") as err:
+            find_spectrum(bc.named_family("qp", 0.0), (0.0, 1e6), SchrodKernel())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(MAX_GRID_POINTS) in str(err.value) and "split" in str(err.value)
+    assert peak < 16e6
+
+
+#: (kernel, window) pairs the batch must agree on, one per kernel kind
+BATCH_CASES = [
+    (DiracKernel(0.0), (-10.0, 10.0)),
+    (DiracKernel(1.0), (-10.0, 10.0)),
+    (SchrodKernel(), (-20.0, 80.0)),
+    (RepKernel(DIRAC_REP, 1.0), (-8.0, 8.0)),
+    (RepKernel(CliffordRep(np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])), 1.0),
+     (-8.0, 8.0)),
+]
+
+batch_bcs = st.one_of(
+    unitary_bcs(),
+    st.sampled_from([bc.named_family("dpp", 0.0), bc.named_family("qp", 0.0)]),
+)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(case=st.sampled_from(BATCH_CASES), us=st.lists(batch_bcs, min_size=1, max_size=5))
+def test_batch_matches_single_searches(case, us):
+    kernel, window = case
+    batch = find_spectra(us, window, kernel)
+    assert len(batch) == len(us)
+    for u, got in zip(us, batch):
+        want = find_spectrum(u, window, kernel)
+        assert [r.multiplicity for r in got.roots] == [r.multiplicity for r in want.roots]
+        assert got.grid_points == want.grid_points
+        x, y = got.values(), want.values()
+        assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y)))
+
+
+def test_batch_fails_like_a_single_search():
+    us = [bc.named_family("qp", 0.0), bc.named_family("dpp", 0.0)]
+    with pytest.raises(NumericalError, match="residual verification") as single:
+        find_spectrum(us[0], (0.0, 50.0), SchrodKernel(), tol_residual=1e-30)
+    with pytest.raises(NumericalError, match="residual verification") as batch:
+        find_spectra(us, (0.0, 50.0), SchrodKernel(), tol_residual=1e-30)
+    assert str(batch.value) == str(single.value)
+
+
+def test_batch_of_none_is_empty():
+    assert find_spectra([], (0.0, 50.0), SchrodKernel()) == []
+
+
+ADDITIVITY_CASES = [
+    (DiracKernel(0.0), (-10.0, 10.0)),
+    (DiracKernel(1.0), (-10.0, 10.0)),
+    (SchrodKernel(), (-20.0, 2000.0)),
+    (SchrodKernel(), (1e4, 1.04e4)),
+]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    case=st.sampled_from(ADDITIVITY_CASES),
+    u=unitary_bcs(),
+    at_root=st.booleans(),
+    frac=st.floats(0.01, 0.99),
+)
+def test_window_additivity(case, u, at_root, frac):
+    # spec(lo, mid] + spec(mid, hi] == spec(lo, hi], mid uniform or on a root
+    kernel, (lo, hi) = case
+    whole = find_spectrum(u, (lo, hi), kernel).expanded()
+    inner = whole[(whole > lo) & (whole < hi)]
+    if at_root and inner.size:
+        mid = float(inner[int(frac * inner.size)])
+    else:
+        mid = lo + frac * (hi - lo)
+    parts = np.concatenate([
+        find_spectrum(u, (lo, mid), kernel).expanded(),
+        find_spectrum(u, (mid, hi), kernel).expanded(),
+    ])
+    assert len(parts) == len(whole)
+    assert np.all(np.abs(parts - whole) <= 1e-10 * np.maximum(1.0, np.abs(whole)))
