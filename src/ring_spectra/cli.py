@@ -114,9 +114,10 @@ def _add_spectrum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--density", type=int, default=DEFAULT_DENSITY,
-                   help=f"grid nodes per 2*pi of window (default {DEFAULT_DENSITY}, min 64)")
+                   help="accepted and checked (min 64) but unused: the search has no "
+                   f"grid (default {DEFAULT_DENSITY})")
     p.add_argument("--tol-root", type=float, default=DEFAULT_TOL_ROOT,
-                   help=f"bisection width tolerance (default {DEFAULT_TOL_ROOT:g})")
+                   help=f"root bracket width tolerance (default {DEFAULT_TOL_ROOT:g})")
     p.add_argument("--tol-residual", type=float, default=DEFAULT_TOL_RESIDUAL,
                    help=f"|F| bound for accepted roots (default {DEFAULT_TOL_RESIDUAL:g})")
     _add_output_args(p)

@@ -13,8 +13,19 @@ The boundary transfer matrix is B(mu) = a I + b sx with
 
 and the spectrum of the condition U is the zero set of the spectral
 function F_U(mu) = det(B(mu) - U) = det U - a tr U + b tr(U sx) + c.
-The kernel only ever hands out the scalars (a, b, c); the matrix B is
-never built here.  The energies mu = +-mu0 (zero wavenumber) have
+The kernel only ever hands out the scalars (a, b, c) and the half
+phase h of c, e^{2ih} = c; the matrix B is never built here.  Since
+c = conj(d)/d for the denominator d (times -1 in the gap), h = -arg d
+lifts in closed form.  Above the gap, with eps = K/|mu|,
+
+    h = pi/2 - K - atan((1 - eps) sin K cos K / (sin^2 K + eps cos^2 K)),
+
+whose atan argument has a positive denominator, so h is continuous;
+below the gap h is pi minus the same expression in |mu|, and inside it
+h = pi/2 - atan(mu tanh(kappa) / kappa).  They meet the
+zero-wavenumber values h(mu0) = atan(1/mu0) and h(-mu0) = pi -
+atan(1/mu0), so h is continuous on the whole axis and, like the
+eigenphases, never increases.  The energies mu = +-mu0 (zero wavenumber) have
 closed-form coefficients and enter the root search as ordinary points;
 which energies snap to them is decided in one place,
 :func:`mass_mode_masks`.
@@ -169,11 +180,12 @@ def mass_mode_masks(mu, mu0: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coefficient_arrays(mu, mu0: float):
-    """Vectorized (a, b, c) over an array of energies, all regimes.
+    """Vectorized (a, b, c, h) over an array of energies, all regimes.
 
     Energies within the snap tolerance of +-mu0 get the closed-form
     values; in-gap points use the cosh-normalized hyperbolic rewrite,
-    finite up to kappa ~ 700.
+    finite up to kappa ~ 700.  ``h`` is the half phase of c, e^{2ih} = c,
+    lifted in closed form so it is continuous in mu across all regimes.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu0 < 0:
@@ -181,6 +193,7 @@ def coefficient_arrays(mu, mu0: float):
     a = np.empty(mu.shape, dtype=complex)
     b = np.empty(mu.shape, dtype=complex)
     c = np.empty(mu.shape, dtype=complex)
+    h = np.empty(mu.shape)
 
     plus, minus = mass_mode_masks(mu, mu0)
     inside = (np.abs(mu) < mu0) & ~plus & ~minus
@@ -195,6 +208,11 @@ def coefficient_arrays(mu, mu0: float):
         a[outside] = mu0 * s / d
         b[outside] = -1j * k / d
         c[outside] = (m * s + 1j * k * co) / d
+        # h = -arg d, lifted: above the gap d = |mu| e^{i(k - pi/2)} z with
+        # Re z > 0; below it d is minus the conjugate of that
+        am = np.abs(m)
+        g = 0.5 * np.pi - k - np.arctan2((am - k) * s * co, am * s * s + k * co * co)
+        h[outside] = np.where(m > 0, g, np.pi - g)
 
     if np.any(inside):
         m = mu[inside]
@@ -207,15 +225,19 @@ def coefficient_arrays(mu, mu0: float):
         a[inside] = 1j * mu0 * t / d
         b[inside] = kap_sech / d
         c[inside] = (1j * m * t - kap) / d
+        h[inside] = 0.5 * np.pi - np.arctan2(m * t, kap)  # c = -conj(d)/d
 
+    # h at zero wavenumber: the common limit of the forms on either side
     if np.any(plus):
         if mu0 > 0:
             a[plus], b[plus], c[plus] = mass_mode_coefficients(+1, mu0)
         else:  # massless K -> 0 limit: B = sx
             a[plus], b[plus], c[plus] = 0.0, 1.0, -1.0
+        h[plus] = np.arctan2(1.0, mu0)
     if np.any(minus):
         a[minus], b[minus], c[minus] = mass_mode_coefficients(-1, mu0)
-    return a, b, c
+        h[minus] = np.pi - np.arctan2(1.0, mu0)
+    return a, b, c, h
 
 
 def mass_mode_membership(
@@ -240,8 +262,8 @@ class DiracKernel:
     """Relativistic kernel bound to a fixed dimensionless mass.
 
     The kernel protocol the root search uses: ``theory``,
-    ``special_points()`` and ``coefficients(mu) -> (a, b, c)``;
-    ``spectral_values`` evaluates F_U from those coefficients.
+    ``special_points()`` and ``coefficients(mu) -> (a, b, c, h)``;
+    ``spectral_values`` evaluates F_U from (a, b, c).
     """
 
     theory = "dirac"
@@ -255,7 +277,7 @@ class DiracKernel:
         return coefficient_arrays(mu, self.mu0)
 
     def spectral_values(self, mu, u: UnitaryBC) -> np.ndarray:
-        return spectral_function(*self.coefficients(mu), u)
+        return spectral_function(*self.coefficients(mu)[:3], u)
 
     def special_points(self) -> tuple[float, ...]:
         if self.mu0 > 0:

@@ -83,9 +83,9 @@ def orbit_spectra(
     """Spectra across the conjugation orbit, lambda = k pi / n_lambda.
 
     The orbit has period pi.  All samples go through one batched search
-    (:func:`~ring_spectra.roots.find_spectra`), which evaluates the
-    kernel on the grid once for the whole orbit; results come back in
-    lambda order.
+    (:func:`~ring_spectra.roots.find_spectra`), which makes one kernel
+    call per refinement round for the whole orbit; results come back in
+    lambda order.  ``density`` is passed on, where it is only checked.
     """
     if n_lambda < 1:
         raise ValueError("need at least one orbit sample")

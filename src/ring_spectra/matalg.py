@@ -94,8 +94,8 @@ def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
 def unitary_eigenphases(s0, s_norm, h):
     """Both eigenphases of a unitary W = s0 I + s.sigma (complex s0, s).
 
-    With h a half phase of det W (any branch, e.g. one unwrapped along
-    a grid), W = e^{ih} (w0 I + i w.sigma) for a real unit 4-vector
+    With h a half phase of det W (any branch, e.g. a kernel's
+    continuous lift), W = e^{ih} (w0 I + i w.sigma) for a real unit 4-vector
     (w0, w) with w0 = Re(s0 e^{-ih}) and |w| = |s|, so the eigenphases
     are h +- atan2(|s|, w0).  Taking |s| from the coefficients keeps the
     spread accurate to machine precision through a degeneracy

@@ -1,10 +1,15 @@
-"""Independent matrix-path oracles for the closed-form kernels.
+"""Independent oracles for the closed-form kernels and the root search.
 
-The root search works on the scalar coefficients (a, b, c) alone.  The
-plane-wave and polynomial-basis boundary matrices A_pm, from which
-those coefficients were derived through B = A_minus A_plus^{-1}, live
-here so checks and tests can rebuild B the long way and compare.  No
-production code path imports this module.
+The root search works on the scalar coefficients (a, b, c) and the
+kernels' lifted half phase h alone.  The plane-wave and
+polynomial-basis boundary matrices A_pm, from which those coefficients
+were derived through B = A_minus A_plus^{-1}, live here so checks and
+tests can rebuild B the long way and compare.  So does the reference
+grid search, :func:`grid_spectra`: it brackets crossings on a fine
+uniform grid with h unwrapped numerically from arg(c) (never the
+closed-form lift) and bisects them, so the count-certified production
+search can be held against it.  No production code path imports this
+module.
 """
 
 from __future__ import annotations
@@ -15,7 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import DiracPoint, MassModeError, mass_mode_coefficients, wavenumber
-from .matalg import I2, SX
+from .matalg import I2, SX, TAU
+from .roots import (
+    DEFAULT_DENSITY,
+    DEFAULT_TOL_RESIDUAL,
+    DEFAULT_TOL_ROOT,
+    SpectrumSlice,
+    _charts,
+    _validate,
+    collect_spectra,
+    eigenphases,
+)
 from .schrod import ZERO_SNAP_TOL
 
 
@@ -140,3 +155,125 @@ def schrod_boundary_map(p: SchrodPoint) -> tuple[np.ndarray, np.ndarray]:
         [[kap * sh - 1j * ch, -(kap * ch - 1j * sh)], [kap * sh - 1j * ch, kap * ch - 1j * sh]]
     )
     return a_plus, a_minus
+
+
+# ---------------------------------------------------------------------------
+# reference root search
+
+
+def _build_grid(lo: float, hi: float, n: int, specials) -> np.ndarray:
+    """n uniform nodes on [lo, hi] (at least 9), refined around specials."""
+    grid = [np.linspace(lo, hi, max(n, 9))]
+    # refine geometrically around zero-wavenumber points: the phase
+    # speed diverges like 1/K there and a uniform grid alone could step
+    # over more than pi in phase for large mu0
+    h = (hi - lo) / max(n - 1, 1)
+    for s in specials:
+        if lo < s < hi:
+            offs = h * 4.0 ** (-np.arange(1.0, 13.0))
+            grid.append(np.clip(s + offs, lo, hi))
+            grid.append(np.clip(s - offs, lo, hi))
+            grid.append(np.array([s]))
+    merged = np.unique(np.concatenate(grid))
+    # drop near-duplicates that would create zero-width cells
+    keep = np.concatenate([[True], np.diff(merged) > 1e-15 * np.maximum(1.0, np.abs(merged[1:]))])
+    return merged[keep]
+
+
+def _grid_brackets(grid: np.ndarray, tracks: np.ndarray, tag: int) -> list[tuple[float, ...]]:
+    """Cells where a track crosses a multiple of 2 pi, one row (xl, xr,
+    tl, tr, target, tag) per multiple crossed.  A track that sits on the
+    multiple at a node gives a zero-width bracket at that node."""
+    rows = []
+    for g in range(2):
+        t = tracks[:, g]
+        floors = np.floor(t / TAU)
+        cells = np.flatnonzero(floors[:-1] != floors[1:])
+        for i in cells:
+            lo_f = int(min(floors[i], floors[i + 1]))
+            hi_f = int(max(floors[i], floors[i + 1]))
+            for n in range(lo_f + 1, hi_f + 1):
+                target = TAU * n
+                xl = grid[i + 1] if t[i + 1] == target else grid[i]
+                xr = grid[i] if t[i] == target else grid[i + 1]
+                rows.append((xl, xr, t[i], t[i + 1], target, tag))
+    return rows
+
+
+def _bisect(kernel, chart, xl, xr, tl, tr, target, tol_root, tol_residual):
+    """Plain bisection of grid brackets.  The midpoint track value is the
+    eigenphase candidate (plain branch arg(c)/2 of h) lifted closest to
+    the linear interpolation of the bracket; the stop rule and the
+    certified-endpoint return are those of the production search."""
+    xl, xr, tl, tr = (v.copy() for v in (xl, xr, tl, tr))
+    phase_tol = 0.125 * tol_residual
+    fp_floor = 32.0 * np.finfo(float).eps
+    for _ in range(200):
+        xm = 0.5 * (xl + xr)
+        scale = np.maximum(1.0, np.abs(xm))
+        width = xr - xl
+        phase = np.minimum(np.abs(tl - target), np.abs(tr - target))
+        active = (width > fp_floor * scale) & ((width > tol_root * scale) | (phase > phase_tol))
+        if not active.any():
+            break
+        xa = xm[active]
+        rows = chart[active]
+        a, b, c, _ = kernel.coefficients(xa)
+        cand = eigenphases(a, b, 0.5 * np.angle(c), rows[:, 0], rows[:, 1], rows[:, 2:])
+        texp = 0.5 * (tl[active] + tr[active])
+        lifted = cand + TAU * np.round((texp[:, None] - cand) / TAU)
+        pick = np.argmin(np.abs(lifted - texp[:, None]), axis=1)
+        tm = lifted[np.arange(len(xa)), pick]
+        g = tm - target[active]
+        gl = tl[active] - target[active]
+        go_right = np.sign(g) == np.sign(gl)
+        exact = g == 0.0
+        to_right = go_right & ~exact
+        to_left = ~go_right & ~exact
+
+        idx = np.flatnonzero(active)
+        right = idx[to_right]
+        left = idx[to_left]
+        hit = idx[exact]
+        xl[right] = xa[to_right]
+        tl[right] = tm[to_right]
+        xr[left] = xa[to_left]
+        tr[left] = tm[to_left]
+        xl[hit] = xm[hit]
+        xr[hit] = xm[hit]
+    return np.where(np.abs(tl - target) <= np.abs(tr - target), xl, xr)
+
+
+def grid_spectra(
+    us,
+    window: tuple[float, float],
+    kernel,
+    density: int = DEFAULT_DENSITY,
+    tol_root: float = DEFAULT_TOL_ROOT,
+    tol_residual: float = DEFAULT_TOL_RESIDUAL,
+) -> list[SpectrumSlice]:
+    """Reference search: the zeros of F_U in (lo, hi] for each U, from
+    sign changes of the tracks on a uniform grid of ``density`` nodes per
+    2 pi (refined around the special points), with h unwrapped from
+    arg(c) along the grid, refined by bisection.  Clustering, the window
+    rule and residual verification are the production search's.
+    ``grid_points`` reports the grid size.  Memory grows with the window;
+    meant for test windows only."""
+    lo, hi = _validate(window, density, tol_root, tol_residual)
+    pad = tol_root * max(1.0, abs(hi))
+    nodes = int(np.ceil((hi + pad - lo) / TAU * density)) + 1
+    grid = _build_grid(lo, hi + pad, nodes, kernel.special_points())
+    a, b, c, _ = kernel.coefficients(grid)
+    h = 0.5 * np.unwrap(np.angle(c))
+
+    brackets = []
+    for k, u in enumerate(us):
+        brackets += _grid_brackets(grid, eigenphases(a, b, h, u.eta, u.m0, u.m), k)
+    arr = np.array(brackets, dtype=float).reshape(-1, 6)
+    owner = arr[:, 5].astype(int)
+    located = _bisect(
+        kernel, _charts(us)[owner], arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4],
+        tol_root, tol_residual,
+    )
+    evaluated = np.full(len(us), len(grid))
+    return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)

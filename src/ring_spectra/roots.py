@@ -14,23 +14,33 @@ so the two eigenphases are
 
     t_pm(x) = h(x) - eta +- atan2(|s|, w0),   w0 = Re(s0 e^{-i h}),
 
-with h = arg(c)/2, unwrapped along the grid for the tracks.  Their
-crossings of 2 pi n are bracketed by sign changes on a fine grid and
-refined by bisection on the same closed form (taken with the plain
-branch of h).  |s| comes straight from the coefficients, so the phases
-stay accurate to machine precision through degeneracies and double
-roots are located as sharply as simple ones.  Two crossings closer
-than the separation tolerance merge into one root of multiplicity 2,
-which is the maximum for 2x2 unitaries; a larger cluster raises, since
-it would mean the dimension count failed.
+with h the half phase of c.  Every kernel hands out h already lifted,
+continuous in x in closed form, so t_pm are continuous tracks at any
+single x, with no grid and no unwrapping.  Both tracks never increase
+with energy (the Herglotz/Krein monotonicity of the eigenphases), so
+the multiples of 2 pi a track passes between the window ends are
+exactly its crossings: the tracks at the two ends alone certify the
+root count, and each crossing gets its own bracket, refined by Brent's
+method on the same closed form.  |s| comes straight from the
+coefficients, so the phases stay accurate to machine precision through
+degeneracies and double roots are located as sharply as simple ones.
+Two crossings closer than the separation tolerance merge into one root
+of multiplicity 2, which is the maximum for 2x2 unitaries; a larger
+cluster raises, since it would mean the dimension count failed.
 
 A kernel is anything with ``theory``, ``special_points()``,
-``coefficients(x) -> (a, b, c)`` and ``spectral_values(x, u)``; the
+``coefficients(x) -> (a, b, c, h)`` and ``spectral_values(x, u)``; the
 search calls nothing else, and never builds a 2x2 matrix per point.
+The kernels evaluate a small band around each special point as the
+point itself, so a root whose final bracket meets that band is
+reported at the special point.
 
-(a, b, c) do not depend on U, so the one search, :func:`find_spectra`,
-runs a batch of boundary conditions on one kernel evaluation;
-:func:`find_spectrum` is that search for a single U.
+(a, b, c, h) do not depend on U, so the one search, :func:`find_spectra`,
+runs a batch of boundary conditions on one kernel call per refinement
+round; :func:`find_spectrum` is that search for a single U.
+Memory grows with the number of roots, not with the window.  The
+reference grid search it replaced lives on as an oracle,
+:func:`ring_spectra.oracles.grid_spectra`.
 
 Everything here is pure-function over value inputs; concurrent searches
 on shared read-only kernels are safe.
@@ -44,24 +54,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bc import UnitaryBC
+from .dirac import MASS_SNAP_TOL
 from .matalg import TAU, unitary_eigenphases, wrap_angle
 
-#: grid nodes per 2*pi of window length (default; >= 64 enforced)
+#: accepted and validated (>= 64) for compatibility; the search has no grid
 DEFAULT_DENSITY = 1024
 #: roots closer than SEPARATION_FACTOR * max(1, |x|) merge (multiplicity 2)
 SEPARATION_FACTOR = 1e-8
 DEFAULT_TOL_ROOT = 1e-12
 DEFAULT_TOL_RESIDUAL = 1e-9
-#: a window needing a larger grid is refused before anything is allocated
-MAX_GRID_POINTS = 2**24
+#: a window holding more roots for one U is refused before anything is allocated
+MAX_ROOTS = 2**17
 
-_MAX_BISECT = 200
+_MAX_ROUNDS = 200
 
 
 class NumericalError(RuntimeError):
-    """A search could not meet its numerical contract: a root failed
-    residual verification or more than two eigenphase crossings
-    coincided."""
+    """A search could not meet its numerical contract: the window holds
+    more than MAX_ROOTS roots or no finite count, a root failed residual
+    verification, or more than two eigenphase crossings coincided."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,12 @@ class Root:
 
 @dataclass(frozen=True)
 class SpectrumSlice:
-    """Sorted eigenvalues with multiplicities inside one energy window."""
+    """Sorted eigenvalues with multiplicities inside one energy window.
+
+    ``grid_points`` is the number of energies the search evaluated for
+    this U: the two window ends plus every refinement step of its
+    brackets (the grid size, for the grid oracle).
+    """
 
     window: tuple[float, float]
     roots: tuple[Root, ...]
@@ -103,23 +119,23 @@ class PhaseProfile:
     grid: np.ndarray
     phases: np.ndarray  # (n, 2), wrapped to (-pi, pi]
     wraps: np.ndarray  # (n, 2), integer
-    tracks: np.ndarray  # (n, 2), unwrapped
+    tracks: np.ndarray  # (n, 2), continuous
 
 
-def eigenphases(a, b, c, eta, m0, m, h=None) -> np.ndarray:
-    """Both eigenphases of W = (a I + b sx) U^H, shape (..., 2).
+def eigenphases(a, b, h, eta, m0, m) -> np.ndarray:
+    """Both eigenphase tracks of W = (a I + b sx) U^H, shape (..., 2).
 
-    Closed form in U's chart (see the module docstring).  The chart
-    ``(eta, m0, m)`` broadcasts against the coefficients: scalars and a
-    3-vector ``m`` for one U, or one row per point (``m`` of shape
-    (..., 3)) for many.  ``h`` is a half phase of c; the plain branch
-    arg(c)/2 by default.  |s| is summed one component at a time so a
-    long grid never holds all four Pauli coefficients at once.
+    Closed form in U's chart (see the module docstring) from the
+    coefficients and a half phase ``h`` of c = a^2 - b^2; with the
+    kernel's lifted h the two columns are the continuous tracks t_+ and
+    t_-.  The chart ``(eta, m0, m)`` broadcasts against the
+    coefficients: scalars and a 3-vector ``m`` for one U, or one row per
+    point (``m`` of shape (..., 3)) for many.  |s| is summed one
+    component at a time so a long array never holds all four Pauli
+    coefficients at once.
     """
     m = np.asarray(m)
     m1, m2, m3 = m[..., 0], m[..., 1], m[..., 2]
-    if h is None:
-        h = 0.5 * np.angle(c)
     s_norm2 = np.abs(b * m0 - 1j * m1 * a) ** 2
     s_norm2 += np.abs(-1j * m2 * a - b * m3) ** 2
     s_norm2 += np.abs(b * m2 - 1j * m3 * a) ** 2
@@ -130,115 +146,187 @@ def eigenphases(a, b, c, eta, m0, m, h=None) -> np.ndarray:
 
 
 def eigenphase_profile(u: UnitaryBC, grid, kernel) -> PhaseProfile:
-    """Continuous-as-possible eigenphase tracks of W = B U^H on a grid.
+    """The eigenphase tracks of W = B U^H sampled on a grid.
 
-    The grid must be sorted strictly increasing; special points
-    (zero-wavenumber energies) are fine since the kernel evaluates them
-    in closed form.
+    The tracks come from the kernel's lifted half phase, so they are
+    continuous whatever the spacing; the grid must only be sorted
+    strictly increasing.  Special points (zero-wavenumber energies) are
+    fine since the kernel evaluates them in closed form.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be 1-d, sorted, strictly increasing")
-    a, b, c = kernel.coefficients(grid)
-    tracks = eigenphases(a, b, c, u.eta, u.m0, u.m, h=0.5 * np.unwrap(np.angle(c)))
+    a, b, _, h = kernel.coefficients(grid)
+    tracks = eigenphases(a, b, h, u.eta, u.m0, u.m)
     phases = wrap_angle(tracks)
     wraps = np.round((tracks - phases) / TAU).astype(int)
     return PhaseProfile(grid=grid, phases=phases, wraps=wraps, tracks=tracks)
 
 
-def _build_grid(lo: float, hi: float, n: int, specials) -> np.ndarray:
-    """n uniform nodes on [lo, hi] (at least 9), refined around specials."""
-    grid = [np.linspace(lo, hi, max(n, 9))]
-    # refine geometrically around zero-wavenumber points: the phase
-    # speed diverges like 1/K there and a uniform grid alone could step
-    # over more than pi in phase for large mu0
-    h = (hi - lo) / max(n - 1, 1)
-    for s in specials:
-        if lo < s < hi:
-            offs = h * 4.0 ** (-np.arange(1.0, 13.0))
-            grid.append(np.clip(s + offs, lo, hi))
-            grid.append(np.clip(s - offs, lo, hi))
-            grid.append(np.array([s]))
-    merged = np.unique(np.concatenate(grid))
-    # drop near-duplicates that would create zero-width cells
-    keep = np.concatenate([[True], np.diff(merged) > 1e-15 * np.maximum(1.0, np.abs(merged[1:]))])
-    return merged[keep]
+def _validate(window, density, tol_root, tol_residual) -> tuple[float, float]:
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError("window must satisfy lo < hi")
+    if not np.isfinite(lo) or not np.isfinite(hi):
+        raise ValueError("window must be finite")
+    if density < 64:
+        raise ValueError("grid density must be at least 64 per 2*pi")
+    if tol_root <= 0 or tol_residual <= 0:
+        raise ValueError("tolerances must be positive")
+    return lo, hi
 
 
-def _brackets(grid: np.ndarray, tracks: np.ndarray, tag: int) -> list[tuple[float, ...]]:
-    """Cells where a track crosses a multiple of 2 pi, one row (xl, xr,
-    tl, tr, target, tag) per multiple crossed.  A track that sits on the
-    multiple at a node gives a zero-width bracket at that node, which
-    bisection returns as it is."""
-    rows = []
-    for g in range(2):
-        t = tracks[:, g]
-        floors = np.floor(t / TAU)
-        cells = np.flatnonzero(floors[:-1] != floors[1:])
-        for i in cells:
-            lo_f = int(min(floors[i], floors[i + 1]))
-            hi_f = int(max(floors[i], floors[i + 1]))
-            for n in range(lo_f + 1, hi_f + 1):
-                target = TAU * n
-                xl = grid[i + 1] if t[i + 1] == target else grid[i]
-                xr = grid[i] if t[i] == target else grid[i + 1]
-                rows.append((xl, xr, t[i], t[i + 1], target, tag))
-    return rows
+def _charts(us: Sequence[UnitaryBC]) -> np.ndarray:
+    """One chart row (eta, m0, m1, m2, m3) per U."""
+    return np.array([(u.eta, u.m0, *u.m) for u in us], dtype=float).reshape(-1, 5)
 
 
-def _bisect(kernel, chart, xl, xr, tl, tr, target, tol_root, tol_residual):
-    """Vectorized bisection of track crossings.
+def _track_values(kernel, x, chart, track) -> np.ndarray:
+    """Track ``track`` (0 for t_+, 1 for t_-) of each row's U at x, one
+    kernel call for all rows."""
+    a, b, _, h = kernel.coefficients(x)
+    t = eigenphases(a, b, h, chart[:, 0], chart[:, 1], chart[:, 2:])
+    return t[np.arange(len(x)), track]
 
-    State per bracket: [xl, xr] with lifted track values tl, tr
-    straddling ``target`` (a multiple of 2 pi), and the chart row
-    (eta, m0, m1, m2, m3) of the U whose track it is, so brackets of
-    many U refine together.  The midpoint track value is the eigenphase
-    candidate lifted closest to the linear interpolation of the bracket.
+
+def _refine(kernel, chart, track, target, xl, xr, gl, gr, tol_root, tol_residual):
+    """Brent's method on all track crossings at once.
+
+    Per bracket: [xl, xr] with g = t - target straddling zero, gl > 0 >=
+    gr (tracks never increase), on track ``track`` of the U whose chart
+    row it carries.  Each round makes one kernel call at one point per
+    active bracket.  The state is Brent's: the best end b, the
+    contrapoint c with g(c) of the other sign, the previous best a, and
+    the last two step lengths.  Steps are secant or inverse quadratic
+    interpolation, replaced by bisection whenever they would not shrink
+    the bracket fast enough, and never shorter than a quarter of the
+    width the stop rule asks for, so a one-sided approach still closes
+    the bracket.  Superlinear on smooth tracks; at the kinks where two
+    tracks touch (double roots) it falls back to bisection steps.
 
     Brackets stay active until the width tolerance holds *and* the
     nearer endpoint's phase is small enough that |F| ~ |phase| clears
     the residual contract, with a hard floor at the fp grid spacing (a
     steep crossing far from the origin cannot be localized below it).
     That nearer endpoint is what gets returned: it is the point the
-    stop rule certified, where the midpoint of a wide-in-phase bracket
-    need not be.
+    stop rule certified.  Returns (x, lower end, upper end, evaluations
+    per bracket).
     """
-    xl, xr, tl, tr = (v.copy() for v in (xl, xr, tl, tr))
+    b, fb = np.array(xr, dtype=float), np.array(gr, dtype=float)
+    c, fc = np.array(xl, dtype=float), np.array(gl, dtype=float)
+    a, fa = c.copy(), fc.copy()
+    d = b - a
+    e = d.copy()
+    evals = np.zeros(len(b), dtype=int)
     phase_tol = 0.125 * tol_residual
     fp_floor = 32.0 * np.finfo(float).eps
-    for _ in range(_MAX_BISECT):
-        xm = 0.5 * (xl + xr)
-        scale = np.maximum(1.0, np.abs(xm))
-        width = xr - xl
-        phase = np.minimum(np.abs(tl - target), np.abs(tr - target))
-        active = (width > fp_floor * scale) & ((width > tol_root * scale) | (phase > phase_tol))
+    for _ in range(_MAX_ROUNDS):
+        swap = np.abs(fc) < np.abs(fb)  # keep b the better end
+        a, fa = np.where(swap, b, a), np.where(swap, fb, fa)
+        b, c = np.where(swap, c, b), np.where(swap, b, c)
+        fb, fc = np.where(swap, fc, fb), np.where(swap, fb, fc)
+        width = np.abs(c - b)
+        scale = np.maximum(1.0, np.abs(0.5 * (b + c)))
+        active = (
+            (fb != 0.0)
+            & (width > fp_floor * scale)
+            & ((width > tol_root * scale) | (np.abs(fb) > phase_tol))
+        )
         if not active.any():
             break
-        xa = xm[active]
-        rows = chart[active]
-        cand = eigenphases(*kernel.coefficients(xa), rows[:, 0], rows[:, 1], rows[:, 2:])
-        texp = 0.5 * (tl[active] + tr[active])
-        lifted = cand + TAU * np.round((texp[:, None] - cand) / TAU)
-        pick = np.argmin(np.abs(lifted - texp[:, None]), axis=1)
-        tm = lifted[np.arange(len(xa)), pick]
-        g = tm - target[active]
-        gl = tl[active] - target[active]
-        go_right = np.sign(g) == np.sign(gl)
-        exact = g == 0.0
-        to_right = go_right & ~exact
-        to_left = ~go_right & ~exact
+        i = np.flatnonzero(active)
+        A, B, C, FA, FB, FC = a[i], b[i], c[i], fa[i], fb[i], fc[i]
+        # shortest step: a quarter of the width that meets both the width
+        # tolerance and, at the secant slope, the phase tolerance
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.abs(FC - FB) / width[i]
+            tol_x = np.fmin(tol_root * scale[i], phase_tol / slope)
+            tol1 = np.maximum(0.25 * tol_x, 2.0 * np.finfo(float).eps * np.abs(B))
+            xm = 0.5 * (C - B)
+            s = FB / FA
+            secant = A == C
+            qa, rb = FA / FC, FB / FC
+            p = np.where(secant, 2.0 * xm * s, s * (2.0 * xm * qa * (qa - rb) - (B - A) * (rb - 1.0)))
+            q = np.where(secant, 1.0 - s, (qa - 1.0) * (rb - 1.0) * (s - 1.0))
+            q = np.where(p > 0, -q, q)
+            p = np.abs(p)
+            take = (
+                (np.abs(e[i]) >= tol1)
+                & (np.abs(FA) > np.abs(FB))
+                & (2.0 * p < np.minimum(3.0 * xm * q - np.abs(tol1 * q), np.abs(e[i] * q)))
+            )
+            step = np.where(take, p / q, xm)
+        e[i] = np.where(take, d[i], step)
+        d[i] = step
+        x = B + np.where(np.abs(step) > tol1, step, np.copysign(tol1, xm))
+        g = _track_values(kernel, x, chart[i], track[i]) - target[i]
+        evals[i] += 1
+        # the new point replaces c when it lands on c's side of the root
+        same = np.sign(g) == np.sign(FC)
+        a[i], fa[i] = B, FB
+        c[i], fc[i] = np.where(same, B, C), np.where(same, FB, FC)
+        d[i] = np.where(same, x - B, d[i])
+        e[i] = np.where(same, x - B, e[i])
+        b[i], fb[i] = x, g
+    located = np.where(np.abs(fb) <= np.abs(fc), b, c)
+    exact = fb == 0.0
+    lower = np.where(exact, b, np.minimum(b, c))
+    upper = np.where(exact, b, np.maximum(b, c))
+    return located, lower, upper, evals
 
-        idx = np.flatnonzero(active)
-        right = idx[to_right]
-        left = idx[to_left]
-        hit = idx[exact]
-        xl[right] = xa[to_right]
-        tl[right] = tm[to_right]
-        xr[left] = xa[to_left]
-        tr[left] = tm[to_left]
-        xl[hit] = xm[hit]
-        xr[hit] = xm[hit]
-    return np.where(np.abs(tl - target) <= np.abs(tr - target), xl, xr)
+
+def _snap_to_special_points(x, xl, xr, specials) -> np.ndarray:
+    """Roots whose final bracket meets a special point's snap band are
+    reported at the special point: the kernel evaluates that whole band
+    as the point itself, so a crossing there is a crossing at it."""
+    x = x.copy()
+    for s in specials:
+        band = MASS_SNAP_TOL * max(1.0, abs(s))
+        x[(xl <= s + band) & (xr >= s - band)] = s
+    return x
+
+
+def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, evaluated):
+    """Per U: cluster the located crossings into roots (multiplicity at
+    most 2), keep those in the half-open window, verify each against
+    |F_U| < tol_residual in one kernel call, and wrap them in a slice
+    reporting ``evaluated[k]`` energies.
+
+    A root is only located to tol_root * max(1, |x|), so one that close
+    to an end counts as sitting on it: within that distance above lo it
+    is left out, within it above hi it is reported at hi.  Adjacent
+    windows therefore split the roots between them exactly."""
+    lo, hi = window
+    pad_lo, pad = (tol_root * max(1.0, abs(v)) for v in window)
+    slices = []
+    for k, u in enumerate(us):
+        found = np.sort(located[owner == k])
+        apart = np.diff(found) > SEPARATION_FACTOR * np.maximum(1.0, np.abs(found[:-1]))
+        starts = np.flatnonzero(np.concatenate([[found.size > 0], apart]))
+        sizes = np.diff(np.append(starts, found.size))
+        if np.any(sizes > 2):
+            j = int(np.argmax(sizes > 2))
+            raise NumericalError(
+                f"{sizes[j]} coincident eigenphase crossings near x = "
+                f"{found[starts[j]]:.6g}; multiplicity of a 2x2 unitary cannot exceed 2"
+            )
+        xs = np.add.reduceat(found, starts) / sizes if found.size else found
+        xs = np.where((xs > hi) & (xs - hi <= pad), hi, xs)
+        inside = (xs > lo + pad_lo) & (xs <= hi)
+        xs, mults = xs[inside], sizes[inside]
+        residuals = np.abs(kernel.spectral_values(xs, u))
+        if np.any(residuals > tol_residual):
+            j = int(np.argmax(residuals > tol_residual))
+            raise NumericalError(
+                f"root at x = {xs[j]:.12g} failed residual verification: "
+                f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}"
+            )
+        roots = tuple(
+            Root(float(x), int(n), float(r), "eigenphase-count")
+            for x, n, r in zip(xs, mults, residuals)
+        )
+        slices.append(SpectrumSlice((lo, hi), roots, int(evaluated[k]), kernel.theory))
+    return slices
 
 
 def find_spectra(
@@ -251,77 +339,53 @@ def find_spectra(
 ) -> list[SpectrumSlice]:
     """All zeros of F_U in the half-open window (lo, hi], for each U.
 
-    The grid and (a, b, c) on it are built once; tracks and brackets are
-    made one U at a time (memory stays that of a single search), and the
-    brackets of all U are bisected together to |dx| < tol_root *
+    The tracks of every U are evaluated at the two window ends only (one
+    kernel call); since they never increase, the multiples of 2 pi they
+    cross are the exact root count, and each crossing becomes its own
+    bracket over the whole window.  A U whose count exceeds MAX_ROOTS,
+    or is not finite, is refused before anything else is allocated.
+    The brackets of all U are refined together to |dx| < tol_root *
     max(1, |x|).  Per U, crossings closer than the separation tolerance
     merge into a multiplicity-2 root, and the roots are verified against
     |F_U| < tol_residual in one kernel call.  Slices follow ``us``.
+    ``density`` is validated and otherwise unused: there is no grid.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        raise ValueError("window must be finite")
-    if density < 64:
-        raise ValueError("grid density must be at least 64 per 2*pi")
-    if tol_root <= 0 or tol_residual <= 0:
-        raise ValueError("tolerances must be positive")
-
+    lo, hi = _validate(window, density, tol_root, tol_residual)
     # pad the top end by the root tolerance: a zero sitting exactly at hi
     # (up to fp fuzz) belongs to the half-open window and must be bracketed
     pad = tol_root * max(1.0, abs(hi))
-    nodes = np.ceil((hi + pad - lo) / TAU * density) + 1.0  # inf if hi - lo overflows
-    if nodes > MAX_GRID_POINTS:
-        raise NumericalError(
-            f"window ({lo:.6g}, {hi:.6g}] needs {nodes:.0f} grid points at density "
-            f"{density}, over the cap of {MAX_GRID_POINTS}; split it into smaller windows"
-        )
-    grid = _build_grid(lo, hi + pad, int(nodes), kernel.special_points())
-    a, b, c = kernel.coefficients(grid)
-    h = 0.5 * np.unwrap(np.angle(c))
+    top = hi + pad
+    chart = _charts(us)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a, b, _, h = kernel.coefficients(np.array([lo, top]))
+        ends = eigenphases(a, b, h, chart[:, :1], chart[:, 1:2], chart[:, None, 2:])
+    # ends[k, e, g]: track g of U k at end e; crossings of 2 pi n with
+    # t(top) <= 2 pi n < t(lo)
+    first = np.ceil(ends[:, 1] / TAU)
+    counts = np.maximum(np.ceil(ends[:, 0] / TAU) - first, 0.0)
+    totals = counts.sum(axis=1)
+    for k, total in enumerate(totals):
+        if not total <= MAX_ROOTS:
+            count = f"{total:.0f} roots" if np.isfinite(total) else "no finite root count"
+            raise NumericalError(
+                f"window ({lo:.6g}, {hi:.6g}] holds {count} for boundary condition {k}, "
+                f"against a cap of {MAX_ROOTS} roots; split it into smaller windows"
+            )
 
-    brackets = []
-    for k, u in enumerate(us):
-        brackets += _brackets(grid, eigenphases(a, b, c, u.eta, u.m0, u.m, h), k)
-
-    arr = np.array(brackets, dtype=float).reshape(-1, 6)
-    owner = arr[:, 5].astype(int)
-    chart = np.array([(u.eta, u.m0, *u.m) for u in us]).reshape(-1, 5)[owner]
-    located = _bisect(
-        kernel, chart, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4],
+    n = counts.astype(int).ravel()
+    row = np.repeat(np.arange(n.size), n)  # flat (U, track) index per bracket
+    step = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
+    target = TAU * (first.ravel()[row] + step)
+    owner, track = np.divmod(row, 2)
+    t_lo, t_hi = ends[:, 0].ravel()[row], ends[:, 1].ravel()[row]
+    located, xl, xr, evals = _refine(
+        kernel, chart[owner], track, target,
+        np.full(row.size, lo), np.full(row.size, top), t_lo - target, t_hi - target,
         tol_root, tol_residual,
     )
-
-    slices = []
-    for k, u in enumerate(us):
-        found = np.sort(located[owner == k])
-        apart = np.diff(found) > SEPARATION_FACTOR * np.maximum(1.0, np.abs(found[:-1]))
-        xs, mults = [], []
-        for cluster in np.split(found, np.flatnonzero(apart) + 1) if found.size else []:
-            if len(cluster) > 2:
-                raise NumericalError(
-                    f"{len(cluster)} coincident eigenphase crossings near x = "
-                    f"{cluster[0]:.6g}; multiplicity of a 2x2 unitary cannot exceed 2"
-                )
-            x = float(np.mean(cluster))
-            if x > hi and x - hi <= pad:
-                x = hi
-            if lo < x <= hi:
-                xs.append(x)
-                mults.append(len(cluster))
-        residuals = np.abs(kernel.spectral_values(np.array(xs, dtype=float), u))
-        for x, residual in zip(xs, residuals):
-            if residual > tol_residual:
-                raise NumericalError(
-                    f"root at x = {x:.12g} failed residual verification: "
-                    f"|F| = {residual:.3e} > {tol_residual:.1e}"
-                )
-        roots = tuple(
-            Root(x, n, float(r), "eigenphase-bisection") for x, n, r in zip(xs, mults, residuals)
-        )
-        slices.append(SpectrumSlice((lo, hi), roots, len(grid), kernel.theory))
-    return slices
+    located = _snap_to_special_points(located, xl, xr, kernel.special_points())
+    evaluated = 2 + np.bincount(owner, weights=evals, minlength=len(us))
+    return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 
 
 def find_spectrum(

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bc import UnitaryBC, from_matrix, spectral_function
-from .dirac import mass_mode_masks
+from .dirac import coefficient_arrays, mass_mode_masks
 from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
 
 _REP_TOL = 1e-12
@@ -297,7 +297,9 @@ class RepKernel:
     kernels, so spectra are searched with the standard U.  The route
     shares no formula with the closed-form coefficients, which is the
     point.  In-gap basis columns are rescaled by e^{-kappa/2} (B is
-    invariant under column scaling) so the assembly stays finite.
+    invariant under column scaling) so the assembly stays finite.  Only
+    the branch of the half phase h is borrowed: h is the value of
+    arg(c)/2 + n pi nearest the closed-form lift.
     """
 
     theory = "dirac"
@@ -394,14 +396,18 @@ class RepKernel:
             raise RuntimeError(
                 f"representation kernel is {off.max():.2e} off the a I + b sx form"
             )
+        c = det2(bmat)
+        h = 0.5 * np.angle(c)
+        h += np.pi * np.round((coefficient_arrays(mu, self.mu0)[3] - h) / np.pi)
         return (
             0.5 * (bmat[:, 0, 0] + bmat[:, 1, 1]),
             0.5 * (bmat[:, 0, 1] + bmat[:, 1, 0]),
-            det2(bmat),
+            c,
+            h,
         )
 
     def spectral_values(self, mu, u: UnitaryBC) -> np.ndarray:
-        return spectral_function(*self.coefficients(mu), u)
+        return spectral_function(*self.coefficients(mu)[:3], u)
 
     def special_points(self) -> tuple[float, ...]:
         if self.mu0 > 0:

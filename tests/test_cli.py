@@ -153,18 +153,22 @@ def test_exit_code_numerical_failure(capsys):
     assert "Traceback" not in err
 
 
-def test_exit_code_grid_over_cap(capsys):
-    # (0, 1e6] would need ~163M grid points (~26 GB): refused at once,
-    # before the grid is allocated
+def test_exit_code_root_count_over_cap(capsys):
+    # (0, 1e6] holds 318 roots and is searched; a Dirac window holding
+    # 636618 is refused at once, before its brackets are allocated
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, ["spectrum", "--theory", "schrod",
                                           "--bc", "qp:alpha=0", "--window", "0", "1e6"])
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["eigenvalues"]) == 318
+        code, out, err = run_cli(capsys, ["spectrum", "--theory", "dirac", "--mu0", "1",
+                                          "--bc", "dpp:alpha=0", "--window", "-1000000", "1e6"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 4 and out == ""
-    assert err.startswith("error: ") and "grid points" in err and "split" in err
+    assert err.startswith("error: ") and "636618 roots" in err and "split" in err
     assert peak < 16e6
 
 

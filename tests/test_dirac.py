@@ -21,7 +21,7 @@ from ring_spectra.oracles import boundary_matrix, build_Apm, mass_mode_Apm, mass
 
 def closed_form_B(mu, mu0):
     """B = a I + b sx from the production coefficients, shape (n, 2, 2)."""
-    a, b, _ = coefficient_arrays(np.atleast_1d(mu), mu0)
+    a, b, *_ = coefficient_arrays(np.atleast_1d(mu), mu0)
     return boundary_matrix(a, b)
 
 
@@ -60,7 +60,7 @@ def test_classification_and_snapping():
 def test_massless_coefficients():
     # a vanishes identically and |c| = 1 with c = (sin + i cos)/(sin - i cos) at K = |mu|
     mu = np.array([0.7, 2.0, -3.3, 11.0])
-    a, b, c = coefficient_arrays(mu, 0.0)
+    a, b, c, _ = coefficient_arrays(mu, 0.0)
     assert np.max(np.abs(a)) == 0.0
     k = np.abs(mu)
     expect = (mu * np.sin(k) + 1j * k * np.cos(k)) / (mu * np.sin(k) - 1j * k * np.cos(k))
@@ -72,7 +72,7 @@ def test_kernel_against_matrix_path_345():
     p = DiracPoint.classify(5.0, 3.0)
     a_plus, a_minus = build_Apm(p)
     b_mat = a_minus @ np.linalg.inv(a_plus)
-    a, b, _ = (v[0] for v in coefficient_arrays(np.array([5.0]), 3.0))
+    a, b, *_ = (v[0] for v in coefficient_arrays(np.array([5.0]), 3.0))
     assert np.max(np.abs(b_mat - (a * I2 + b * SX))) < 1e-12
 
 
@@ -84,7 +84,7 @@ def test_hyperbolic_form_equals_complex_wavenumber_form():
         k = 1j * kap
         d = mu * np.sin(k) - 1j * k * np.cos(k)
         expect = (mu0 * np.sin(k) / d, -1j * k / d)
-        a, b, c = (v[0] for v in coefficient_arrays(np.array([mu]), mu0))
+        a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([mu]), mu0))
         assert abs(a - expect[0]) < 1e-12
         assert abs(b - expect[1]) < 1e-12
         assert abs(c - (a * a - b * b)) < 1e-13
@@ -189,14 +189,14 @@ def test_membership_examples():
 def test_unimodular_c_on_three_gap_widths():
     mu0 = 1.0
     mu = np.linspace(-3.0, 3.0, 10_000)
-    _, _, c = coefficient_arrays(mu, mu0)
+    _, _, c, _ = coefficient_arrays(mu, mu0)
     assert np.max(np.abs(np.abs(c) - 1.0)) < 1e-12
 
 
 def test_c_equals_a2_minus_b2_everywhere():
     mu0 = 2.0
     mu = np.linspace(-9.0, 9.0, 5000)
-    a, b, c = coefficient_arrays(mu, mu0)
+    a, b, c, _ = coefficient_arrays(mu, mu0)
     assert np.max(np.abs(c - (a * a - b * b))) < 1e-12
 
 

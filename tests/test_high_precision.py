@@ -100,7 +100,7 @@ def test_dirac_kernel_matches_high_precision(mu):
     from ring_spectra.dirac import coefficient_arrays
 
     mu0 = 1.0
-    a, b, c = (v[0] for v in coefficient_arrays(np.array([mu]), mu0))
+    a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([mu]), mu0))
     mpmu, mpmu0 = mp.mpf(mu), mp.mpf(mu0)
     if abs(mpmu) >= mpmu0:
         k = mp.sqrt(mpmu**2 - mpmu0**2)
@@ -119,7 +119,7 @@ def test_dirac_kernel_matches_high_precision(mu):
 def test_schrod_kernel_matches_high_precision(e):
     from ring_spectra.schrod import coefficient_arrays
 
-    a, b, c = (v[0] for v in coefficient_arrays(np.array([e])))
+    a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([e])))
     ee = mp.mpf(e)
     q = mp.sqrt(mp.mpc(ee))
     d = (1 + ee) * mp.sin(q) - 2 * mp.mpc(0, 1) * q * mp.cos(q)
@@ -129,3 +129,52 @@ def test_schrod_kernel_matches_high_precision(e):
     assert abs(complex(a_mp) - a) < 1e-14
     assert abs(complex(b_mp) - b) < 1e-14
     assert abs(complex(c_mp) - c) < 1e-14
+
+
+def _half_phase_gap(h, c_mp) -> float:
+    """|e^{2ih} - c| in 50 digits, relative to the size of h."""
+    return float(abs(mp.exp(2j * mp.mpf(h)) - c_mp)) / max(1.0, abs(h))
+
+
+@pytest.mark.parametrize(
+    "mu,mu0",
+    [(1e6, 0.0), (-1e6, 0.0), (1e6, 1.0), (-999999.5, 1.0), (1e6, 1e3), (-1e6, 1e3),
+     (1e3 * (1 + 1e-9), 1e3), (3e5, 1e6), (-999000.0, 1e6), (0.0, 1e6), (1e6 * (1 - 1e-9), 1e6)],
+)
+def test_dirac_half_phase_matches_high_precision(mu, mu0):
+    # the lifted half phase at extreme energies: e^{2ih} = c to a few ulp
+    # of h, and h on the branch its regime puts it (so the lift holds).
+    # The float wavenumber is reused so sqrt's own rounding, which moves
+    # c as much as h, does not count against the formula
+    from ring_spectra.dirac import coefficient_arrays
+
+    h = float(coefficient_arrays(np.array([mu]), mu0)[3][0])
+    mpmu = mp.mpf(mu)
+    if abs(mu) > mu0:
+        k = mp.mpf(float(np.sqrt(mu * mu - mu0 * mu0)))
+        low = -k if mu > 0 else k  # pi/2 -+ (K + atan(...)) with |atan| < pi/2
+    else:
+        k = mp.mpc(0, 1) * mp.mpf(float(np.sqrt(mu0 * mu0 - mu * mu)))
+        low = 0.0  # pi/2 - atan(...)
+    d = mpmu * mp.sin(k) - mp.mpc(0, 1) * k * mp.cos(k)
+    c = (mpmu * mp.sin(k) + mp.mpc(0, 1) * k * mp.cos(k)) / d
+    assert _half_phase_gap(h, c) < 1e-15
+    assert low < h < low + mp.pi
+
+
+@pytest.mark.parametrize("e", [-1e10, -1e4, -1e-9, 1e-9, 0.5, 1e4, 12345.678, 1e8, 1e10])
+def test_schrod_half_phase_matches_high_precision(e):
+    from ring_spectra.schrod import coefficient_arrays
+
+    h = float(coefficient_arrays(np.array([e]))[3][0])
+    ee = mp.mpf(e)
+    if e > 0:
+        q = mp.mpf(float(np.sqrt(e)))
+        low = -q  # pi/2 - q - atan(...)
+    else:
+        q = mp.mpc(0, 1) * mp.mpf(float(np.sqrt(-e)))
+        low = 0.0  # pi - atan2(2 kappa, ...) with the atan2 in (0, pi)
+    d = (1 + ee) * mp.sin(q) - 2 * mp.mpc(0, 1) * q * mp.cos(q)
+    c = ((1 + ee) * mp.sin(q) + 2 * mp.mpc(0, 1) * q * mp.cos(q)) / d
+    assert _half_phase_gap(h, c) < 1e-15
+    assert low < h < low + mp.pi

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ring_spectra import bc
 from ring_spectra.dirac import DiracKernel, coefficient_arrays
-from ring_spectra.oracles import boundary_matrix
+from ring_spectra.oracles import boundary_matrix, grid_spectra
 from ring_spectra.roots import (
-    MAX_GRID_POINTS,
+    MAX_ROOTS,
     NumericalError,
     SpectrumSlice,
     eigenphase_profile,
@@ -61,11 +61,17 @@ def kernel_points(draw):
     return SchrodKernel(), draw(st.floats(1e-6, 3e4))
 
 
+def phases_at(kernel, x, u) -> np.ndarray:
+    """Both eigenphase tracks of W = B U^H at the energies x."""
+    a, b, _, h = kernel.coefficients(np.atleast_1d(x))
+    return eigenphases(a, b, h, u.eta, u.m0, u.m)
+
+
 def lapack_gap(kernel, x, u) -> float:
     """Largest |e^{i phase} - lambda| between the closed-form eigenphases
     and LAPACK's eigenvalues of W = B U^H, under the better pairing."""
-    a, b, c = kernel.coefficients(np.array([x]))
-    lam = np.exp(1j * eigenphases(a, b, c, u.eta, u.m0, u.m)[0])
+    a, b, *_ = kernel.coefficients(np.array([x]))
+    lam = np.exp(1j * phases_at(kernel, x, u)[0])
     ref = np.linalg.eigvals(boundary_matrix(a, b)[0] @ u.matrix.conj().T)
     return min(np.max(np.abs(lam - ref)), np.max(np.abs(lam - ref[::-1])))
 
@@ -74,7 +80,7 @@ def test_profile_identity_at_matching_point():
     # U = B(mu*) makes W(mu*) = I: both phases vanish at that node
     mu0 = 1.0
     mu_star = 2.5
-    a, b, _ = coefficient_arrays(np.array([mu_star]), mu0)
+    a, b, *_ = coefficient_arrays(np.array([mu_star]), mu0)
     u = bc.from_matrix(boundary_matrix(a, b)[0])
     grid = np.linspace(2.0, 3.0, 101)  # includes 2.5
     prof = eigenphase_profile(u, grid, DiracKernel(mu0))
@@ -127,10 +133,10 @@ def test_eigenphases_match_lapack(point, u):
 def test_eigenphases_match_lapack_at_exact_degeneracy(point, offset):
     # U = B(x*): W = I at x*, both eigenphases vanish there
     kernel, x = point
-    a, b, _ = kernel.coefficients(np.array([x]))
+    a, b, *_ = kernel.coefficients(np.array([x]))
     u = bc.from_matrix(boundary_matrix(a, b)[0])
     assert lapack_gap(kernel, x + offset, u) <= 1e-12
-    assert np.max(np.abs(np.exp(1j * eigenphases(*kernel.coefficients(x), u.eta, u.m0, u.m)) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.exp(1j * phases_at(kernel, x, u)) - 1.0)) < 1e-12
 
 
 @PROPERTY
@@ -260,15 +266,18 @@ def test_failed_verification_raises_numerical_error():
 
 
 def test_grid_refinement_does_not_move_roots():
+    # the grid oracle at either density finds the roots the grid-free
+    # search finds
     rng = np.random.default_rng(52)
     kernel = SchrodKernel()
     for _ in range(10):
         u = bc.random_unitary_bc(rng)
-        a = find_spectrum(u, (-20.0, 80.0), kernel, density=1024).expanded()
-        b = find_spectrum(u, (-20.0, 80.0), kernel, density=2048).expanded()
-        assert len(a) == len(b)
-        if len(a):
-            assert np.max(np.abs(a - b)) < 1e-10
+        a = find_spectrum(u, (-20.0, 80.0), kernel).expanded()
+        for density in (1024, 2048):
+            b = grid_spectra([u], (-20.0, 80.0), kernel, density=density)[0].expanded()
+            assert len(a) == len(b)
+            if len(a):
+                assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_root_set_equal_on_conjugation_orbit():
@@ -305,17 +314,131 @@ def test_spectrum_slice_expansion():
     assert s.expanded().size == 0
 
 
-def test_grid_over_cap_raises_before_allocating():
-    # (0, 1e6] at the default density needs ~163M points (~26 GB)
+def test_root_count_over_cap_raises_before_allocating():
+    # the count comes from the tracks at the two window ends, so memory
+    # follows the roots, not the window: (0, 1e6] (~163M grid points for
+    # the grid oracle) holds 318 roots, and a window over the cap is
+    # refused before its brackets exist
     tracemalloc.start()
     try:
-        with pytest.raises(NumericalError, match="grid points") as err:
-            find_spectrum(bc.named_family("qp", 0.0), (0.0, 1e6), SchrodKernel())
+        s = find_spectrum(bc.named_family("qp", 0.0), (0.0, 1e6), SchrodKernel())
+        with pytest.raises(NumericalError, match="roots") as err:
+            find_spectrum(bc.named_family("dpp", 0.0), (-1e6, 1e6), DiracKernel(1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(MAX_GRID_POINTS) in str(err.value) and "split" in str(err.value)
+    expect = np.pi**2 * (np.arange(318) + 0.5) ** 2
+    assert len(s.roots) == 318
+    assert np.max(np.abs(s.values() - expect) / expect) < 1e-10
+    # levels +-sqrt((2 pi n)^2 + 1): 1 + 2 * 159154 on each side
+    assert "636618 roots" in str(err.value) and str(MAX_ROOTS) in str(err.value)
+    assert "split" in str(err.value)
     assert peak < 16e6
+
+
+def test_overflowing_window_is_refused():
+    # mu^2 overflows at the ends, so the tracks there are not finite
+    with pytest.raises(NumericalError, match="no finite root count"):
+        find_spectrum(bc.named_family("qp", 0.0), (-1e200, 1e200), DiracKernel(1.0))
+
+
+def test_roots_in_a_snap_band_are_reported_at_the_special_point():
+    # the kernels evaluate a band of 1e-12 * max(1, mu0) around +-mu0 (and
+    # of 1e-12 around e = 0) as the point itself; a root whose bracket
+    # meets it comes back exactly there
+    s = find_spectrum(bc.named_family("dpp", 0.0), (-10.0, 10.0), DiracKernel(1.0))
+    assert -1.0 in s.values() and 1.0 in s.values()
+    s = find_spectrum(bc.named_family("pp", 0.0), (-10.0, 200.0), SchrodKernel())
+    assert s.roots[0].x == 0.0
+    # and as a window end it obeys the half-open rule: in at hi, out at lo
+    u = bc.named_family("dpp", 0.0)
+    for mu0 in (1.0, 20.0):
+        kernel = DiracKernel(mu0)
+        for sign in (1.0, -1.0):
+            x = sign * mu0
+            assert x in find_spectrum(u, (x - 10.0, x), kernel).values()
+            assert np.all(np.abs(find_spectrum(u, (x, x + 10.0), kernel).values() - x) > 1e-6)
+
+
+#: kernels whose lifted half phase is checked: Dirac through both gap
+#: edges, Schroedinger across e = 0
+PHASE_KERNELS = [DiracKernel(0.0), DiracKernel(1.0), DiracKernel(20.0), SchrodKernel()]
+
+
+@st.composite
+def dense_grids(draw):
+    """A kernel and a dense grid over a window reaching past its special
+    points on both sides, the special points included."""
+    kernel = draw(st.sampled_from(PHASE_KERNELS))
+    if kernel.theory == "dirac":
+        lo = -kernel.mu0 - draw(st.floats(0.5, 40.0))
+        hi = kernel.mu0 + draw(st.floats(0.5, 40.0))
+    else:
+        lo, hi = -draw(st.floats(1e-3, 400.0)), draw(st.floats(1e-3, 400.0))
+    grid = np.union1d(np.linspace(lo, hi, 40001), kernel.special_points())
+    return kernel, grid
+
+
+@PROPERTY
+@given(case=dense_grids())
+def test_half_phase_is_the_unwrapped_phase_of_c(case):
+    # the closed-form lift is 0.5 * unwrap(arg c) up to one multiple of pi
+    kernel, grid = case
+    _, _, c, h = kernel.coefficients(grid)
+    offset = (h - 0.5 * np.unwrap(np.angle(c))) / np.pi
+    assert np.max(np.abs(offset - np.round(offset[0]))) < 1e-10
+
+
+@PROPERTY
+@given(case=dense_grids(), u=unitary_bcs())
+def test_tracks_never_increase(case, u):
+    # the monotonicity the root count rests on
+    kernel, grid = case
+    t = phases_at(kernel, grid, u)
+    assert np.all(np.diff(t, axis=0) <= 1e-12 * (1.0 + np.abs(t[1:])))
+
+
+#: (kernel, window) pairs the search is held against the grid oracle on
+ORACLE_CASES = [
+    (DiracKernel(0.0), (-20.0, 20.0)),
+    (DiracKernel(1.0), (-10.0, 10.0)),
+    (DiracKernel(20.0), (-40.0, 40.0)),
+    (SchrodKernel(), (-20.0, 400.0)),
+]
+
+family_bcs = st.builds(
+    bc.named_family,
+    st.sampled_from(["dpp", "qp", "pp"]),
+    st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2.0 * np.pi)),
+)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    u=st.one_of(unitary_bcs(), family_bcs),
+    edge=st.sampled_from(["none", "lo", "hi"]),
+    frac=st.floats(0.0, 0.999),
+)
+def test_search_matches_grid_oracle(case, u, edge, frac):
+    # equal counts and multiplicities, roots within 1e-12 relative; with
+    # a window end moved exactly onto one of the oracle's roots.  A root
+    # at a special point is left out as an end: there the oracle's
+    # unwrapped tracks sit within 1e-16 of the target on either side, and
+    # the snap test above fixes the answer instead
+    kernel, (lo, hi) = case
+    if edge != "none":
+        specials = np.array(kernel.special_points())
+        found = grid_spectra([u], (lo, hi), kernel)[0].values()
+        ends = [x for x in found if x < hi and np.min(np.abs(specials - x)) > 1e-9 * max(1.0, abs(x))]
+        if ends:
+            x = float(ends[int(frac * len(ends))])
+            lo, hi = (x, hi) if edge == "lo" else (lo, x)
+    got = find_spectrum(u, (lo, hi), kernel)
+    want = grid_spectra([u], (lo, hi), kernel)[0]
+    assert [r.multiplicity for r in got.roots] == [r.multiplicity for r in want.roots]
+    x, y = got.values(), want.values()
+    assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y)))
 
 
 #: (kernel, window) pairs the batch must agree on, one per kernel kind

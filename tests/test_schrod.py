@@ -17,7 +17,7 @@ from ring_spectra.schrod import SchrodKernel, coefficient_arrays
 
 def closed_form_B(e) -> np.ndarray:
     """B = a I + b sx from the production coefficients, shape (n, 2, 2)."""
-    a, b, _ = coefficient_arrays(e)
+    a, b, *_ = coefficient_arrays(e)
     return boundary_matrix(a, b)
 
 
