@@ -26,7 +26,6 @@ from .dirac import DiracKernel, PhysicalConfig, SpectralPoleError
 from .iso import classify, compare_spectra, orbit_spectra
 from .matalg import NonUnitaryError
 from .roots import (
-    DEFAULT_DENSITY,
     DEFAULT_TOL_RESIDUAL,
     DEFAULT_TOL_ROOT,
     SEPARATION_FACTOR,
@@ -113,9 +112,6 @@ def _add_spectrum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mass", type=float, default=1.0, help="particle mass (physical units)")
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--density", type=int, default=DEFAULT_DENSITY,
-                   help="accepted and checked (min 64) but unused: the search has no "
-                   f"grid (default {DEFAULT_DENSITY})")
     p.add_argument("--tol-root", type=float, default=DEFAULT_TOL_ROOT,
                    help=f"root bracket width tolerance (default {DEFAULT_TOL_ROOT:g})")
     p.add_argument("--tol-residual", type=float, default=DEFAULT_TOL_RESIDUAL,
@@ -191,7 +187,6 @@ def _spectrum_payload(s: SpectrumSlice, args, cfg: PhysicalConfig | None) -> dic
                 "residual": args.tol_residual,
                 "separation_factor": SEPARATION_FACTOR,
             },
-            "density": args.density,
             "version": __version__,
         },
     }
@@ -221,10 +216,7 @@ def cmd_spectrum(args) -> int:
     u = parse_bc(args.bc)
     mu0, window, cfg = _resolve_units(args)
     kernel = _make_kernel(args.theory, mu0)
-    s = find_spectrum(
-        u, window, kernel,
-        density=args.density, tol_root=args.tol_root, tol_residual=args.tol_residual,
-    )
+    s = find_spectrum(u, window, kernel, tol_root=args.tol_root, tol_residual=args.tol_residual)
     if args.format == "json":
         _write_output(_dump_json(_spectrum_payload(s, args, cfg)), args.out)
     else:
@@ -264,7 +256,7 @@ def cmd_orbit(args) -> int:
     u = parse_bc(args.bc)
     mu0, window, cfg = _resolve_units(args)
     kernel = _make_kernel(args.theory, mu0)
-    entries = orbit_spectra(u, window, kernel, n_lambda=args.lambdas, density=args.density)
+    entries = orbit_spectra(u, window, kernel, n_lambda=args.lambdas)
     base = entries[0][2]
     all_equal = True
     max_gap = 0.0
@@ -325,7 +317,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # window/density/tolerance validation
+    except ValueError as exc:  # window/tolerance validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
 

@@ -1,34 +1,45 @@
-"""Relativistic spectral kernel on the ring.
+"""Relativistic spectral kernel on the ring, and the one closed form
+both kernels evaluate.
 
 All formulas live in dimensionless variables: mu = (E / hbar c) L is
 the rescaled energy and mu0 = (m c / hbar) L the rescaled rest energy.
-Outside the mass gap (|mu| > mu0) the wavenumber K = sqrt(mu^2 - mu0^2)
-is real; inside it is purely imaginary and the kernel switches to a
-hyperbolic form normalized by cosh so it stays finite for kappa >> 1.
 The boundary transfer matrix is B(mu) = a I + b sx with
 
-    a = mu0 sin K / (mu sin K - i K cos K)
-    b = -i K     / (mu sin K - i K cos K)
-    c = det B = a^2 - b^2,   |c| = 1 on the real axis,
+    a = mu0 sin K / d,   b = -i K / d,   c = det B = a^2 - b^2,
+    d = mu sin K - i K cos K,   K^2 = mu^2 - mu0^2 = p n,
 
-and the spectrum of the condition U is the zero set of the spectral
-function F_U(mu) = det(B(mu) - U) = det U - a tr U + b tr(U sx) + c.
-The kernel only ever hands out the scalars (a, b, c) and the half
-phase h of c, e^{2ih} = c; the matrix B is never built here.  Since
-c = conj(d)/d for the denominator d (times -1 in the gap), h = -arg d
-lifts in closed form.  Above the gap, with eps = K/|mu|,
+where p = mu - mu0 and n = mu + mu0.  The spectrum of the condition U
+is the zero set of F_U(mu) = det(B(mu) - U) = det U - a tr U +
+b tr(U sx) + c.  The kernel only ever hands out the scalars (a, b, c)
+and the half phase h of c, e^{2ih} = c; the matrix B is never built
+here.
 
-    h = pi/2 - K - atan((1 - eps) sin K cos K / (sin^2 K + eps cos^2 K)),
+Divided by K (by i kappa cosh kappa inside the gap, where K = i kappa),
+the denominator becomes D = mu S - i C and
 
-whose atan argument has a positive denominator, so h is continuous;
-below the gap h is pi minus the same expression in |mu|, and inside it
-h = pi/2 - atan(mu tanh(kappa) / kappa).  They meet the
-zero-wavenumber values h(mu0) = atan(1/mu0) and h(-mu0) = pi -
-atan(1/mu0), so h is continuous on the whole axis and, like the
-eigenphases, never increases.  The energies mu = +-mu0 (zero wavenumber) have
-closed-form coefficients and enter the root search as ordinary points;
-which energies snap to them is decided in one place,
-:func:`mass_mode_masks`.
+    a = mu0 S / D,   b = -i sigma / D,   c = conj(D) / D,
+
+with (S, C, sigma) = (sin K / K, cos K, 1) where p n > 0 (above the gap
+when p > 0, below it when n < 0) and (tanh kappa / kappa, 1,
+sech kappa) where p n < 0 (inside the gap), so nothing overflows.
+Both tend to (1, 1, 1) at zero wavenumber, p = 0 or n = 0, so the
+points mu = +-mu0 are the same form with D = +-mu0 - i.  |D| >= 1
+everywhere, so the form has no pole (a guard raises
+:class:`SpectralPoleError` should its evaluation break down).  With
+rho = sign(mu) K where p n > 0 and rho = 0 elsewhere,
+
+    h = -arg D = pi/2 - rho - atan2((mu - rho) S cos rho,
+                                    1 + (mu - rho) S sin rho),
+
+whose second atan2 argument is at least 1, so h is continuous on the
+whole axis and, like the eigenphases, never increases.
+
+:func:`_closed_form` is the only place this is written; it works on
+(p, n) and forms K^2 as their product, never as mu^2 - mu0^2, which
+would cancel.  The non-relativistic kernel is the same form at p = e,
+n = 1 (:mod:`ring_spectra.schrod`).  An energy in the snap band of a
+zero-wavenumber point is evaluated as that point itself; the band is
+decided in one place, :func:`snap_band`.
 """
 
 from __future__ import annotations
@@ -40,14 +51,14 @@ import numpy as np
 
 from .bc import UnitaryBC, spectral_function
 
-#: |mu -+ mu0| below this (times max(1, mu0)) is treated as the exact
-#: zero-wavenumber point, which has its own analytic solution.
-MASS_SNAP_TOL = 1e-12
+#: an energy closer than SNAP_TOL * max(1, |s|) to a zero-wavenumber
+#: point s is evaluated as s itself (:func:`snap_band`)
+SNAP_TOL = 1e-12
 
 
 class SpectralPoleError(ArithmeticError):
-    """Denominator of the kernel coefficients vanished (never expected
-    away from the snapped special points; kept as a guard)."""
+    """The kernel's denominator broke down (never expected: |D| >= 1 in
+    exact arithmetic; kept as a guard)."""
 
     def __init__(self, mu):
         self.mu = np.atleast_1d(mu)
@@ -104,14 +115,26 @@ class PhysicalConfig:
         return e * self.hbar**2 / (2.0 * self.mass * self.L**2)
 
 
+def snap_band(at: float) -> float:
+    """Half-width of the snap band of the special point ``at``: an
+    energy less than this far from it is evaluated as the point itself.
+
+    The one snap rule.  The closed form, :class:`DiracPoint`, the
+    representation kernel, the Schrödinger point classifier and the root
+    search (which reports a root whose bracket meets the band at the
+    point, and reads its count past any band that holds the window's top
+    end) all take the band from here.
+    """
+    return SNAP_TOL * max(1.0, abs(at))
+
+
 @dataclass(frozen=True)
 class DiracPoint:
     """A dimensionless energy with its regime label.
 
-    ``classify`` snaps energies within :data:`MASS_SNAP_TOL` of +-mu0 to
-    the exact zero-wavenumber points (for mu0 = 0 the single point
-    mu = 0, labelled ``MASS_MODE_PLUS``, is handled by the analytic
-    K -> 0 limit B = sx).
+    ``classify`` snaps energies in the snap band of +-mu0 to the exact
+    zero-wavenumber points (for mu0 = 0 the single point mu = 0,
+    labelled ``MASS_MODE_PLUS``).
     """
 
     mu: float
@@ -122,10 +145,10 @@ class DiracPoint:
     def classify(cls, mu: float, mu0: float) -> "DiracPoint":
         if mu0 < 0:
             raise ValueError("mu0 must be non-negative")
-        plus, minus = mass_mode_masks(mu, mu0)
-        if plus:
+        band = snap_band(mu0)
+        if abs(mu - mu0) < band:
             return cls(mu0, mu0, Regime.MASS_MODE_PLUS)
-        if minus:
+        if abs(mu + mu0) < band:
             return cls(-mu0, mu0, Regime.MASS_MODE_MINUS)
         if abs(mu) < mu0:
             return cls(mu, mu0, Regime.INSIDE_GAP)
@@ -146,98 +169,53 @@ def wavenumber(p: DiracPoint) -> complex:
     return 1j * np.sqrt(p.mu0**2 - p.mu**2)
 
 
-def mass_mode_coefficients(sign: int, mu0: float) -> tuple[complex, complex, complex]:
-    """(a, b, c) of the closed-form B(+-mu0)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not mu0 > 0:
-        raise MassModeError("mass modes need mu0 > 0")
-    d = mu0 - 1j * sign
-    a = sign * mu0 / d
-    b = -1j * sign / d
-    c = (mu0 + 1j * sign) / d
-    return a, b, c
+def _closed_form(p, n, mu0: float):
+    """(a, b, c, h) at p = mu - mu0 and n = mu + mu0 (module docstring).
 
-
-def _check_poles(d: np.ndarray, mu: np.ndarray, k: np.ndarray) -> None:
-    bad = np.abs(d) < 1e-13 * (np.abs(mu) + np.abs(k))
-    if np.any(bad):
-        raise SpectralPoleError(mu[bad])
-
-
-def mass_mode_masks(mu, mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (plus, minus) of the energies that snap to mu = +mu0 and
-    mu = -mu0: within MASS_SNAP_TOL * max(1, mu0) of them.  For mu0 = 0
-    the single point mu = 0 counts as ``plus`` (the K -> 0 limit
-    B = sx) and ``minus`` is empty.
+    ``mu0`` is the rest energy at the zero-wavenumber points: an energy
+    in the snap band of p = 0 or n = 0 is evaluated at (p, n) = (0,
+    2 mu0) or (-2 mu0, 0) exactly, so the whole band returns the
+    point's own values bit for bit.  All regimes run through the same
+    array expressions, selected by the sign of K^2 = p n, so a call
+    costs the same few dozen array operations whatever its energies.
     """
-    mu = np.asarray(mu, dtype=float)
-    snap = MASS_SNAP_TOL * max(1.0, mu0)
-    plus = np.abs(mu - mu0) < snap
-    if mu0 > 0:
-        return plus, np.abs(mu + mu0) < snap
-    return plus, np.zeros(mu.shape, dtype=bool)
+    band = snap_band(mu0)
+    zero = np.minimum(np.abs(p), np.abs(n)) < band
+    if zero.any():
+        plus = np.abs(p) < band  # at mu0 = 0 both bands are mu = 0: plus
+        p = np.where(plus, 0.0, np.where(zero, -2.0 * mu0, p))
+        n = np.where(plus, 2.0 * mu0, np.where(zero, 0.0, n))
+    k2 = p * n
+    r = np.sqrt(np.abs(k2))
+    mu = 0.5 * (p + n)
+    osc = k2 > 0
+    rho = np.where(osc, np.copysign(r, mu), 0.0)
+    kap = np.where(osc, 0.0, r)
+    sin_rho = np.sin(rho)
+    # S = sin K / K or tanh kappa / kappa, and 1 / 1 at zero wavenumber
+    big_s = (sin_rho + np.tanh(kap) + zero) / (rho + kap + zero)
+    big_c = np.cos(rho)
+    em = np.exp(-kap)
+    sigma = 2.0 * em / (1.0 + em * em)  # sech kappa, and 1 where kappa = 0
+    d = mu * big_s - 1j * big_c
+    pole = np.abs(d) < 0.5
+    if pole.any():
+        raise SpectralPoleError(mu[pole])
+    a = 0.5 * (n - p) * big_s / d
+    b = -1j * sigma / d
+    c = np.conj(d) / d
+    y = (mu - rho) * big_s
+    h = 0.5 * np.pi - rho - np.arctan2(y * big_c, 1.0 + y * sin_rho)
+    return a, b, c, h
 
 
 def coefficient_arrays(mu, mu0: float):
-    """Vectorized (a, b, c, h) over an array of energies, all regimes.
-
-    Energies within the snap tolerance of +-mu0 get the closed-form
-    values; in-gap points use the cosh-normalized hyperbolic rewrite,
-    finite up to kappa ~ 700.  ``h`` is the half phase of c, e^{2ih} = c,
-    lifted in closed form so it is continuous in mu across all regimes.
-    """
+    """Vectorized (a, b, c, h) over an array of energies, all regimes;
+    h is the half phase of c, e^{2ih} = c, continuous in mu."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu0 < 0:
         raise ValueError("mu0 must be non-negative")
-    a = np.empty(mu.shape, dtype=complex)
-    b = np.empty(mu.shape, dtype=complex)
-    c = np.empty(mu.shape, dtype=complex)
-    h = np.empty(mu.shape)
-
-    plus, minus = mass_mode_masks(mu, mu0)
-    inside = (np.abs(mu) < mu0) & ~plus & ~minus
-    outside = ~(plus | minus | inside)
-
-    if np.any(outside):
-        m = mu[outside]
-        k = np.sqrt(m * m - mu0 * mu0)
-        s, co = np.sin(k), np.cos(k)
-        d = m * s - 1j * k * co
-        _check_poles(d, m, k)
-        a[outside] = mu0 * s / d
-        b[outside] = -1j * k / d
-        c[outside] = (m * s + 1j * k * co) / d
-        # h = -arg d, lifted: above the gap d = |mu| e^{i(k - pi/2)} z with
-        # Re z > 0; below it d is minus the conjugate of that
-        am = np.abs(m)
-        g = 0.5 * np.pi - k - np.arctan2((am - k) * s * co, am * s * s + k * co * co)
-        h[outside] = np.where(m > 0, g, np.pi - g)
-
-    if np.any(inside):
-        m = mu[inside]
-        kap = np.sqrt(mu0 * mu0 - m * m)
-        t = np.tanh(kap)
-        em = np.exp(-kap)
-        kap_sech = 2.0 * kap * em / (1.0 + em * em)
-        d = kap + 1j * m * t
-        _check_poles(d, m, kap)
-        a[inside] = 1j * mu0 * t / d
-        b[inside] = kap_sech / d
-        c[inside] = (1j * m * t - kap) / d
-        h[inside] = 0.5 * np.pi - np.arctan2(m * t, kap)  # c = -conj(d)/d
-
-    # h at zero wavenumber: the common limit of the forms on either side
-    if np.any(plus):
-        if mu0 > 0:
-            a[plus], b[plus], c[plus] = mass_mode_coefficients(+1, mu0)
-        else:  # massless K -> 0 limit: B = sx
-            a[plus], b[plus], c[plus] = 0.0, 1.0, -1.0
-        h[plus] = np.arctan2(1.0, mu0)
-    if np.any(minus):
-        a[minus], b[minus], c[minus] = mass_mode_coefficients(-1, mu0)
-        h[minus] = np.pi - np.arctan2(1.0, mu0)
-    return a, b, c, h
+    return _closed_form(mu - mu0, mu + mu0, mu0)
 
 
 def mass_mode_membership(

@@ -78,17 +78,16 @@ def orbit_spectra(
     window: tuple[float, float],
     kernel,
     n_lambda: int = 16,
-    density: int = 1024,
 ) -> list[tuple[float, UnitaryBC, SpectrumSlice]]:
     """Spectra across the conjugation orbit, lambda = k pi / n_lambda.
 
     The orbit has period pi.  All samples go through one batched search
     (:func:`~ring_spectra.roots.find_spectra`), which makes one kernel
     call per refinement round for the whole orbit; results come back in
-    lambda order.  ``density`` is passed on, where it is only checked.
+    lambda order.
     """
     if n_lambda < 1:
         raise ValueError("need at least one orbit sample")
     lams = [k * np.pi / n_lambda for k in range(n_lambda)]
     bcs = [conjugate_orbit(u, lam) for lam in lams]
-    return list(zip(lams, bcs, find_spectra(bcs, window, kernel, density=density)))
+    return list(zip(lams, bcs, find_spectra(bcs, window, kernel)))

@@ -19,19 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import DiracPoint, MassModeError, mass_mode_coefficients, wavenumber
+from .dirac import DiracPoint, MassModeError, snap_band, wavenumber
 from .matalg import I2, SX, TAU
 from .roots import (
-    DEFAULT_DENSITY,
     DEFAULT_TOL_RESIDUAL,
     DEFAULT_TOL_ROOT,
     SpectrumSlice,
     _charts,
+    _top_end,
     _validate,
     collect_spectra,
     eigenphases,
 )
-from .schrod import ZERO_SNAP_TOL
+
+#: grid nodes per 2 pi of the reference search
+DEFAULT_DENSITY = 1024
 
 
 def boundary_matrix(a, b) -> np.ndarray:
@@ -92,9 +94,13 @@ def mass_mode_Apm(sign: int, mu0: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mass_mode_B(sign: int, mu0: float) -> np.ndarray:
-    """B(+-mu0) = +-(mu0 I - i sx) / (mu0 -+ i); unitary closed form."""
-    a, b, _ = mass_mode_coefficients(sign, mu0)
-    return boundary_matrix(a, b)
+    """B(+-mu0) = +-(mu0 I - i sx) / (mu0 -+ i); unitary closed form,
+    written out here apart from the kernels' own evaluation."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not mu0 > 0:
+        raise MassModeError("mass modes need mu0 > 0")
+    return sign * (mu0 * I2 - 1j * SX) / (mu0 - sign * 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ class SchrodPoint:
 
     @classmethod
     def classify(cls, e: float) -> "SchrodPoint":
-        if abs(e) < ZERO_SNAP_TOL:
+        if abs(e) < snap_band(0.0):
             return cls(0.0, SchrodRegime.ZERO)
         return cls(e, SchrodRegime.POSITIVE if e > 0 else SchrodRegime.NEGATIVE)
 
@@ -259,10 +265,12 @@ def grid_spectra(
     rule and residual verification are the production search's.
     ``grid_points`` reports the grid size.  Memory grows with the window;
     meant for test windows only."""
-    lo, hi = _validate(window, density, tol_root, tol_residual)
-    pad = tol_root * max(1.0, abs(hi))
-    nodes = int(np.ceil((hi + pad - lo) / TAU * density)) + 1
-    grid = _build_grid(lo, hi + pad, nodes, kernel.special_points())
+    lo, hi = _validate(window, tol_root, tol_residual)
+    if density < 64:
+        raise ValueError("grid density must be at least 64 per 2*pi")
+    top = _top_end(hi, tol_root, kernel.special_points())
+    nodes = int(np.ceil((top - lo) / TAU * density)) + 1
+    grid = _build_grid(lo, top, nodes, kernel.special_points())
     a, b, c, _ = kernel.coefficients(grid)
     h = 0.5 * np.unwrap(np.angle(c))
 

@@ -32,8 +32,10 @@ A kernel is anything with ``theory``, ``special_points()``,
 ``coefficients(x) -> (a, b, c, h)`` and ``spectral_values(x, u)``; the
 search calls nothing else, and never builds a 2x2 matrix per point.
 The kernels evaluate a small band around each special point as the
-point itself, so a root whose final bracket meets that band is
-reported at the special point.
+point itself (:func:`ring_spectra.dirac.snap_band`), so a root whose
+final bracket meets that band is reported at the special point, and
+the count at the window's top end is read past any band that holds
+it.
 
 (a, b, c, h) do not depend on U, so the one search, :func:`find_spectra`,
 runs a batch of boundary conditions on one kernel call per refinement
@@ -54,11 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bc import UnitaryBC
-from .dirac import MASS_SNAP_TOL
+from .dirac import snap_band
 from .matalg import TAU, unitary_eigenphases, wrap_angle
 
-#: accepted and validated (>= 64) for compatibility; the search has no grid
-DEFAULT_DENSITY = 1024
 #: roots closer than SEPARATION_FACTOR * max(1, |x|) merge (multiplicity 2)
 SEPARATION_FACTOR = 1e-8
 DEFAULT_TOL_ROOT = 1e-12
@@ -163,17 +163,33 @@ def eigenphase_profile(u: UnitaryBC, grid, kernel) -> PhaseProfile:
     return PhaseProfile(grid=grid, phases=phases, wraps=wraps, tracks=tracks)
 
 
-def _validate(window, density, tol_root, tol_residual) -> tuple[float, float]:
+def _validate(window, tol_root, tol_residual) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ValueError("window must be finite")
-    if density < 64:
-        raise ValueError("grid density must be at least 64 per 2*pi")
     if tol_root <= 0 or tol_residual <= 0:
         raise ValueError("tolerances must be positive")
     return lo, hi
+
+
+def _top_end(hi: float, tol_root: float, specials) -> float:
+    """Where the tracks are read for the window's top end.
+
+    hi is padded by the root tolerance: a zero sitting exactly at hi (up
+    to fp fuzz) belongs to the half-open window and must be counted.
+    Should that land in a special point's snap band, the kernel would
+    evaluate it as the point itself, where a crossing sits on its target
+    only up to rounding; the end then moves past the band, so a root at
+    the point is counted whichever way that rounding goes.
+    """
+    top = hi + tol_root * max(1.0, abs(hi))
+    for s in specials:
+        band = snap_band(s)
+        if abs(top - s) < band:
+            top = s + 2.0 * band
+    return top
 
 
 def _charts(us: Sequence[UnitaryBC]) -> np.ndarray:
@@ -281,7 +297,7 @@ def _snap_to_special_points(x, xl, xr, specials) -> np.ndarray:
     as the point itself, so a crossing there is a crossing at it."""
     x = x.copy()
     for s in specials:
-        band = MASS_SNAP_TOL * max(1.0, abs(s))
+        band = snap_band(s)
         x[(xl <= s + band) & (xr >= s - band)] = s
     return x
 
@@ -333,7 +349,6 @@ def find_spectra(
     us: Sequence[UnitaryBC],
     window: tuple[float, float],
     kernel,
-    density: int = DEFAULT_DENSITY,
     tol_root: float = DEFAULT_TOL_ROOT,
     tol_residual: float = DEFAULT_TOL_RESIDUAL,
 ) -> list[SpectrumSlice]:
@@ -348,13 +363,9 @@ def find_spectra(
     max(1, |x|).  Per U, crossings closer than the separation tolerance
     merge into a multiplicity-2 root, and the roots are verified against
     |F_U| < tol_residual in one kernel call.  Slices follow ``us``.
-    ``density`` is validated and otherwise unused: there is no grid.
     """
-    lo, hi = _validate(window, density, tol_root, tol_residual)
-    # pad the top end by the root tolerance: a zero sitting exactly at hi
-    # (up to fp fuzz) belongs to the half-open window and must be bracketed
-    pad = tol_root * max(1.0, abs(hi))
-    top = hi + pad
+    lo, hi = _validate(window, tol_root, tol_residual)
+    top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
     with np.errstate(invalid="ignore", over="ignore"):
         a, b, _, h = kernel.coefficients(np.array([lo, top]))
@@ -392,9 +403,8 @@ def find_spectrum(
     u: UnitaryBC,
     window: tuple[float, float],
     kernel,
-    density: int = DEFAULT_DENSITY,
     tol_root: float = DEFAULT_TOL_ROOT,
     tol_residual: float = DEFAULT_TOL_RESIDUAL,
 ) -> SpectrumSlice:
     """All zeros of F_U in the half-open window (lo, hi]; see find_spectra."""
-    return find_spectra([u], window, kernel, density, tol_root, tol_residual)[0]
+    return find_spectra([u], window, kernel, tol_root, tol_residual)[0]

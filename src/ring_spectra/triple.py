@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bc import UnitaryBC, from_matrix, spectral_function
-from .dirac import coefficient_arrays, mass_mode_masks
+from .dirac import coefficient_arrays, snap_band
 from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
 
 _REP_TOL = 1e-12
@@ -327,7 +327,9 @@ class RepKernel:
         n = mu.shape[0]
         out = [np.empty((n, 2), dtype=complex) for _ in range(4)]
 
-        plus, minus = mass_mode_masks(mu, mu0)
+        band = snap_band(mu0)
+        plus = np.abs(mu - mu0) < band
+        minus = (np.abs(mu + mu0) < band) & ~plus
         wave = ~(plus | minus)
 
         if np.any(wave):

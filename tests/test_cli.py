@@ -131,14 +131,10 @@ def test_exit_code_malformed_bc_text(capsys):
     assert "error" in err
 
 
-def test_exit_code_invalid_window_or_density(capsys):
+def test_exit_code_invalid_window(capsys):
     code, _, err = run_cli(capsys, ["spectrum", "--theory", "schrod",
                                     "--bc", "qp:alpha=0", "--window", "10", "0"])
     assert code == 2 and "window" in err
-    code, _, err = run_cli(capsys, ["spectrum", "--theory", "schrod",
-                                    "--bc", "qp:alpha=0", "--window", "0", "10",
-                                    "--density", "8"])
-    assert code == 2 and "density" in err
 
 
 def test_exit_code_numerical_failure(capsys):

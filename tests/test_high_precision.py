@@ -115,7 +115,9 @@ def test_dirac_kernel_matches_high_precision(mu):
     assert abs(complex(c_mp) - c) < 1e-14
 
 
-@pytest.mark.parametrize("e", [-50.0, -2.0, 1e-8, 0.5, 42.0, 333.0])
+@pytest.mark.parametrize(
+    "e", [-1e8, -1e4, -50.0, -2.0, -1.0, -1.0 + 1e-9, 1e-8, 0.5, 42.0, 333.0]
+)
 def test_schrod_kernel_matches_high_precision(e):
     from ring_spectra.schrod import coefficient_arrays
 
@@ -144,17 +146,17 @@ def _half_phase_gap(h, c_mp) -> float:
 def test_dirac_half_phase_matches_high_precision(mu, mu0):
     # the lifted half phase at extreme energies: e^{2ih} = c to a few ulp
     # of h, and h on the branch its regime puts it (so the lift holds).
-    # The float wavenumber is reused so sqrt's own rounding, which moves
-    # c as much as h, does not count against the formula
+    # The wavenumber is the exact 50-digit one, so the kernel's own
+    # wavenumber (including at the gap edges) counts against it
     from ring_spectra.dirac import coefficient_arrays
 
     h = float(coefficient_arrays(np.array([mu]), mu0)[3][0])
-    mpmu = mp.mpf(mu)
+    mpmu, mpmu0 = mp.mpf(mu), mp.mpf(mu0)
     if abs(mu) > mu0:
-        k = mp.mpf(float(np.sqrt(mu * mu - mu0 * mu0)))
+        k = mp.sqrt(mpmu**2 - mpmu0**2)
         low = -k if mu > 0 else k  # pi/2 -+ (K + atan(...)) with |atan| < pi/2
     else:
-        k = mp.mpc(0, 1) * mp.mpf(float(np.sqrt(mu0 * mu0 - mu * mu)))
+        k = mp.mpc(0, 1) * mp.sqrt(mpmu0**2 - mpmu**2)
         low = 0.0  # pi/2 - atan(...)
     d = mpmu * mp.sin(k) - mp.mpc(0, 1) * k * mp.cos(k)
     c = (mpmu * mp.sin(k) + mp.mpc(0, 1) * k * mp.cos(k)) / d

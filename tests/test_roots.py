@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ring_spectra import bc
-from ring_spectra.dirac import DiracKernel, coefficient_arrays
+from ring_spectra.dirac import DiracKernel, coefficient_arrays, snap_band
 from ring_spectra.oracles import boundary_matrix, grid_spectra
 from ring_spectra.roots import (
     MAX_ROOTS,
@@ -299,7 +299,7 @@ def test_find_spectrum_validation():
     with pytest.raises(ValueError):
         find_spectrum(u, (2.0, 1.0), kernel)
     with pytest.raises(ValueError):
-        find_spectrum(u, (0.0, 1.0), kernel, density=32)
+        grid_spectra([u], (0.0, 1.0), kernel, density=32)
     with pytest.raises(ValueError):
         find_spectrum(u, (0.0, np.inf), kernel)
 
@@ -352,12 +352,31 @@ def test_roots_in_a_snap_band_are_reported_at_the_special_point():
     assert s.roots[0].x == 0.0
     # and as a window end it obeys the half-open rule: in at hi, out at lo
     u = bc.named_family("dpp", 0.0)
-    for mu0 in (1.0, 20.0):
+    # (whichever way rounding puts the track at the point itself: the
+    # count is read past the band, so these hold for every mu0)
+    for mu0 in (0.25, 1.0, 5.0, 7.0, 10.0, 20.0, 33.0, 1e3):
         kernel = DiracKernel(mu0)
         for sign in (1.0, -1.0):
             x = sign * mu0
             assert x in find_spectrum(u, (x - 10.0, x), kernel).values()
             assert np.all(np.abs(find_spectrum(u, (x, x + 10.0), kernel).values() - x) > 1e-6)
+
+
+@pytest.mark.parametrize(
+    "kernel", [DiracKernel(0.0), DiracKernel(1.0), DiracKernel(20.0), SchrodKernel()], ids=repr
+)
+def test_snap_band_returns_the_special_point_values(kernel):
+    # every energy in a special point's snap band evaluates to that
+    # point's own (a, b, c, h), bit for bit, alone or in one array
+    for s in kernel.special_points():
+        band = snap_band(s)
+        xs = s + band * np.array([-0.99, -0.5, 0.5, 0.99])
+        assert np.all(np.abs(xs - s) < band) and np.all(xs != s)
+        want = [v.tobytes() for v in kernel.coefficients(np.array([s]))]
+        for x in xs:
+            assert [v.tobytes() for v in kernel.coefficients(np.array([x]))] == want
+        for v, w in zip(kernel.coefficients(xs), want):
+            assert all(v[i : i + 1].tobytes() == w for i in range(len(xs)))
 
 
 #: kernels whose lifted half phase is checked: Dirac through both gap

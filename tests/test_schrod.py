@@ -35,7 +35,7 @@ def test_zero_energy_limit_consistency():
     b0 = matrix_path_B(0.0)
     b_small = closed_form_B(np.array([1e-9]))[0]
     assert np.max(np.abs(b_small - b0)) < 1e-8
-    # and the hardcoded coefficients are that limit to machine precision
+    # and the kernel's own e = 0 values are that limit to machine precision
     b_closed = closed_form_B(np.array([0.0]))[0]
     assert np.max(np.abs(b_closed - b0)) < 1e-14
 
