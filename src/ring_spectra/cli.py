@@ -7,7 +7,8 @@ suite as TAP).  Identical configurations produce byte-identical output;
 floats are emitted with 17 significant digits so a JSON round trip
 reproduces every value exactly.
 
-Exit codes: 0 success, 2 malformed boundary-condition text, 3 boundary
+Exit codes: 0 success, 2 malformed boundary-condition text or option
+value (window, tolerances, rest energy, check numbers), 3 boundary
 condition violating a constraint (non-unitary, off the unit sphere),
 4 numerical failure (unresolvable pole interval, a root failing
 residual verification, or coincident eigenphase crossings).
@@ -20,10 +21,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, acceptance
+from . import __version__
 from .bc import BCConstraintError, BCParseError, UnitaryBC, parse_bc
 from .dirac import DiracKernel, PhysicalConfig, SpectralPoleError
-from .iso import classify, compare_spectra, orbit_spectra
+from .iso import ORBIT_LAMBDAS, classify, compare_spectra, orbit_spectra
 from .matalg import NonUnitaryError
 from .roots import (
     DEFAULT_TOL_RESIDUAL,
@@ -243,8 +244,8 @@ def cmd_classify(args) -> int:
         },
         "canonical_tag": list(result.canonical_tag),
         "orbit": [
-            {"lambda": (k + 1) * np.pi / 8.0, **_bc_chart(s)}
-            for k, s in enumerate(result.orbit_samples)
+            {"lambda": lam, **_bc_chart(s)}
+            for lam, s in zip(ORBIT_LAMBDAS, result.orbit_samples)
         ],
         "meta": {"version": __version__},
     }
@@ -285,6 +286,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance  # check-only machinery, loaded for this command alone
+
     numbers = None
     if args.only:
         try:

@@ -44,7 +44,6 @@ decided in one place, :func:`snap_band`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,18 +64,6 @@ class SpectralPoleError(ArithmeticError):
         super().__init__(
             f"spectral-function pole at mu in [{self.mu.min():.6g}, {self.mu.max():.6g}]"
         )
-
-
-class MassModeError(ValueError):
-    """Operation undefined at a zero-wavenumber point."""
-
-
-class Regime(str, enum.Enum):
-    ABOVE_GAP = "above_gap"
-    BELOW_GAP = "below_gap"
-    INSIDE_GAP = "inside_gap"
-    MASS_MODE_PLUS = "mass_mode_plus"
-    MASS_MODE_MINUS = "mass_mode_minus"
 
 
 @dataclass(frozen=True)
@@ -119,54 +106,13 @@ def snap_band(at: float) -> float:
     """Half-width of the snap band of the special point ``at``: an
     energy less than this far from it is evaluated as the point itself.
 
-    The one snap rule.  The closed form, :class:`DiracPoint`, the
-    representation kernel, the Schrödinger point classifier and the root
-    search (which reports a root whose bracket meets the band at the
-    point, and reads its count past any band that holds the window's top
-    end) all take the band from here.
+    The one snap rule.  The closed form, the representation kernel, the
+    oracles' zero-wavenumber tests and the root search (which reports a
+    root whose bracket meets the band at the point, and reads its count
+    past any band that holds the window's top end) all take the band
+    from here.
     """
     return SNAP_TOL * max(1.0, abs(at))
-
-
-@dataclass(frozen=True)
-class DiracPoint:
-    """A dimensionless energy with its regime label.
-
-    ``classify`` snaps energies in the snap band of +-mu0 to the exact
-    zero-wavenumber points (for mu0 = 0 the single point mu = 0,
-    labelled ``MASS_MODE_PLUS``).
-    """
-
-    mu: float
-    mu0: float
-    regime: Regime
-
-    @classmethod
-    def classify(cls, mu: float, mu0: float) -> "DiracPoint":
-        if mu0 < 0:
-            raise ValueError("mu0 must be non-negative")
-        band = snap_band(mu0)
-        if abs(mu - mu0) < band:
-            return cls(mu0, mu0, Regime.MASS_MODE_PLUS)
-        if abs(mu + mu0) < band:
-            return cls(-mu0, mu0, Regime.MASS_MODE_MINUS)
-        if abs(mu) < mu0:
-            return cls(mu, mu0, Regime.INSIDE_GAP)
-        return cls(mu, mu0, Regime.ABOVE_GAP if mu > 0 else Regime.BELOW_GAP)
-
-    @property
-    def is_mass_mode(self) -> bool:
-        return self.regime in (Regime.MASS_MODE_PLUS, Regime.MASS_MODE_MINUS)
-
-
-def wavenumber(p: DiracPoint) -> complex:
-    """Dimensionless wavenumber K: real sqrt(mu^2 - mu0^2) outside the
-    gap, i sqrt(mu0^2 - mu^2) inside."""
-    if p.is_mass_mode:
-        raise MassModeError("wavenumber vanishes at mu = +-mu0")
-    if abs(p.mu) > p.mu0:
-        return complex(np.sqrt(p.mu**2 - p.mu0**2))
-    return 1j * np.sqrt(p.mu0**2 - p.mu**2)
 
 
 def _closed_form(p, n, mu0: float):
@@ -247,8 +193,8 @@ class DiracKernel:
     theory = "dirac"
 
     def __init__(self, mu0: float):
-        if mu0 < 0:
-            raise ValueError("mu0 must be non-negative")
+        if not 0 <= mu0 < np.inf:
+            raise ValueError("mu0 must be finite and non-negative")
         self.mu0 = float(mu0)
 
     def coefficients(self, mu):

@@ -41,11 +41,12 @@ def _tag(triple: InvariantTriple) -> tuple[float, ...]:
 
 def classify(u: UnitaryBC) -> IsoClassification:
     """Parity flag, orbit samples and the invariant fingerprint of U."""
+    triple = invariant_triple(u)
     return IsoClassification(
         parity_symmetric=is_parity_symmetric(u),
         orbit_samples=tuple(conjugate_orbit(u, lam) for lam in ORBIT_LAMBDAS),
-        invariant_triple=invariant_triple(u),
-        canonical_tag=_tag(invariant_triple(u)),
+        invariant_triple=triple,
+        canonical_tag=_tag(triple),
     )
 
 

@@ -3,8 +3,8 @@
 Everything downstream (boundary conditions, spectral kernels, root
 finding) manipulates 2x2 unitaries, so the few primitives that must
 behave identically everywhere live here: the determinant-of-difference
-identity, Pauli decomposition, the fixed (-pi, pi] angle branch, and
-the closed-form eigenphases of a unitary given in Pauli form.
+identity, Pauli decomposition, and the closed-form eigenphases of a
+unitary given in Pauli form.
 """
 
 from __future__ import annotations
@@ -53,16 +53,6 @@ def require_unitary(w: np.ndarray, tol: float = 1e-10) -> None:
     res = unitarity_residual(w)
     if not res < tol:
         raise NonUnitaryError(res, tol)
-
-
-def wrap_angle(x):
-    """Reduce angles to the branch (-pi, pi], mapping exactly-pi to +pi.
-
-    The fixed branch makes eigenphase-crossing detection deterministic.
-    """
-    y = np.mod(np.asarray(x, dtype=float) + np.pi, TAU) - np.pi
-    y = np.where(y == -np.pi, np.pi, y)
-    return float(y) if y.ndim == 0 else y
 
 
 def det2x2_difference(m: np.ndarray, n: np.ndarray) -> complex:

@@ -8,18 +8,16 @@ tests can rebuild B the long way and compare.  So does the reference
 grid search, :func:`grid_spectra`: it brackets crossings on a fine
 uniform grid with h unwrapped numerically from arg(c) (never the
 closed-form lift) and bisects them, so the count-certified production
-search can be held against it.  No production code path imports this
-module.
+search can be held against it.  Neither the engine nor the CLI's
+search commands import this module; only the acceptance checks behind
+``ring-spectra verify`` and the tests do.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dirac import DiracPoint, MassModeError, snap_band, wavenumber
+from .dirac import snap_band
 from .matalg import I2, SX, TAU
 from .roots import (
     DEFAULT_TOL_RESIDUAL,
@@ -47,8 +45,20 @@ def boundary_matrix(a, b) -> np.ndarray:
 # relativistic kernel
 
 
-def build_Apm(p: DiracPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The plane-wave boundary matrices (A_plus, A_minus).
+def wavenumber(mu: float, mu0: float) -> complex:
+    """Dimensionless wavenumber K: real sqrt(mu^2 - mu0^2) outside the
+    gap, i sqrt(mu0^2 - mu^2) inside.  Undefined in the snap band of
+    mu = +-mu0, where it vanishes."""
+    band = snap_band(mu0)
+    if abs(mu - mu0) < band or abs(mu + mu0) < band:
+        raise ValueError("wavenumber vanishes at mu = +-mu0")
+    if abs(mu) > mu0:
+        return complex(np.sqrt(mu**2 - mu0**2))
+    return 1j * np.sqrt(mu0**2 - mu**2)
+
+
+def build_Apm(mu: float, mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The plane-wave boundary matrices (A_plus, A_minus) at energy mu.
 
     Built verbatim from the two plane-wave solutions, with the amplitude
     ratio r = K / (mu + mu0); det A_pm = -4i/(mu + mu0) [mu sin K -+
@@ -57,10 +67,8 @@ def build_Apm(p: DiracPoint) -> tuple[np.ndarray, np.ndarray]:
     e^{kappa/2} inside the gap, so this path is an oracle for moderate
     kappa; production code uses the normalized coefficients.
     """
-    if p.is_mass_mode:
-        raise MassModeError("plane-wave basis degenerates at mu = +-mu0")
-    k = wavenumber(p)
-    r = k / (p.mu + p.mu0)
+    k = wavenumber(mu, mu0)
+    r = k / (mu + mu0)
     ep = np.exp(1j * k / 2.0)
     em = np.exp(-1j * k / 2.0)
     a_plus = np.array(
@@ -81,7 +89,7 @@ def mass_mode_Apm(sign: int, mu0: float) -> tuple[np.ndarray, np.ndarray]:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if not mu0 > 0:
-        raise MassModeError("mass modes need mu0 > 0")
+        raise ValueError("mass modes need mu0 > 0")
     if sign == +1:
         # basis (1, 0) and (x, -i/(2 mu0))
         a_plus = np.array([[1.0, -0.5 * (1.0 - 1j / mu0)], [1.0, 0.5 * (1.0 - 1j / mu0)]])
@@ -99,7 +107,7 @@ def mass_mode_B(sign: int, mu0: float) -> np.ndarray:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if not mu0 > 0:
-        raise MassModeError("mass modes need mu0 > 0")
+        raise ValueError("mass modes need mu0 > 0")
     return sign * (mu0 * I2 - 1j * SX) / (mu0 - sign * 1j)
 
 
@@ -107,40 +115,20 @@ def mass_mode_B(sign: int, mu0: float) -> np.ndarray:
 # non-relativistic kernel
 
 
-class SchrodRegime(str, enum.Enum):
-    POSITIVE = "positive"
-    ZERO = "zero"
-    NEGATIVE = "negative"
-
-
-@dataclass(frozen=True)
-class SchrodPoint:
-    """A dimensionless energy with its sign regime."""
-
-    e: float
-    regime: SchrodRegime
-
-    @classmethod
-    def classify(cls, e: float) -> "SchrodPoint":
-        if abs(e) < snap_band(0.0):
-            return cls(0.0, SchrodRegime.ZERO)
-        return cls(e, SchrodRegime.POSITIVE if e > 0 else SchrodRegime.NEGATIVE)
-
-
-def schrod_boundary_map(p: SchrodPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary matrices (A_plus, A_minus) of the solution basis.
+def schrod_boundary_map(e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary matrices (A_plus, A_minus) of the solution basis at e.
 
     Columns are the boundary-data images of the two basis solutions:
     plane waves e^{+-i q x/L} for e > 0, (cosh, sinh)(kappa x/L) for
-    e < 0, and the polynomials (1, x/L) at e = 0.  B = A_minus
-    A_plus^{-1} is basis independent.
+    e < 0, and the polynomials (1, x/L) at e = 0 (and in its snap
+    band).  B = A_minus A_plus^{-1} is basis independent.
     """
-    if p.regime is SchrodRegime.ZERO:
+    if abs(e) < snap_band(0.0):
         a_plus = np.array([[1j, -1.0 - 0.5j], [1j, 1.0 + 0.5j]])
         a_minus = np.array([[-1j, -1.0 + 0.5j], [-1j, 1.0 - 0.5j]])
         return a_plus, a_minus
-    if p.regime is SchrodRegime.POSITIVE:
-        q = np.sqrt(p.e)
+    if e > 0:
+        q = np.sqrt(e)
         ep = np.exp(1j * q / 2.0)
         em = np.exp(-1j * q / 2.0)
         # columns: psi = e^{iqx}, psi = e^{-iqx}
@@ -151,7 +139,7 @@ def schrod_boundary_map(p: SchrodPoint) -> tuple[np.ndarray, np.ndarray]:
             [[em * (1.0 + q), ep * (1.0 - q)], [ep * (1.0 - q), em * (1.0 + q)]]
         )
         return a_plus, a_minus
-    kap = np.sqrt(-p.e)
+    kap = np.sqrt(-e)
     sh, ch = np.sinh(kap / 2.0), np.cosh(kap / 2.0)
     # columns: psi = cosh(kap x), psi = sinh(kap x)
     a_plus = np.array(

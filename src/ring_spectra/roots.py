@@ -57,7 +57,7 @@ import numpy as np
 
 from .bc import UnitaryBC
 from .dirac import snap_band
-from .matalg import TAU, unitary_eigenphases, wrap_angle
+from .matalg import TAU, unitary_eigenphases
 
 #: roots closer than SEPARATION_FACTOR * max(1, |x|) merge (multiplicity 2)
 SEPARATION_FACTOR = 1e-8
@@ -107,21 +107,6 @@ class SpectrumSlice:
         return np.repeat(self.values(), [r.multiplicity for r in self.roots])
 
 
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Eigenphase tracks of W = B U^H along a grid.
-
-    ``phases`` holds the wrapped values in (-pi, pi]; ``wraps`` counts
-    the 2 pi multiples removed, so ``phases + 2 pi wraps`` are the
-    continuous tracks (also exposed as ``tracks``).
-    """
-
-    grid: np.ndarray
-    phases: np.ndarray  # (n, 2), wrapped to (-pi, pi]
-    wraps: np.ndarray  # (n, 2), integer
-    tracks: np.ndarray  # (n, 2), continuous
-
-
 def eigenphases(a, b, h, eta, m0, m) -> np.ndarray:
     """Both eigenphase tracks of W = (a I + b sx) U^H, shape (..., 2).
 
@@ -145,32 +130,14 @@ def eigenphases(a, b, h, eta, m0, m) -> np.ndarray:
     return out
 
 
-def eigenphase_profile(u: UnitaryBC, grid, kernel) -> PhaseProfile:
-    """The eigenphase tracks of W = B U^H sampled on a grid.
-
-    The tracks come from the kernel's lifted half phase, so they are
-    continuous whatever the spacing; the grid must only be sorted
-    strictly increasing.  Special points (zero-wavenumber energies) are
-    fine since the kernel evaluates them in closed form.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be 1-d, sorted, strictly increasing")
-    a, b, _, h = kernel.coefficients(grid)
-    tracks = eigenphases(a, b, h, u.eta, u.m0, u.m)
-    phases = wrap_angle(tracks)
-    wraps = np.round((tracks - phases) / TAU).astype(int)
-    return PhaseProfile(grid=grid, phases=phases, wraps=wraps, tracks=tracks)
-
-
 def _validate(window, tol_root, tol_residual) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ValueError("window must be finite")
-    if tol_root <= 0 or tol_residual <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < tol_root < np.inf and 0 < tol_residual < np.inf):
+        raise ValueError("tolerances must be positive and finite")
     return lo, hi
 
 

@@ -135,6 +135,13 @@ def test_exit_code_invalid_window(capsys):
     code, _, err = run_cli(capsys, ["spectrum", "--theory", "schrod",
                                     "--bc", "qp:alpha=0", "--window", "10", "0"])
     assert code == 2 and "window" in err
+    # non-finite tolerances and rest energies are malformed input too
+    base = ["spectrum", "--theory", "dirac", "--bc", "qp:alpha=0", "--window", "0", "50"]
+    for extra in (["--tol-residual", "nan"], ["--tol-residual", "inf"], ["--tol-root", "nan"],
+                  ["--mu0", "nan"], ["--mu0", "inf"]):
+        code, out, err = run_cli(capsys, base + extra)
+        assert code == 2 and out == "", extra
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_exit_code_numerical_failure(capsys):
@@ -229,6 +236,10 @@ def test_verify_rejects_bad_selection(capsys):
     code, _, err = run_cli(capsys, ["verify", "--only", "one"])
     assert code == 2
     assert "--only" in err
+    # a selection naming no check would pass having run nothing
+    code, out, err = run_cli(capsys, ["verify", "--only", "3,99"])
+    assert code == 2 and out == ""
+    assert "99" in err and "1 to 12" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Tests for the relativistic kernel: wavenumber, coefficients, mass
-modes, the spectral function, and the dual evaluation paths."""
+"""Tests for the relativistic kernel: coefficients, mass modes, the
+spectral function, and the dual evaluation paths (with the oracles'
+wavenumber and plane-wave matrices)."""
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ import pytest
 from ring_spectra import bc
 from ring_spectra.dirac import (
     DiracKernel,
-    DiracPoint,
-    MassModeError,
     PhysicalConfig,
-    Regime,
     coefficient_arrays,
     mass_mode_membership,
-    wavenumber,
+    snap_band,
 )
 from ring_spectra.matalg import I2, SX, det2, det2x2_difference
-from ring_spectra.oracles import boundary_matrix, build_Apm, mass_mode_Apm, mass_mode_B
+from ring_spectra.oracles import (
+    boundary_matrix,
+    build_Apm,
+    mass_mode_Apm,
+    mass_mode_B,
+    wavenumber,
+)
 
 
 def closed_form_B(mu, mu0):
@@ -25,36 +29,36 @@ def closed_form_B(mu, mu0):
     return boundary_matrix(a, b)
 
 
-def spectral_value(p: DiracPoint, u) -> complex:
-    return complex(DiracKernel(p.mu0).spectral_values(p.mu, u)[0])
+def spectral_value(mu, mu0, u) -> complex:
+    return complex(DiracKernel(mu0).spectral_values(mu, u)[0])
 
 
 def test_wavenumber_pythagorean():
-    assert wavenumber(DiracPoint.classify(5.0, 3.0)) == pytest.approx(4.0)
+    assert wavenumber(5.0, 3.0) == pytest.approx(4.0)
 
 
 def test_wavenumber_inside_gap():
-    assert wavenumber(DiracPoint.classify(0.0, 1.0)) == pytest.approx(1j)
+    assert wavenumber(0.0, 1.0) == pytest.approx(1j)
 
 
 def test_wavenumber_below_gap_is_positive_real():
-    assert wavenumber(DiracPoint.classify(-5.0, 3.0)) == pytest.approx(4.0)
+    assert wavenumber(-5.0, 3.0) == pytest.approx(4.0)
 
 
 def test_wavenumber_rejects_mass_modes():
-    with pytest.raises(MassModeError):
-        wavenumber(DiracPoint.classify(1.0, 1.0))
+    with pytest.raises(ValueError):
+        wavenumber(1.0, 1.0)
 
 
 def test_classification_and_snapping():
-    assert DiracPoint.classify(5.0, 3.0).regime is Regime.ABOVE_GAP
-    assert DiracPoint.classify(-5.0, 3.0).regime is Regime.BELOW_GAP
-    assert DiracPoint.classify(0.5, 3.0).regime is Regime.INSIDE_GAP
-    p = DiracPoint.classify(3.0 + 1e-13, 3.0)
-    assert p.regime is Regime.MASS_MODE_PLUS and p.mu == 3.0
-    p = DiracPoint.classify(-3.0 - 1e-13, 3.0)
-    assert p.regime is Regime.MASS_MODE_MINUS and p.mu == -3.0
-    assert DiracPoint.classify(0.0, 0.0).regime is Regime.MASS_MODE_PLUS
+    # real outside the gap, imaginary inside, and undefined in the whole
+    # snap band of +-mu0 (of mu = 0 when mu0 = 0)
+    assert wavenumber(5.0, 3.0).imag == 0.0 and wavenumber(-5.0, 3.0).imag == 0.0
+    assert wavenumber(0.5, 3.0).real == 0.0
+    for mu, mu0 in ((3.0 + 1e-13, 3.0), (-3.0 - 1e-13, 3.0), (0.0, 0.0), (1e-13, 0.0)):
+        with pytest.raises(ValueError):
+            wavenumber(mu, mu0)
+    assert wavenumber(3.0 + 2 * snap_band(3.0), 3.0).imag == 0.0
 
 
 def test_massless_coefficients():
@@ -69,8 +73,7 @@ def test_massless_coefficients():
 
 
 def test_kernel_against_matrix_path_345():
-    p = DiracPoint.classify(5.0, 3.0)
-    a_plus, a_minus = build_Apm(p)
+    a_plus, a_minus = build_Apm(5.0, 3.0)
     b_mat = a_minus @ np.linalg.inv(a_plus)
     a, b, *_ = (v[0] for v in coefficient_arrays(np.array([5.0]), 3.0))
     assert np.max(np.abs(b_mat - (a * I2 + b * SX))) < 1e-12
@@ -92,9 +95,8 @@ def test_hyperbolic_form_equals_complex_wavenumber_form():
 
 def test_build_Apm_det_example():
     # mu=5, mu0=3: amplitude ratio 1/2 and the closed-form determinant
-    p = DiracPoint.classify(5.0, 3.0)
-    a_plus, a_minus = build_Apm(p)
-    ratio = wavenumber(p) / (5.0 + 3.0)
+    a_plus, a_minus = build_Apm(5.0, 3.0)
+    ratio = wavenumber(5.0, 3.0) / (5.0 + 3.0)
     assert ratio == pytest.approx(0.5)
     for mat, sgn in ((a_plus, +1), (a_minus, -1)):
         closed = (-4j / 8.0) * (5.0 * np.sin(4.0) - sgn * 1j * 4.0 * np.cos(4.0))
@@ -102,14 +104,13 @@ def test_build_Apm_det_example():
 
 
 def test_build_Apm_massless_dual_path():
-    p = DiracPoint.classify(2 * np.pi, 0.0)
-    a_plus, a_minus = build_Apm(p)
-    assert np.max(np.abs(a_minus @ np.linalg.inv(a_plus) - closed_form_B(p.mu, 0.0)[0])) < 1e-12
+    a_plus, a_minus = build_Apm(2 * np.pi, 0.0)
+    assert np.max(np.abs(a_minus @ np.linalg.inv(a_plus) - closed_form_B(2 * np.pi, 0.0)[0])) < 1e-12
 
 
 def test_build_Apm_rejects_mass_modes():
-    with pytest.raises(MassModeError):
-        build_Apm(DiracPoint.classify(3.0, 3.0))
+    with pytest.raises(ValueError):
+        build_Apm(3.0, 3.0)
 
 
 def test_mass_mode_B_plus_example():
@@ -140,15 +141,15 @@ def test_mass_mode_B_continuity():
 
 
 def test_mass_mode_B_rejects_massless():
-    with pytest.raises(MassModeError):
+    with pytest.raises(ValueError):
         mass_mode_B(+1, 0.0)
 
 
 def test_spectral_value_identity_bc_at_mass_modes():
     u = bc.from_matrix(I2)
     for mu0 in (0.5, 1.0, 5.0):
-        assert abs(spectral_value(DiracPoint.classify(mu0, mu0), u)) < 1e-14
-    assert abs(spectral_value(DiracPoint.classify(-1.0, 1.0), u)) > 0.1
+        assert abs(spectral_value(mu0, mu0, u)) < 1e-14
+    assert abs(spectral_value(-1.0, 1.0, u)) > 0.1
 
 
 def test_spectral_value_assembly_paths_agree():
@@ -157,11 +158,8 @@ def test_spectral_value_assembly_paths_agree():
     for _ in range(50):
         u = bc.random_unitary_bc(rng)
         mu = rng.uniform(-8.0, 8.0)
-        p = DiracPoint.classify(mu, mu0)
-        if p.is_mass_mode:
-            continue
-        via_triple = spectral_value(p, u)
-        via_det = det2x2_difference(closed_form_B(p.mu, mu0)[0], u.matrix)
+        via_triple = spectral_value(mu, mu0, u)
+        via_det = det2x2_difference(closed_form_B(mu, mu0)[0], u.matrix)
         assert abs(via_triple - via_det) < 1e-11
 
 

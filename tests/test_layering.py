@@ -1,0 +1,54 @@
+"""The engine's import boundary.
+
+``import ring_spectra`` and ``import ring_spectra.cli`` load the search
+engine only; the check-only modules (``oracles``, ``triple``,
+``acceptance``) load when ``ring-spectra verify`` runs.  Each case runs
+in a fresh interpreter so no other test's imports leak into it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ring_spectra
+
+ENGINE = {"ring_spectra"} | {
+    f"ring_spectra.{name}" for name in ("bc", "matalg", "dirac", "schrod", "roots", "iso")
+}
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ)
+    src = str(Path(ring_spectra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_after(statement: str) -> set[str]:
+    code = f"import sys\n{statement}\nprint(' '.join(m for m in sys.modules if m.startswith('ring_spectra')))"
+    return set(run_python(code).split())
+
+
+def test_package_import_loads_the_engine_only():
+    assert loaded_after("import ring_spectra") == ENGINE
+
+
+def test_cli_import_adds_only_the_cli():
+    assert loaded_after("import ring_spectra.cli") == ENGINE | {"ring_spectra.cli"}
+
+
+def test_public_names_resolve():
+    assert len(ring_spectra.__all__) == 26
+    assert all(hasattr(ring_spectra, name) for name in ring_spectra.__all__)
+
+
+def test_verify_still_runs_the_checks():
+    code = "from ring_spectra import cli\nraise SystemExit(cli.main(['verify', '--only', '3']))"
+    out = run_python(code)
+    assert out.splitlines()[0] == "1..1"
+    assert out.splitlines()[1].startswith("ok 1 - [3]")

@@ -18,7 +18,6 @@ from ring_spectra.matalg import (
     pauli_decompose,
     require_unitary,
     unitary_eigenphases,
-    wrap_angle,
 )
 
 
@@ -95,21 +94,22 @@ def eigenphases_of(w, h=None):
 
 
 def test_unitary_eigen_identity():
-    assert np.allclose(wrap_angle(eigenphases_of(I2)), [0.0, 0.0])
+    assert np.allclose(np.exp(1j * eigenphases_of(I2)), [1.0, 1.0])
 
 
 def test_unitary_eigen_sx():
-    assert sorted(wrap_angle(eigenphases_of(SX))) == pytest.approx([0.0, np.pi])
+    assert pair_gap(np.exp(1j * eigenphases_of(SX)), np.array([1.0, -1.0])) < 1e-12
 
 
 def test_unitary_eigen_global_phase():
-    phases = wrap_angle(eigenphases_of(np.exp(1j * np.pi / 4) * I2))
-    assert np.allclose(phases, [np.pi / 4, np.pi / 4])
+    lam = np.exp(1j * eigenphases_of(np.exp(1j * np.pi / 4) * I2))
+    assert np.allclose(lam, np.exp(1j * np.pi / 4))
 
 
 def test_unitary_eigen_branch_convention_at_pi():
-    # eigenvalues of -I are both e^{i pi}; the branch maps them to +pi
-    assert np.allclose(wrap_angle(eigenphases_of(-I2)), [np.pi, np.pi])
+    # eigenvalues of -I are both e^{i pi}; compared as e^{i phase}, any
+    # branch of the phases gives them
+    assert np.allclose(np.exp(1j * eigenphases_of(-I2)), [-1.0, -1.0])
 
 
 def test_require_unitary_rejects_non_unitary():
@@ -138,9 +138,9 @@ def test_unitary_eigen_closed_form_phases():
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
         w = np.exp(1j * delta) * (v[0] * I2 + 1j * (v[1] * SX + v[2] * SY + v[3] * SZ))
-        got = wrap_angle(eigenphases_of(w))
-        expect = wrap_angle(np.array([delta + np.arccos(v[0]), delta - np.arccos(v[0])]))
-        assert np.allclose(np.sort(got), np.sort(expect), atol=1e-12)
+        got = np.exp(1j * eigenphases_of(w))
+        expect = np.exp(1j * (delta + np.array([1.0, -1.0]) * np.arccos(v[0])))
+        assert pair_gap(got, expect) < 1e-12
 
 
 def test_unitary_eigen_explicit_half_phase_branch():
@@ -158,11 +158,3 @@ def test_unimodular_determinants_on_random_unitaries():
     rng = np.random.default_rng(5)
     w = random_unitaries(rng, 10_000)
     assert np.max(np.abs(np.abs(det2(w)) - 1.0)) < 1e-12
-
-
-def test_wrap_angle_branch():
-    assert wrap_angle(np.pi) == np.pi
-    assert wrap_angle(-np.pi) == np.pi
-    assert wrap_angle(3 * np.pi) == np.pi
-    assert wrap_angle(0.5) == pytest.approx(0.5)
-    assert wrap_angle(2 * np.pi + 0.5) == pytest.approx(0.5)

@@ -1,4 +1,4 @@
-"""Tests for eigenphase profiles and spectrum extraction."""
+"""Tests for eigenphase tracks and spectrum extraction."""
 
 import tracemalloc
 
@@ -14,7 +14,6 @@ from ring_spectra.roots import (
     MAX_ROOTS,
     NumericalError,
     SpectrumSlice,
-    eigenphase_profile,
     eigenphases,
     find_spectra,
     find_spectrum,
@@ -83,11 +82,9 @@ def test_profile_identity_at_matching_point():
     a, b, *_ = coefficient_arrays(np.array([mu_star]), mu0)
     u = bc.from_matrix(boundary_matrix(a, b)[0])
     grid = np.linspace(2.0, 3.0, 101)  # includes 2.5
-    prof = eigenphase_profile(u, grid, DiracKernel(mu0))
+    tracks = phases_at(DiracKernel(mu0), grid, u)
     i = np.argmin(np.abs(grid - mu_star))
-    assert np.max(np.abs(prof.phases[i])) < 1e-10
-    # unwrapped tracks reassemble from wrapped phases and wrap counts
-    assert np.allclose(prof.phases + 2 * np.pi * prof.wraps, prof.tracks)
+    assert np.max(np.abs(np.exp(1j * tracks[i]) - 1.0)) < 1e-10
 
 
 def test_profile_crossings_dirac_periodic():
@@ -95,30 +92,23 @@ def test_profile_crossings_dirac_periodic():
     kernel = DiracKernel(1.0)
     u = bc.named_family("dpp", 0.0)
     grid = np.linspace(-14.0, 14.0, 4001)
-    prof = eigenphase_profile(u, grid, kernel)
+    gap = np.abs(np.exp(1j * phases_at(kernel, grid, u)) - 1.0)  # ~0 at a crossing
     expected = sorted(
         {s * np.sqrt((2 * np.pi * n) ** 2 + 1.0) for n in range(3) for s in (+1, -1)}
     )
     for mu_star in expected:
         i = np.argmin(np.abs(grid - mu_star))
-        window = prof.phases[max(0, i - 2) : i + 3]  # wrapped: crossing means ~0
-        assert np.min(np.abs(window)) < 0.1
+        assert np.min(gap[max(0, i - 2) : i + 3]) < 0.1
 
 
 def test_profile_crossings_schrod_quasi_periodic():
     u = bc.named_family("qp", 0.0)
     grid = np.linspace(0.0, 140.0, 4001)
-    prof = eigenphase_profile(u, grid, SchrodKernel())
+    gap = np.abs(np.exp(1j * phases_at(SchrodKernel(), grid, u)) - 1.0)
     for n in range(3):
         e_star = np.pi**2 * (n + 0.5) ** 2
         i = np.argmin(np.abs(grid - e_star))
-        assert np.min(np.abs(prof.phases[max(0, i - 2) : i + 3])) < 0.1
-
-
-def test_profile_rejects_bad_grid():
-    u = bc.named_family("qp", 0.0)
-    with pytest.raises(ValueError):
-        eigenphase_profile(u, np.array([1.0, 1.0, 2.0]), SchrodKernel())
+        assert np.min(gap[max(0, i - 2) : i + 3]) < 0.1
 
 
 @PROPERTY
@@ -302,6 +292,14 @@ def test_find_spectrum_validation():
         grid_spectra([u], (0.0, 1.0), kernel, density=32)
     with pytest.raises(ValueError):
         find_spectrum(u, (0.0, np.inf), kernel)
+    for bad in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            find_spectrum(u, (0.0, 1.0), kernel, tol_root=bad)
+        with pytest.raises(ValueError):
+            find_spectrum(u, (0.0, 1.0), kernel, tol_residual=bad)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            DiracKernel(bad)
 
 
 def test_spectrum_slice_expansion():

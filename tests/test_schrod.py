@@ -10,7 +10,7 @@ import pytest
 
 from ring_spectra import bc
 from ring_spectra.matalg import I2, det2x2_difference
-from ring_spectra.oracles import SchrodPoint, SchrodRegime, boundary_matrix, schrod_boundary_map
+from ring_spectra.oracles import boundary_matrix, schrod_boundary_map
 from ring_spectra.roots import find_spectrum
 from ring_spectra.schrod import SchrodKernel, coefficient_arrays
 
@@ -21,12 +21,12 @@ def closed_form_B(e) -> np.ndarray:
     return boundary_matrix(a, b)
 
 
-def spectral_value(p: SchrodPoint, u) -> complex:
-    return complex(SchrodKernel().spectral_values(p.e, u)[0])
+def spectral_value(e, u) -> complex:
+    return complex(SchrodKernel().spectral_values(e, u)[0])
 
 
 def matrix_path_B(e: float) -> np.ndarray:
-    a_plus, a_minus = schrod_boundary_map(SchrodPoint.classify(e))
+    a_plus, a_minus = schrod_boundary_map(e)
     return a_minus @ np.linalg.inv(a_plus)
 
 
@@ -43,9 +43,9 @@ def test_zero_energy_limit_consistency():
 def test_periodic_bc_plane_wave_oracle():
     u_pp = bc.named_family("pp", 0.0)
     # qL = pi is antiperiodic, not periodic
-    assert abs(spectral_value(SchrodPoint.classify(np.pi**2), u_pp)) > 0.1
+    assert abs(spectral_value(np.pi**2, u_pp)) > 0.1
     # qL = 2 pi is periodic
-    assert abs(spectral_value(SchrodPoint.classify(4 * np.pi**2), u_pp)) < 1e-12
+    assert abs(spectral_value(4 * np.pi**2, u_pp)) < 1e-12
 
 
 def test_closed_form_agrees_with_matrix_path():
@@ -59,7 +59,7 @@ def test_spectral_value_equals_det_difference():
     for _ in range(100):
         u = bc.random_unitary_bc(rng)
         e = rng.uniform(-50.0, 200.0)
-        via_triple = spectral_value(SchrodPoint.classify(e), u)
+        via_triple = spectral_value(e, u)
         via_det = det2x2_difference(matrix_path_B(e), u.matrix)
         assert abs(via_triple - via_det) < 1e-11
 
@@ -163,7 +163,17 @@ def test_distinct_robin_conditions_have_distinct_spectra():
 
 
 def test_regime_classification():
-    assert SchrodPoint.classify(2.0).regime is SchrodRegime.POSITIVE
-    assert SchrodPoint.classify(-2.0).regime is SchrodRegime.NEGATIVE
-    assert SchrodPoint.classify(1e-14).regime is SchrodRegime.ZERO
-    assert SchrodPoint.classify(1e-14).e == 0.0
+    # the solution basis follows the sign of e, and the whole snap band
+    # of e = 0 takes the polynomial basis of e = 0 itself
+    zero = schrod_boundary_map(0.0)
+    for e in (1e-14, -1e-14):
+        assert all(np.array_equal(m, z) for m, z in zip(schrod_boundary_map(e), zero))
+    for e in (2.0, -2.0):
+        assert not np.allclose(schrod_boundary_map(e)[0], zero[0])
+    # plane waves e^{+-iqx} above zero, (cosh, sinh)(kappa x) below
+    q = np.sqrt(2.0)
+    assert schrod_boundary_map(2.0)[0][0, 0] == pytest.approx(1j * np.exp(-0.5j * q) * (1.0 - q))
+    kap = np.sqrt(2.0)
+    assert schrod_boundary_map(-2.0)[0][0, 0] == pytest.approx(
+        kap * np.sinh(kap / 2.0) + 1j * np.cosh(kap / 2.0)
+    )
