@@ -74,7 +74,8 @@ class UnitaryBC:
 
 @dataclass(frozen=True)
 class InvariantTriple:
-    """The three functionals of U the spectral function depends on."""
+    """The three functionals of U the spectral function depends on
+    (complex numbers, or arrays of them for a batch of U)."""
 
     det_u: complex
     tr_u: complex
@@ -192,20 +193,24 @@ def named_family(
 
 
 def invariant_triple(u: UnitaryBC | np.ndarray) -> InvariantTriple:
-    """(det U, tr U, tr(U sx)) -- the complete isospectral fingerprint."""
+    """(det U, tr U, tr(U sx)) -- the complete isospectral fingerprint.
+
+    A stack of matrices, shape (..., 2, 2), gives a triple of arrays.
+    """
     mat = u.matrix if isinstance(u, UnitaryBC) else np.asarray(u, dtype=complex)
-    return InvariantTriple(
-        det_u=complex(det2(mat)),
-        tr_u=complex(tr2(mat)),
-        tr_u_sx=complex(mat[0, 1] + mat[1, 0]),
-    )
+    parts = (det2(mat), tr2(mat), mat[..., 0, 1] + mat[..., 1, 0])
+    if mat.ndim == 2:
+        parts = tuple(complex(z) for z in parts)
+    return InvariantTriple(*parts)
 
 
-def spectral_function(a, b, c, u: UnitaryBC):
+def spectral_function(a, b, c, u: UnitaryBC | InvariantTriple):
     """F_U = det(B - U) = det U - a tr U + b tr(U sx) + c for the
     transfer matrix B = a I + b sx with c = det B; broadcasts over
-    arrays of kernel coefficients."""
-    t = invariant_triple(u)
+    arrays of kernel coefficients.  ``u`` may also be given by its
+    invariant triple, whose fields may be arrays aligned with the
+    coefficients (one U per energy)."""
+    t = u if isinstance(u, InvariantTriple) else invariant_triple(u)
     return t.det_u - a * t.tr_u + b * t.tr_u_sx + c
 
 

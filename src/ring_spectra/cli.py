@@ -7,16 +7,20 @@ suite as TAP).  Identical configurations produce byte-identical output;
 floats are emitted with 17 significant digits so a JSON round trip
 reproduces every value exactly.
 
-Exit codes: 0 success, 2 malformed boundary-condition text or option
-value (window, tolerances, rest energy, check numbers), 3 boundary
-condition violating a constraint (non-unitary, off the unit sphere),
-4 numerical failure (unresolvable pole interval, a root failing
-residual verification, or coincident eigenphase crossings).
+Exit codes: 0 success, 1 a failed ``verify`` check or standard output
+closed before all output was written (``| head``; no traceback, the
+rest of the output is dropped), 2 malformed boundary-condition text or
+option value (window, tolerances, rest energy, check numbers, an output
+format the command does not have), 3 boundary condition violating a
+constraint (non-unitary, off the unit sphere), 4 numerical failure
+(unresolvable pole interval, a root failing residual verification, or
+coincident eigenphase crossings).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -37,6 +41,7 @@ from .roots import (
 from .schrod import SchrodKernel
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_BAD_SPEC = 2
 EXIT_BAD_BC = 3
 EXIT_NUMERICAL = 4
@@ -94,8 +99,8 @@ def _add_bc_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+def _add_output_args(p: argparse.ArgumentParser, formats=("json",)) -> None:
+    p.add_argument("--format", choices=formats, default="json", help="output format")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -117,7 +122,6 @@ def _add_spectrum_args(p: argparse.ArgumentParser) -> None:
                    help=f"root bracket width tolerance (default {DEFAULT_TOL_ROOT:g})")
     p.add_argument("--tol-residual", type=float, default=DEFAULT_TOL_RESIDUAL,
                    help=f"|F| bound for accepted roots (default {DEFAULT_TOL_RESIDUAL:g})")
-    _add_output_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues in an energy window")
     _add_spectrum_args(p_spec)
+    _add_output_args(p_spec, ("json", "csv"))
 
     p_cls = sub.add_parser("classify", help="isospectrality classification of one condition")
     _add_bc_arg(p_cls)
@@ -139,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orb = sub.add_parser("orbit", help="spectra across the conjugation orbit")
     _add_spectrum_args(p_orb)
+    _add_output_args(p_orb)
     p_orb.add_argument("--lambdas", type=int, default=16, help="orbit sample count (default 16)")
 
     p_ver = sub.add_parser("verify", help="run the acceptance suite (TAP output)")
@@ -295,7 +301,7 @@ def cmd_verify(args) -> int:
         except ValueError:
             print(f"--only expects comma-separated integers, got {args.only!r}", file=sys.stderr)
             return EXIT_BAD_SPEC
-    return EXIT_OK if acceptance.run_all(numbers) else 1
+    return EXIT_OK if acceptance.run_all(numbers) else EXIT_FAILED
 
 
 def main(argv=None) -> int:
@@ -307,7 +313,15 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``): send what is left to devnull,
+        # so the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAILED
     except BCParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC

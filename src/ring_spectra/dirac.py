@@ -25,19 +25,26 @@ sech kappa) where p n < 0 (inside the gap), so nothing overflows.
 Both tend to (1, 1, 1) at zero wavenumber, p = 0 or n = 0, so the
 points mu = +-mu0 are the same form with D = +-mu0 - i.  |D| >= 1
 everywhere, so the form has no pole (a guard raises
-:class:`SpectralPoleError` should its evaluation break down).  With
-rho = sign(mu) K where p n > 0 and rho = 0 elsewhere,
+:class:`SpectralPoleError` should (mu S)^2 + C^2 < 1/4 ever come
+out).  With rho = sign(mu) K where p n > 0 and rho = 0 elsewhere,
 
     h = -arg D = pi/2 - rho - atan2((mu - rho) S cos rho,
                                     1 + (mu - rho) S sin rho),
 
 whose second atan2 argument is at least 1, so h is continuous on the
-whole axis and, like the eigenphases, never increases.
+whole axis and, like the eigenphases, never increases.  Since
+D = |D| e^{-ih}, B has the polar form
+
+    B = e^{ih} (u I - i v sx) / |D|,   u = mu0 S,   v = sigma,
+
+with u and v real and |D|^2 = u^2 + v^2 (B is unitary).  The root
+search works on (h, u, v) alone, in real arithmetic (``polar``);
+(a, b, c) serve the spectral function F_U (``coefficients``).
 
 :func:`_closed_form` is the only place this is written; it works on
-(p, n) and forms K^2 as their product, never as mu^2 - mu0^2, which
-would cancel.  The non-relativistic kernel is the same form at p = e,
-n = 1 (:mod:`ring_spectra.schrod`).  An energy in the snap band of a
+(p, n), so u = (n - p) S / 2, and forms K^2 as their product, never
+as mu^2 - mu0^2, which would cancel.  The non-relativistic kernel is
+the same form at p = e, n = 1 (:mod:`ring_spectra.schrod`).  An energy in the snap band of a
 zero-wavenumber point is evaluated as that point itself; the band is
 decided in one place, :func:`snap_band`.
 """
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bc import UnitaryBC, spectral_function
+from .bc import InvariantTriple, UnitaryBC, spectral_function
 
 #: an energy closer than SNAP_TOL * max(1, |s|) to a zero-wavenumber
 #: point s is evaluated as s itself (:func:`snap_band`)
@@ -116,14 +123,17 @@ def snap_band(at: float) -> float:
 
 
 def _closed_form(p, n, mu0: float):
-    """(a, b, c, h) at p = mu - mu0 and n = mu + mu0 (module docstring).
+    """The real core (h, u, v, mu S, C) at p = mu - mu0 and n = mu + mu0
+    (module docstring): B = e^{ih} (u I - i v sx) / |D| with
+    D = mu S - i C.
 
     ``mu0`` is the rest energy at the zero-wavenumber points: an energy
     in the snap band of p = 0 or n = 0 is evaluated at (p, n) = (0,
     2 mu0) or (-2 mu0, 0) exactly, so the whole band returns the
     point's own values bit for bit.  All regimes run through the same
     array expressions, selected by the sign of K^2 = p n, so a call
-    costs the same few dozen array operations whatever its energies.
+    costs the same few dozen real array operations whatever its
+    energies.
     """
     band = snap_band(mu0)
     zero = np.minimum(np.abs(p), np.abs(n)) < band
@@ -143,25 +153,34 @@ def _closed_form(p, n, mu0: float):
     big_c = np.cos(rho)
     em = np.exp(-kap)
     sigma = 2.0 * em / (1.0 + em * em)  # sech kappa, and 1 where kappa = 0
-    d = mu * big_s - 1j * big_c
-    pole = np.abs(d) < 0.5
+    mu_s = mu * big_s
+    pole = mu_s * mu_s + big_c * big_c < 0.25  # |D|^2 < 1/4
     if pole.any():
         raise SpectralPoleError(mu[pole])
-    a = 0.5 * (n - p) * big_s / d
-    b = -1j * sigma / d
-    c = np.conj(d) / d
     y = (mu - rho) * big_s
     h = 0.5 * np.pi - rho - np.arctan2(y * big_c, 1.0 + y * sin_rho)
-    return a, b, c, h
+    return h, 0.5 * (n - p) * big_s, sigma, mu_s, big_c
+
+
+def _coefficients(h, u, v, mu_s, big_c):
+    """(a, b, c, h) from the real core: a = u / D, b = -i v / D and
+    c = conj(D) / D, with D = mu S - i C."""
+    d = mu_s - 1j * big_c
+    return u / d, -1j * v / d, np.conj(d) / d, h
+
+
+def _core(mu, mu0: float):
+    """The real core over an array of energies mu."""
+    if mu0 < 0:
+        raise ValueError("mu0 must be non-negative")
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    return _closed_form(mu - mu0, mu + mu0, mu0)
 
 
 def coefficient_arrays(mu, mu0: float):
     """Vectorized (a, b, c, h) over an array of energies, all regimes;
     h is the half phase of c, e^{2ih} = c, continuous in mu."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu0 < 0:
-        raise ValueError("mu0 must be non-negative")
-    return _closed_form(mu - mu0, mu + mu0, mu0)
+    return _coefficients(*_core(mu, mu0))
 
 
 def mass_mode_membership(
@@ -186,8 +205,9 @@ class DiracKernel:
     """Relativistic kernel bound to a fixed dimensionless mass.
 
     The kernel protocol the root search uses: ``theory``,
-    ``special_points()`` and ``coefficients(mu) -> (a, b, c, h)``;
-    ``spectral_values`` evaluates F_U from (a, b, c).
+    ``special_points()``, ``polar(mu) -> (h, u, v)`` and
+    ``spectral_values``, which evaluates F_U from
+    ``coefficients(mu) -> (a, b, c, h)``.
     """
 
     theory = "dirac"
@@ -200,7 +220,12 @@ class DiracKernel:
     def coefficients(self, mu):
         return coefficient_arrays(mu, self.mu0)
 
-    def spectral_values(self, mu, u: UnitaryBC) -> np.ndarray:
+    def polar(self, mu):
+        """Polar form (h, u, v) of B: B = e^{ih} (u I - i v sx) /
+        sqrt(u^2 + v^2), all float arrays."""
+        return _core(mu, self.mu0)[:3]
+
+    def spectral_values(self, mu, u: UnitaryBC | InvariantTriple) -> np.ndarray:
         return spectral_function(*self.coefficients(mu)[:3], u)
 
     def special_points(self) -> tuple[float, ...]:

@@ -1,10 +1,10 @@
 """Complex 2x2 matrix algebra on the Pauli basis.
 
-Everything downstream (boundary conditions, spectral kernels, root
-finding) manipulates 2x2 unitaries, so the few primitives that must
-behave identically everywhere live here: the determinant-of-difference
-identity, Pauli decomposition, and the closed-form eigenphases of a
-unitary given in Pauli form.
+Everything downstream (boundary conditions, spectral kernels, oracles)
+manipulates 2x2 unitaries, so the few primitives that must behave
+identically everywhere live here: the Pauli matrices, determinant and
+trace, the unitarity check, the determinant-of-difference identity and
+Pauli decomposition.
 """
 
 from __future__ import annotations
@@ -79,18 +79,3 @@ def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
     c2 = 0.5j * (m[0, 1] - m[1, 0])
     c3 = 0.5 * (m[0, 0] - m[1, 1])
     return complex(c0), complex(c1), complex(c2), complex(c3)
-
-
-def unitary_eigenphases(s0, s_norm, h):
-    """Both eigenphases of a unitary W = s0 I + s.sigma (complex s0, s).
-
-    With h a half phase of det W (any branch, e.g. a kernel's
-    continuous lift), W = e^{ih} (w0 I + i w.sigma) for a real unit 4-vector
-    (w0, w) with w0 = Re(s0 e^{-ih}) and |w| = |s|, so the eigenphases
-    are h +- atan2(|s|, w0).  Taking |s| from the coefficients keeps the
-    spread accurate to machine precision through a degeneracy
-    (|s| -> 0), where arccos(w0) would lose half the digits.  Inputs
-    broadcast; output has shape (..., 2), not wrapped.
-    """
-    spread = np.arctan2(s_norm, np.real(s0 * np.exp(-1j * h)))
-    return np.stack([h + spread, h - spread], axis=-1)

@@ -1,7 +1,10 @@
 """Independent oracles for the closed-form kernels and the root search.
 
-The root search works on the scalar coefficients (a, b, c) and the
-kernels' lifted half phase h alone.  The plane-wave and
+The root search works on the kernels' polar form (h, u, v) alone, and
+verifies roots with the scalar coefficients (a, b, c).  The complex
+eigenphase route it replaced, from (a, b) and the lifted half phase h,
+lives here (:func:`eigenphases`), held against LAPACK by the tests and
+used by the grid search below.  The plane-wave and
 polynomial-basis boundary matrices A_pm, from which those coefficients
 were derived through B = A_minus A_plus^{-1}, live here so checks and
 tests can rebuild B the long way and compare.  So does the reference
@@ -23,11 +26,9 @@ from .roots import (
     DEFAULT_TOL_RESIDUAL,
     DEFAULT_TOL_ROOT,
     SpectrumSlice,
-    _charts,
     _top_end,
     _validate,
     collect_spectra,
-    eigenphases,
 )
 
 #: grid nodes per 2 pi of the reference search
@@ -152,7 +153,54 @@ def schrod_boundary_map(e: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# complex eigenphase route
+
+
+def unitary_eigenphases(s0, s_norm, h):
+    """Both eigenphases of a unitary W = s0 I + s.sigma (complex s0, s).
+
+    With h a half phase of det W (any branch, e.g. a kernel's
+    continuous lift), W = e^{ih} (w0 I + i w.sigma) for a real unit 4-vector
+    (w0, w) with w0 = Re(s0 e^{-ih}) and |w| = |s|, so the eigenphases
+    are h +- atan2(|s|, w0).  Taking |s| from the coefficients keeps the
+    spread accurate to machine precision through a degeneracy
+    (|s| -> 0), where arccos(w0) would lose half the digits.  Inputs
+    broadcast; output has shape (..., 2), not wrapped.
+    """
+    spread = np.arctan2(s_norm, np.real(s0 * np.exp(-1j * h)))
+    return np.stack([h + spread, h - spread], axis=-1)
+
+
+def eigenphases(a, b, h, eta, m0, m) -> np.ndarray:
+    """Both eigenphase tracks of W = (a I + b sx) U^H, shape (..., 2),
+    from the complex coefficients; the search's own tracks come from
+    the kernel's polar form instead (:mod:`ring_spectra.roots`).
+
+    In U's chart, W = e^{-i eta} (s0 I + s.sigma) with
+    s0 = a m0 - i b m1 and s = (b m0 - i a m1, -i a m2 - b m3,
+    b m2 - i a m3), and det(s0 I + s.sigma) = c = e^{2ih}.  The chart
+    ``(eta, m0, m)`` broadcasts against the coefficients: scalars and a
+    3-vector ``m`` for one U, or one row per point (``m`` of shape
+    (..., 3)) for many.  Columns are t_+ and t_-.
+    """
+    m = np.asarray(m)
+    m1, m2, m3 = m[..., 0], m[..., 1], m[..., 2]
+    s_norm2 = np.abs(b * m0 - 1j * m1 * a) ** 2
+    s_norm2 += np.abs(-1j * m2 * a - b * m3) ** 2
+    s_norm2 += np.abs(b * m2 - 1j * m3 * a) ** 2
+    s0 = a * m0 - 1j * m1 * b
+    out = unitary_eigenphases(s0, np.sqrt(s_norm2), h)
+    out -= np.asarray(eta)[..., None]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference root search
+
+
+def _charts(us) -> np.ndarray:
+    """One chart row (eta, m0, m1, m2, m3) per U."""
+    return np.array([(u.eta, u.m0, *u.m) for u in us], dtype=float).reshape(-1, 5)
 
 
 def _build_grid(lo: float, hi: float, n: int, specials) -> np.ndarray:

@@ -3,46 +3,54 @@
 F_U(x) = det(B(x) - U) is complex on the real axis, so minimizing |F|
 cannot bracket.  Instead, with W(x) = B(x) U^H (unitary, since both
 factors are), F_U = 0 exactly when W has eigenvalue 1, i.e. when an
-eigenphase of W crosses zero.  In U's chart U = e^{i eta} (m0 I +
-i m.sigma) and with B = a I + b sx,
+eigenphase of W crosses zero.  Every kernel hands out B in polar form,
 
-    W = e^{-i eta} (s0 I + s.sigma),   det(s0 I + s.sigma) = c,
-    s0 = a m0 - i b m1,
-    s  = (b m0 - i a m1, -i a m2 - b m3, b m2 - i a m3),
+    B(x) = e^{ih} (u I - i v sx) / |D|,   |D|^2 = u^2 + v^2,
 
-so the two eigenphases are
+with u, v real and h the half phase of c = det B (e^{2ih} = c).  In
+U's chart U = e^{i eta} (m0 I + i m.sigma) this gives
 
-    t_pm(x) = h(x) - eta +- atan2(|s|, w0),   w0 = Re(s0 e^{-i h}),
+    W = e^{i(h - eta)} (w0 I - i w.sigma) / |D|,
+    w0 = u m0 - v m1,   w = (u m1 + v m0, u m2 - v m3, u m3 + v m2),
+    |w|^2 = (v m0 + u m1)^2 + (u^2 + v^2) m_perp^2,   m_perp^2 = m2^2 + m3^2,
 
-with h the half phase of c.  Every kernel hands out h already lifted,
-continuous in x in closed form, so t_pm are continuous tracks at any
-single x, with no grid and no unwrapping.  Both tracks never increase
+with w0^2 + |w|^2 = |D|^2, so the two eigenphases are
+
+    t_pm(x) = h(x) - eta +- atan2(|w|, w0):
+
+the positive factor 1/|D| drops out of atan2, and both tracks come out
+of real arithmetic, with no complex number and no e^{-ih}.  A track
+sees U only through (eta, m0, m1, m_perp^2), which is the invariant
+triple (det U, tr U, tr(U sx)) in other coordinates.  Every kernel
+hands out h already lifted, continuous in x in closed form, so t_pm
+are continuous tracks at any single x, with no grid and no unwrapping.
+Both tracks never increase
 with energy (the Herglotz/Krein monotonicity of the eigenphases), so
 the multiples of 2 pi a track passes between the window ends are
 exactly its crossings: the tracks at the two ends alone certify the
 root count, and each crossing gets its own bracket, refined by Brent's
-method on the same closed form.  |s| comes straight from the
-coefficients, so the phases stay accurate to machine precision through
-degeneracies and double roots are located as sharply as simple ones.
-Two crossings closer than the separation tolerance merge into one root
-of multiplicity 2, which is the maximum for 2x2 unitaries; a larger
+method on its own track.  |w| comes straight from (u, v), so the
+phases stay accurate to machine precision through degeneracies and
+double roots are located as sharply as simple ones.  Two crossings
+closer than the separation tolerance merge into one root of
+multiplicity 2, which is the maximum for 2x2 unitaries; a larger
 cluster raises, since it would mean the dimension count failed.
 
 A kernel is anything with ``theory``, ``special_points()``,
-``coefficients(x) -> (a, b, c, h)`` and ``spectral_values(x, u)``; the
-search calls nothing else, and never builds a 2x2 matrix per point.
-The kernels evaluate a small band around each special point as the
-point itself (:func:`ring_spectra.dirac.snap_band`), so a root whose
-final bracket meets that band is reported at the special point, and
-the count at the window's top end is read past any band that holds
-it.
+``polar(x) -> (h, u, v)`` and ``spectral_values(x, u)``; the search
+calls nothing else, and never builds a 2x2 matrix per point.  The
+kernels evaluate a small band around each special point as the point
+itself (:func:`ring_spectra.dirac.snap_band`), so a root whose final
+bracket meets that band is reported at the special point, and the
+count at the window's top end is read past any band that holds it.
 
-(a, b, c, h) do not depend on U, so the one search, :func:`find_spectra`,
+(h, u, v) do not depend on U, so the one search, :func:`find_spectra`,
 runs a batch of boundary conditions on one kernel call per refinement
-round; :func:`find_spectrum` is that search for a single U.
-Memory grows with the number of roots, not with the window.  The
-reference grid search it replaced lives on as an oracle,
-:func:`ring_spectra.oracles.grid_spectra`.
+round, and verifies the roots of every U in one more;
+:func:`find_spectrum` is that search for a single U.  Memory grows
+with the number of roots, not with the window.  The reference grid
+search it replaced, and the complex eigenphase route it used, live on
+as oracles (:mod:`ring_spectra.oracles`).
 
 Everything here is pure-function over value inputs; concurrent searches
 on shared read-only kernels are safe.
@@ -55,9 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bc import UnitaryBC
+from .bc import UnitaryBC, invariant_triple
 from .dirac import snap_band
-from .matalg import TAU, unitary_eigenphases
+from .matalg import TAU
 
 #: roots closer than SEPARATION_FACTOR * max(1, |x|) merge (multiplicity 2)
 SEPARATION_FACTOR = 1e-8
@@ -107,29 +115,6 @@ class SpectrumSlice:
         return np.repeat(self.values(), [r.multiplicity for r in self.roots])
 
 
-def eigenphases(a, b, h, eta, m0, m) -> np.ndarray:
-    """Both eigenphase tracks of W = (a I + b sx) U^H, shape (..., 2).
-
-    Closed form in U's chart (see the module docstring) from the
-    coefficients and a half phase ``h`` of c = a^2 - b^2; with the
-    kernel's lifted h the two columns are the continuous tracks t_+ and
-    t_-.  The chart ``(eta, m0, m)`` broadcasts against the
-    coefficients: scalars and a 3-vector ``m`` for one U, or one row per
-    point (``m`` of shape (..., 3)) for many.  |s| is summed one
-    component at a time so a long array never holds all four Pauli
-    coefficients at once.
-    """
-    m = np.asarray(m)
-    m1, m2, m3 = m[..., 0], m[..., 1], m[..., 2]
-    s_norm2 = np.abs(b * m0 - 1j * m1 * a) ** 2
-    s_norm2 += np.abs(-1j * m2 * a - b * m3) ** 2
-    s_norm2 += np.abs(b * m2 - 1j * m3 * a) ** 2
-    s0 = a * m0 - 1j * m1 * b
-    out = unitary_eigenphases(s0, np.sqrt(s_norm2), h)
-    out -= np.asarray(eta)[..., None]
-    return out
-
-
 def _validate(window, tol_root, tol_residual) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -159,26 +144,37 @@ def _top_end(hi: float, tol_root: float, specials) -> float:
     return top
 
 
+#: the sign of the spread on track t_+ and on track t_-
+_SIGNS = np.array([1.0, -1.0])
+
+
 def _charts(us: Sequence[UnitaryBC]) -> np.ndarray:
-    """One chart row (eta, m0, m1, m2, m3) per U."""
-    return np.array([(u.eta, u.m0, *u.m) for u in us], dtype=float).reshape(-1, 5)
+    """One row (eta, m0, m1, m_perp^2) per U: all of U a track sees."""
+    return np.array(
+        [(u.eta, u.m0, u.m[0], u.m[1] ** 2 + u.m[2] ** 2) for u in us], dtype=float
+    ).reshape(-1, 4)
 
 
-def _track_values(kernel, x, chart, track) -> np.ndarray:
-    """Track ``track`` (0 for t_+, 1 for t_-) of each row's U at x, one
-    kernel call for all rows."""
-    a, b, _, h = kernel.coefficients(x)
-    t = eigenphases(a, b, h, chart[:, 0], chart[:, 1], chart[:, 2:])
-    return t[np.arange(len(x)), track]
+def _tracks(h, u, v, eta, m0, m1, mperp2, sign):
+    """The eigenphase track h - eta + sign atan2(|w|, w0) of W = B U^H
+    from the kernel's polar form (h, u, v) and U's (eta, m0, m1,
+    m_perp^2) (module docstring): t_+ for sign = +1, t_- for sign = -1.
+    All arguments broadcast."""
+    w0 = u * m0 - v * m1
+    q = v * m0 + u * m1
+    spread = np.arctan2(sign * np.sqrt(q * q + mperp2 * (u * u + v * v)), w0)
+    return h + spread - eta  # the rounding order of oracles.eigenphases
 
 
-def _refine(kernel, chart, track, target, xl, xr, gl, gr, tol_root, tol_residual):
+def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     """Brent's method on all track crossings at once.
 
     Per bracket: [xl, xr] with g = t - target straddling zero, gl > 0 >=
-    gr (tracks never increase), on track ``track`` of the U whose chart
-    row it carries.  Each round makes one kernel call at one point per
-    active bracket.  The state is Brent's: the best end b, the
+    gr (tracks never increase), on the track whose :func:`_tracks`
+    arguments (eta, m0, m1, m_perp^2, sign) and target make its column
+    of ``consts``.  Each round makes one ``polar`` call at one point per
+    active bracket and evaluates each bracket's own track alone.  The
+    state is Brent's: the best end b, the
     contrapoint c with g(c) of the other sign, the previous best a, and
     the last two step lengths.  Steps are secant or inverse quadratic
     interpolation, replaced by bisection whenever they would not shrink
@@ -242,7 +238,8 @@ def _refine(kernel, chart, track, target, xl, xr, gl, gr, tol_root, tol_residual
         e[i] = np.where(take, d[i], step)
         d[i] = step
         x = B + np.where(np.abs(step) > tol1, step, np.copysign(tol1, xm))
-        g = _track_values(kernel, x, chart[i], track[i]) - target[i]
+        *track, goal = consts[:, i]
+        g = _tracks(*kernel.polar(x), *track) - goal
         evals[i] += 1
         # the new point replaces c when it lands on c's side of the root
         same = np.sign(g) == np.sign(FC)
@@ -270,46 +267,58 @@ def _snap_to_special_points(x, xl, xr, specials) -> np.ndarray:
 
 
 def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, evaluated):
-    """Per U: cluster the located crossings into roots (multiplicity at
-    most 2), keep those in the half-open window, verify each against
-    |F_U| < tol_residual in one kernel call, and wrap them in a slice
-    reporting ``evaluated[k]`` energies.
+    """Cluster the located crossings of every U into roots (multiplicity
+    at most 2), keep those in the half-open window, verify all of them
+    against |F_U| < tol_residual in one kernel call, and wrap each U's
+    roots in a slice reporting ``evaluated[k]`` energies.
 
-    A root is only located to tol_root * max(1, |x|), so one that close
-    to an end counts as sitting on it: within that distance above lo it
-    is left out, within it above hi it is reported at hi.  Adjacent
-    windows therefore split the roots between them exactly."""
+    ``owner[j]`` is the index in ``us`` of crossing j.  A root is only
+    located to tol_root * max(1, |x|), so one that close to an end
+    counts as sitting on it: within that distance above lo it is left
+    out, within it above hi it is reported at hi.  Adjacent windows
+    therefore split the roots between them exactly.  A failure is
+    raised for the first U that has one, as a search of that U alone
+    would raise it."""
     lo, hi = window
     pad_lo, pad = (tol_root * max(1.0, abs(v)) for v in window)
-    slices = []
-    for k, u in enumerate(us):
-        found = np.sort(located[owner == k])
-        apart = np.diff(found) > SEPARATION_FACTOR * np.maximum(1.0, np.abs(found[:-1]))
-        starts = np.flatnonzero(np.concatenate([[found.size > 0], apart]))
-        sizes = np.diff(np.append(starts, found.size))
-        if np.any(sizes > 2):
-            j = int(np.argmax(sizes > 2))
-            raise NumericalError(
-                f"{sizes[j]} coincident eigenphase crossings near x = "
-                f"{found[starts[j]]:.6g}; multiplicity of a 2x2 unitary cannot exceed 2"
-            )
-        xs = np.add.reduceat(found, starts) / sizes if found.size else found
-        xs = np.where((xs > hi) & (xs - hi <= pad), hi, xs)
-        inside = (xs > lo + pad_lo) & (xs <= hi)
-        xs, mults = xs[inside], sizes[inside]
-        residuals = np.abs(kernel.spectral_values(xs, u))
-        if np.any(residuals > tol_residual):
-            j = int(np.argmax(residuals > tol_residual))
-            raise NumericalError(
-                f"root at x = {xs[j]:.12g} failed residual verification: "
-                f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}"
-            )
-        roots = tuple(
-            Root(float(x), int(n), float(r), "eigenphase-count")
-            for x, n, r in zip(xs, mults, residuals)
+    order = np.lexsort((located, owner))
+    found, owner = located[order], owner[order]
+    # a cluster starts at each new U and wherever neighbours lie apart
+    apart = (np.diff(owner) != 0) | (
+        np.diff(found) > SEPARATION_FACTOR * np.maximum(1.0, np.abs(found[:-1]))
+    )
+    starts = np.flatnonzero(np.concatenate([[found.size > 0], apart]))
+    sizes = np.diff(np.append(starts, found.size))
+    xs = np.add.reduceat(found, starts) / sizes if found.size else found
+    xs = np.where((xs > hi) & (xs - hi <= pad), hi, xs)
+    inside = (xs > lo + pad_lo) & (xs <= hi)
+    xs, mults, ks = xs[inside], sizes[inside], owner[starts][inside]
+    mats = np.array([u.matrix for u in us], dtype=complex).reshape(-1, 2, 2)
+    residuals = np.abs(kernel.spectral_values(xs, invariant_triple(mats[ks])))
+
+    big = np.flatnonzero(sizes > 2)
+    bad = np.flatnonzero(residuals > tol_residual)
+    if big.size and (not bad.size or owner[starts[big[0]]] <= ks[bad[0]]):
+        j = big[0]
+        raise NumericalError(
+            f"{sizes[j]} coincident eigenphase crossings near x = "
+            f"{found[starts[j]]:.6g}; multiplicity of a 2x2 unitary cannot exceed 2"
         )
-        slices.append(SpectrumSlice((lo, hi), roots, int(evaluated[k]), kernel.theory))
-    return slices
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(
+            f"root at x = {xs[j]:.12g} failed residual verification: "
+            f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}"
+        )
+    roots = [
+        Root(x, n, r, "eigenphase-count")
+        for x, n, r in zip(xs.tolist(), mults.tolist(), residuals.tolist())
+    ]
+    ends = np.cumsum(np.bincount(ks, minlength=len(us))).tolist()
+    return [
+        SpectrumSlice((lo, hi), tuple(roots[start:end]), int(evaluated[k]), kernel.theory)
+        for k, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+    ]
 
 
 def find_spectra(
@@ -328,15 +337,16 @@ def find_spectra(
     or is not finite, is refused before anything else is allocated.
     The brackets of all U are refined together to |dx| < tol_root *
     max(1, |x|).  Per U, crossings closer than the separation tolerance
-    merge into a multiplicity-2 root, and the roots are verified against
-    |F_U| < tol_residual in one kernel call.  Slices follow ``us``.
+    merge into a multiplicity-2 root, and the roots of every U are
+    verified against |F_U| < tol_residual in one kernel call.  Slices
+    follow ``us``.
     """
     lo, hi = _validate(window, tol_root, tol_residual)
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
     with np.errstate(invalid="ignore", over="ignore"):
-        a, b, _, h = kernel.coefficients(np.array([lo, top]))
-        ends = eigenphases(a, b, h, chart[:, :1], chart[:, 1:2], chart[:, None, 2:])
+        h, u, v = (part[:, None] for part in kernel.polar(np.array([lo, top])))
+        ends = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
     # ends[k, e, g]: track g of U k at end e; crossings of 2 pi n with
     # t(top) <= 2 pi n < t(lo)
     first = np.ceil(ends[:, 1] / TAU)
@@ -355,11 +365,11 @@ def find_spectra(
     step = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
     target = TAU * (first.ravel()[row] + step)
     owner, track = np.divmod(row, 2)
+    consts = np.vstack([chart[owner].T, _SIGNS[track], target])
     t_lo, t_hi = ends[:, 0].ravel()[row], ends[:, 1].ravel()[row]
     located, xl, xr, evals = _refine(
-        kernel, chart[owner], track, target,
-        np.full(row.size, lo), np.full(row.size, top), t_lo - target, t_hi - target,
-        tol_root, tol_residual,
+        kernel, consts, np.full(row.size, lo), np.full(row.size, top),
+        t_lo - target, t_hi - target, tol_root, tol_residual,
     )
     located = _snap_to_special_points(located, xl, xr, kernel.special_points())
     evaluated = 2 + np.bincount(owner, weights=evals, minlength=len(us))

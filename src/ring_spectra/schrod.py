@@ -18,9 +18,10 @@ d = mu sin q - i q cos q = D_S / 2, so
 
     a = -a_dirac,   b = -b_dirac,   c = c_dirac,   h = h_dirac:
 
-B(e) is minus the relativistic transfer matrix at that pair.  So this
-module evaluates :func:`ring_spectra.dirac._closed_form` at (p, n) =
-(e, 1).  The regimes follow: e > 0 is oscillatory, e < 0 is the
+B(e) is minus the relativistic transfer matrix at that pair, and its
+polar form B = e^{ih} (u I - i v sx) / |D| has (u, v) = -(u, v)_dirac.
+So this module evaluates :func:`ring_spectra.dirac._closed_form` at
+(p, n) = (e, 1).  The regimes follow: e > 0 is oscillatory, e < 0 is the
 evanescent (in-gap) form, and e = 0 is the zero-wavenumber point at
 rest energy 1/2, where the polynomial-basis (1, x/L) limit is
 a = -1/(1 - 2i), b = 2i/(1 - 2i), c = (1 + 2i)/(1 - 2i) and
@@ -32,15 +33,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bc import UnitaryBC, spectral_function
-from .dirac import _closed_form
+from .bc import InvariantTriple, UnitaryBC, spectral_function
+from .dirac import _closed_form, _coefficients
+
+
+def _core(e):
+    """The relativistic real core at (p, n) = (e, 1)."""
+    return _closed_form(np.atleast_1d(np.asarray(e, dtype=float)), 1.0, 0.5)
 
 
 def coefficient_arrays(e):
     """Vectorized (a, b, c, h) over an array of energies, all regimes;
     h is the half phase of c, e^{2ih} = c, continuous in e."""
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    a, b, c, h = _closed_form(e, 1.0, 0.5)
+    a, b, c, h = _coefficients(*_core(e))
     return -a, -b, c, h
 
 
@@ -53,7 +58,13 @@ class SchrodKernel:
     def coefficients(self, e):
         return coefficient_arrays(e)
 
-    def spectral_values(self, e, u: UnitaryBC) -> np.ndarray:
+    def polar(self, e):
+        """Polar form (h, u, v) of B: B = e^{ih} (u I - i v sx) /
+        sqrt(u^2 + v^2), all float arrays."""
+        h, u, v, _, _ = _core(e)
+        return h, -u, -v
+
+    def spectral_values(self, e, u: UnitaryBC | InvariantTriple) -> np.ndarray:
         return spectral_function(*self.coefficients(e)[:3], u)
 
     def special_points(self) -> tuple[float, ...]:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bc import UnitaryBC, from_matrix, spectral_function
+from .bc import InvariantTriple, UnitaryBC, from_matrix, spectral_function
 from .dirac import coefficient_arrays, snap_band
 from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
 
@@ -294,7 +294,8 @@ class RepKernel:
     :func:`bc_in_rep` uses carry B' back to the standard basis,
     B = Q_-^H B' Q_+, which must come out as a I + b sx; the
     coefficients then go through the same protocol as the closed-form
-    kernels, so spectra are searched with the standard U.  The route
+    kernels, with the polar form (h, u, v) derived from them, so spectra
+    are searched with the standard U.  The route
     shares no formula with the closed-form coefficients, which is the
     point.  In-gap basis columns are rescaled by e^{-kappa/2} (B is
     invariant under column scaling) so the assembly stays finite.  Only
@@ -408,7 +409,14 @@ class RepKernel:
             h,
         )
 
-    def spectral_values(self, mu, u: UnitaryBC) -> np.ndarray:
+    def polar(self, mu):
+        """(h, u, v) from this kernel's own (a, b, h): a e^{-ih} = u and
+        b e^{-ih} = -i v, with u^2 + v^2 = |a|^2 + |b|^2 = 1."""
+        a, b, _, h = self.coefficients(mu)
+        turn = np.exp(-1j * h)
+        return h, (a * turn).real, -(b * turn).imag
+
+    def spectral_values(self, mu, u: UnitaryBC | InvariantTriple) -> np.ndarray:
         return spectral_function(*self.coefficients(mu)[:3], u)
 
     def special_points(self) -> tuple[float, ...]:

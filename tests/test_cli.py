@@ -2,12 +2,17 @@
 unit conversion, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ring_spectra
 from ring_spectra.cli import main
 
 
@@ -142,6 +147,17 @@ def test_exit_code_invalid_window(capsys):
         code, out, err = run_cli(capsys, base + extra)
         assert code == 2 and out == "", extra
         assert err.startswith("error: ") and "Traceback" not in err
+    # classify and orbit write JSON only: csv is refused by argparse
+    for argv in (
+        ["classify", "--bc", "qp:alpha=0.7"],
+        ["orbit", "--theory", "schrod", "--bc", "qp:alpha=0", "--window", "0", "50",
+         "--lambdas", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "invalid choice: 'csv'" in captured.err
 
 
 def test_exit_code_numerical_failure(capsys):
@@ -252,3 +268,24 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["eigenvalues"][0]["value"] == pytest.approx(np.pi**2 / 4)
+
+
+def test_closed_pipe_exits_without_a_traceback():
+    # `ring-spectra orbit ... | head -5`: the reader leaves after its first
+    # read, the ~200 kB of JSON no longer fits the pipe, and the write fails
+    env = dict(os.environ)
+    src = str(Path(ring_spectra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "ring_spectra", "orbit", "--theory", "dirac", "--mu0", "1",
+            "--bc", "qp:alpha=0", "--window", "-200", "200"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 1

@@ -1,7 +1,8 @@
 """Tests for the 2x2 matrix-algebra primitives.
 
 The ``unitary_eigen`` tests check the closed-form eigenphases of a
-unitary given in Pauli form, against known cases and against LAPACK.
+unitary given in Pauli form (the complex route, kept as an oracle in
+``ring_spectra.oracles``), against known cases and against LAPACK.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ from ring_spectra.matalg import (
     det2x2_difference,
     pauli_decompose,
     require_unitary,
-    unitary_eigenphases,
 )
+from ring_spectra.oracles import unitary_eigenphases
 
 
 def random_matrices(rng, n):

@@ -1,0 +1,39 @@
+"""The README's command-line examples run and succeed.
+
+Every ``ring-spectra`` line of the "Command line" block (backslash
+continuations joined) goes through ``cli.main`` in a scratch directory,
+so an example that stops working fails here instead of for a reader.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ring_spectra.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def command_line_examples() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("ring-spectra ")]
+
+
+EXAMPLES = command_line_examples()
+
+
+def test_the_block_has_examples():
+    assert len(EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize("line", EXAMPLES, ids=[f"{i}-{e.split()[1]}" for i, e in enumerate(EXAMPLES)])
+def test_readme_example_exits_0(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(shlex.split(line)[1:])
+    err = capsys.readouterr().err
+    assert code == 0, err

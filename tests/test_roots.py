@@ -7,14 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ring_spectra import bc
+from ring_spectra import bc, dirac, schrod
 from ring_spectra.dirac import DiracKernel, coefficient_arrays, snap_band
 from ring_spectra.oracles import boundary_matrix, grid_spectra
 from ring_spectra.roots import (
+    _SIGNS,
     MAX_ROOTS,
     NumericalError,
     SpectrumSlice,
-    eigenphases,
+    _charts,
+    _tracks,
     find_spectra,
     find_spectrum,
 )
@@ -61,14 +63,16 @@ def kernel_points(draw):
 
 
 def phases_at(kernel, x, u) -> np.ndarray:
-    """Both eigenphase tracks of W = B U^H at the energies x."""
-    a, b, _, h = kernel.coefficients(np.atleast_1d(x))
-    return eigenphases(a, b, h, u.eta, u.m0, u.m)
+    """Both eigenphase tracks (t_+, t_-) of W = B U^H at the energies x,
+    shape (n, 2), in the search's real form from the kernel's polar form."""
+    h, pu, pv = (part[:, None] for part in kernel.polar(np.atleast_1d(x)))
+    return _tracks(h, pu, pv, *_charts([u])[0], _SIGNS)
 
 
 def lapack_gap(kernel, x, u) -> float:
-    """Largest |e^{i phase} - lambda| between the closed-form eigenphases
-    and LAPACK's eigenvalues of W = B U^H, under the better pairing."""
+    """Largest |e^{i phase} - lambda| between the search's real-form
+    eigenphases and LAPACK's eigenvalues of W = B U^H, the matrix built
+    from the complex coefficients, under the better pairing."""
     a, b, *_ = kernel.coefficients(np.array([x]))
     lam = np.exp(1j * phases_at(kernel, x, u)[0])
     ref = np.linalg.eigvals(boundary_matrix(a, b)[0] @ u.matrix.conj().T)
@@ -135,6 +139,63 @@ def test_eigenphases_match_lapack_on_dpp_levels(n, sign, mu0):
     # dpp:alpha=0 levels +-sqrt((2 pi n)^2 + mu0^2) are doubly degenerate for n > 0
     x = sign * np.sqrt((2.0 * np.pi * n) ** 2 + mu0**2)
     assert lapack_gap(DiracKernel(mu0), x, bc.named_family("dpp", 0.0)) <= 1e-12
+
+
+#: kernels whose polar form is checked against their own coefficients
+POLAR_KERNELS = [
+    DiracKernel(0.0), DiracKernel(1.0), DiracKernel(20.0), SchrodKernel(), RepKernel(DIRAC_REP, 1.0)
+]
+
+
+@st.composite
+def polar_points(draw):
+    """A kernel and one energy: on a gap edge, in or just past its snap
+    band, inside the gap, or anywhere with |x| up to 1e4."""
+    kernel = draw(st.sampled_from(POLAR_KERNELS))
+    edge = draw(st.sampled_from(kernel.special_points()))
+    where = draw(st.sampled_from(["edge", "band", "gap", "any"]))
+    if where == "edge":
+        return kernel, edge
+    if where == "band":
+        return kernel, edge + snap_band(edge) * draw(st.floats(-2.0, 2.0))
+    if where == "gap" and kernel.theory == "dirac":
+        return kernel, kernel.mu0 * draw(st.floats(-1.0, 1.0))
+    if where == "gap":
+        return kernel, -draw(st.floats(0.0, 1e4))
+    return kernel, draw(st.floats(-1e4, 1e4))
+
+
+def denominator(kernel, x) -> np.ndarray:
+    """|D| from the closed form's own core (1 for the representation
+    kernel, whose polar form is normalized)."""
+    if isinstance(kernel, RepKernel):
+        return np.ones(1)
+    core = dirac._core(x, kernel.mu0) if kernel.theory == "dirac" else schrod._core(x)
+    return np.hypot(core[3], core[4])
+
+
+@PROPERTY
+@given(point=polar_points())
+def test_polar_form_reproduces_the_coefficients(point):
+    # B = e^{ih} (u I - i v sx) / |D|: a = e^{ih} u / |D|, b = -i e^{ih} v / |D|,
+    # c = e^{2ih} and u^2 + v^2 = |D|^2.  e^{ih} is only known to the
+    # resolution of the double h, a few eps |h| (1.6e-12 at |x| = 1e4).
+    # The representation kernel's (a, b) come out of a matrix inversion
+    # that loses digits next to a gap edge (B is unitary only to 1.5e-11
+    # at 2e-12 outside the snap band of mu = -mu0), so its polar form is
+    # held to 1e-10
+    kernel, x = point
+    a, b, c, h_coef = kernel.coefficients(np.array([x]))
+    h, u, v = kernel.polar(np.array([x]))
+    d = denominator(kernel, np.array([x]))
+    turn = np.exp(1j * h)
+    base = 1e-10 if isinstance(kernel, RepKernel) else 1e-12
+    tol = base + 4.0 * np.finfo(float).eps * np.abs(h)
+    assert h == h_coef
+    assert np.abs(turn * u / d - a) <= tol
+    assert np.abs(-1j * turn * v / d - b) <= tol
+    assert np.abs(turn * turn - c) <= tol
+    assert np.abs(u * u + v * v - d * d) <= base * d * d
 
 
 def test_find_spectrum_quasi_periodic_window():
@@ -365,16 +426,18 @@ def test_roots_in_a_snap_band_are_reported_at_the_special_point():
 )
 def test_snap_band_returns_the_special_point_values(kernel):
     # every energy in a special point's snap band evaluates to that
-    # point's own (a, b, c, h), bit for bit, alone or in one array
+    # point's own (a, b, c, h) and (h, u, v), bit for bit, alone or in
+    # one array
     for s in kernel.special_points():
         band = snap_band(s)
         xs = s + band * np.array([-0.99, -0.5, 0.5, 0.99])
         assert np.all(np.abs(xs - s) < band) and np.all(xs != s)
-        want = [v.tobytes() for v in kernel.coefficients(np.array([s]))]
-        for x in xs:
-            assert [v.tobytes() for v in kernel.coefficients(np.array([x]))] == want
-        for v, w in zip(kernel.coefficients(xs), want):
-            assert all(v[i : i + 1].tobytes() == w for i in range(len(xs)))
+        for method in (kernel.coefficients, kernel.polar):
+            want = [v.tobytes() for v in method(np.array([s]))]
+            for x in xs:
+                assert [v.tobytes() for v in method(np.array([x]))] == want
+            for v, w in zip(method(xs), want):
+                assert all(v[i : i + 1].tobytes() == w for i in range(len(xs)))
 
 
 #: kernels whose lifted half phase is checked: Dirac through both gap
@@ -495,6 +558,64 @@ def test_batch_fails_like_a_single_search():
     with pytest.raises(NumericalError, match="residual verification") as batch:
         find_spectra(us, (0.0, 50.0), SchrodKernel(), tol_residual=1e-30)
     assert str(batch.value) == str(single.value)
+    # Dirac near mu = 3e6, where double precision runs out for some U: of
+    # the conditions of rng 1, U 0 passes and U 3 fails; the batch fails
+    # with U 3's own message
+    rng = np.random.default_rng(1)
+    u0, _, _, u3 = (bc.random_unitary_bc(rng) for _ in range(4))
+    kernel, window = DiracKernel(1.0), (3e6, 3e6 + 100.0)
+    assert len(find_spectrum(u0, window, kernel).roots) > 0
+    with pytest.raises(NumericalError, match="residual verification") as single:
+        find_spectrum(u3, window, kernel)
+    with pytest.raises(NumericalError, match="residual verification") as batch:
+        find_spectra([u0, u3], window, kernel)
+    assert str(batch.value) == str(single.value)
+
+
+class CountingKernel:
+    """Forwards the kernel protocol and records (method, points) per call."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.theory = kernel.theory
+        self.calls = []
+
+    def special_points(self):
+        return self.kernel.special_points()
+
+    def _record(self, name, x, *args):
+        self.calls.append((name, np.size(x)))
+        return getattr(self.kernel, name)(x, *args)
+
+    def polar(self, x):
+        return self._record("polar", x)
+
+    def coefficients(self, x):
+        return self._record("coefficients", x)
+
+    def spectral_values(self, x, u):
+        return self._record("spectral_values", x, u)
+
+
+@pytest.mark.parametrize("n_us", [1, 16])
+def test_search_protocol_counts(n_us):
+    # the ends take one polar call, each refinement round one more over
+    # the brackets still active, and the roots of every U are verified in
+    # one spectral_values call; coefficients is never called
+    rng = np.random.default_rng(61)
+    us = [bc.random_unitary_bc(rng) for _ in range(n_us)]
+    proxy = CountingKernel(DiracKernel(1.0))
+    slices = find_spectra(us, (-40.0, 40.0), proxy)
+    names = [name for name, _ in proxy.calls]
+    assert "coefficients" not in names
+    assert names.count("spectral_values") == 1 and names[-1] == "spectral_values"
+    assert proxy.calls[-1][1] == sum(len(s.roots) for s in slices)
+    sizes = [n for name, n in proxy.calls if name == "polar"]
+    assert sizes[0] == 2
+    rounds = sizes[1:]
+    assert rounds[0] == sum(r.multiplicity for s in slices for r in s.roots)
+    assert all(now >= after for now, after in zip(rounds, rounds[1:]))
+    assert sum(rounds) == sum(s.grid_points - 2 for s in slices)
 
 
 def test_batch_of_none_is_empty():
