@@ -58,12 +58,14 @@ on shared read-only kernels are safe.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .bc import UnitaryBC, invariant_triple
+from .bc import InvariantTriple, UnitaryBC, invariant_triple
 from .dirac import snap_band
 from .matalg import TAU
 
@@ -83,9 +85,12 @@ class NumericalError(RuntimeError):
     verification, or more than two eigenphase crossings coincided."""
 
 
-@dataclass(frozen=True)
-class Root:
-    """One eigenvalue: location, multiplicity, |F| at the root, method."""
+class Root(NamedTuple):
+    """One eigenvalue: location, multiplicity, |F| at the root, method.
+
+    An immutable named tuple, so it also compares equal to a plain
+    tuple of the same four values.
+    """
 
     x: float
     multiplicity: int
@@ -187,16 +192,25 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     nearer endpoint's phase is small enough that |F| ~ |phase| clears
     the residual contract, with a hard floor at the fp grid spacing (a
     steep crossing far from the origin cannot be localized below it).
-    That nearer endpoint is what gets returned: it is the point the
-    stop rule certified.  Returns (x, lower end, upper end, evaluations
-    per bracket).
+    The state holds the active brackets only, with each one's original
+    index: a bracket that retires has its final (b, c, g(b), g(c)) and
+    evaluation count written back at that index, and the state is
+    compressed, so every round works on whole arrays.  Whatever is still
+    active after _MAX_ROUNDS rounds is written back as it stands.  The
+    nearer endpoint is what gets returned: it is the point the stop rule
+    certified.  Returns (x, lower end, upper end, evaluations per
+    bracket).
     """
+    n = len(xl)
+    b_out, c_out, fb_out, fc_out = (np.empty(n) for _ in range(4))
+    evals_out = np.empty(n, dtype=int)
+    live = np.arange(n)
     b, fb = np.array(xr, dtype=float), np.array(gr, dtype=float)
     c, fc = np.array(xl, dtype=float), np.array(gl, dtype=float)
     a, fa = c.copy(), fc.copy()
     d = b - a
     e = d.copy()
-    evals = np.zeros(len(b), dtype=int)
+    evals = np.zeros(n, dtype=int)
     phase_tol = 0.125 * tol_residual
     fp_floor = 32.0 * np.finfo(float).eps
     for _ in range(_MAX_ROUNDS):
@@ -211,48 +225,54 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             & (width > fp_floor * scale)
             & ((width > tol_root * scale) | (np.abs(fb) > phase_tol))
         )
-        if not active.any():
+        if not active.all():
+            done = ~active
+            k = live[done]
+            b_out[k], c_out[k], fb_out[k], fc_out[k] = b[done], c[done], fb[done], fc[done]
+            evals_out[k] = evals[done]
+            live, a, fa, b, fb, c, fc, d, e, evals, width, scale = (
+                arr[active] for arr in (live, a, fa, b, fb, c, fc, d, e, evals, width, scale)
+            )
+            consts = consts[:, active]
+        if not live.size:
             break
-        i = np.flatnonzero(active)
-        A, B, C, FA, FB, FC = a[i], b[i], c[i], fa[i], fb[i], fc[i]
         # shortest step: a quarter of the width that meets both the width
         # tolerance and, at the secant slope, the phase tolerance
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.abs(FC - FB) / width[i]
-            tol_x = np.fmin(tol_root * scale[i], phase_tol / slope)
-            tol1 = np.maximum(0.25 * tol_x, 2.0 * np.finfo(float).eps * np.abs(B))
-            xm = 0.5 * (C - B)
-            s = FB / FA
-            secant = A == C
-            qa, rb = FA / FC, FB / FC
-            p = np.where(secant, 2.0 * xm * s, s * (2.0 * xm * qa * (qa - rb) - (B - A) * (rb - 1.0)))
+            slope = np.abs(fc - fb) / width
+            tol_x = np.fmin(tol_root * scale, phase_tol / slope)
+            tol1 = np.maximum(0.25 * tol_x, 2.0 * np.finfo(float).eps * np.abs(b))
+            xm = 0.5 * (c - b)
+            s = fb / fa
+            secant = a == c
+            qa, rb = fa / fc, fb / fc
+            p = np.where(secant, 2.0 * xm * s, s * (2.0 * xm * qa * (qa - rb) - (b - a) * (rb - 1.0)))
             q = np.where(secant, 1.0 - s, (qa - 1.0) * (rb - 1.0) * (s - 1.0))
             q = np.where(p > 0, -q, q)
             p = np.abs(p)
             take = (
-                (np.abs(e[i]) >= tol1)
-                & (np.abs(FA) > np.abs(FB))
-                & (2.0 * p < np.minimum(3.0 * xm * q - np.abs(tol1 * q), np.abs(e[i] * q)))
+                (np.abs(e) >= tol1)
+                & (np.abs(fa) > np.abs(fb))
+                & (2.0 * p < np.minimum(3.0 * xm * q - np.abs(tol1 * q), np.abs(e * q)))
             )
             step = np.where(take, p / q, xm)
-        e[i] = np.where(take, d[i], step)
-        d[i] = step
-        x = B + np.where(np.abs(step) > tol1, step, np.copysign(tol1, xm))
-        *track, goal = consts[:, i]
+        x = b + np.where(np.abs(step) > tol1, step, np.copysign(tol1, xm))
+        *track, goal = consts
         g = _tracks(*kernel.polar(x), *track) - goal
-        evals[i] += 1
+        evals += 1
         # the new point replaces c when it lands on c's side of the root
-        same = np.sign(g) == np.sign(FC)
-        a[i], fa[i] = B, FB
-        c[i], fc[i] = np.where(same, B, C), np.where(same, FB, FC)
-        d[i] = np.where(same, x - B, d[i])
-        e[i] = np.where(same, x - B, e[i])
-        b[i], fb[i] = x, g
-    located = np.where(np.abs(fb) <= np.abs(fc), b, c)
-    exact = fb == 0.0
-    lower = np.where(exact, b, np.minimum(b, c))
-    upper = np.where(exact, b, np.maximum(b, c))
-    return located, lower, upper, evals
+        same = np.sign(g) == np.sign(fc)
+        e = np.where(same, x - b, np.where(take, d, step))
+        d = np.where(same, x - b, step)
+        a, fa, c, fc = b, fb, np.where(same, b, c), np.where(same, fb, fc)
+        b, fb = x, g
+    b_out[live], c_out[live], fb_out[live], fc_out[live] = b, c, fb, fc
+    evals_out[live] = evals
+    located = np.where(np.abs(fb_out) <= np.abs(fc_out), b_out, c_out)
+    exact = fb_out == 0.0
+    lower = np.where(exact, b_out, np.minimum(b_out, c_out))
+    upper = np.where(exact, b_out, np.maximum(b_out, c_out))
+    return located, lower, upper, evals_out
 
 
 def _snap_to_special_points(x, xl, xr, specials) -> np.ndarray:
@@ -293,8 +313,9 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     xs = np.where((xs > hi) & (xs - hi <= pad), hi, xs)
     inside = (xs > lo + pad_lo) & (xs <= hi)
     xs, mults, ks = xs[inside], sizes[inside], owner[starts][inside]
-    mats = np.array([u.matrix for u in us], dtype=complex).reshape(-1, 2, 2)
-    residuals = np.abs(kernel.spectral_values(xs, invariant_triple(mats[ks])))
+    per_u = invariant_triple(np.array([u.matrix for u in us], dtype=complex).reshape(-1, 2, 2))
+    triples = InvariantTriple(per_u.det_u[ks], per_u.tr_u[ks], per_u.tr_u_sx[ks])
+    residuals = np.abs(kernel.spectral_values(xs, triples))
 
     big = np.flatnonzero(sizes > 2)
     bad = np.flatnonzero(residuals > tol_residual)
@@ -310,10 +331,9 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
             f"root at x = {xs[j]:.12g} failed residual verification: "
             f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}"
         )
-    roots = [
-        Root(x, n, r, "eigenphase-count")
-        for x, n, r in zip(xs.tolist(), mults.tolist(), residuals.tolist())
-    ]
+    roots = list(map(Root._make, zip(
+        xs.tolist(), mults.tolist(), residuals.tolist(), repeat("eigenphase-count")
+    )))
     ends = np.cumsum(np.bincount(ks, minlength=len(us))).tolist()
     return [
         SpectrumSlice((lo, hi), tuple(roots[start:end]), int(evaluated[k]), kernel.theory)
@@ -322,7 +342,7 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
 
 
 def find_spectra(
-    us: Sequence[UnitaryBC],
+    us: Iterable[UnitaryBC],
     window: tuple[float, float],
     kernel,
     tol_root: float = DEFAULT_TOL_ROOT,
@@ -339,8 +359,9 @@ def find_spectra(
     max(1, |x|).  Per U, crossings closer than the separation tolerance
     merge into a multiplicity-2 root, and the roots of every U are
     verified against |F_U| < tol_residual in one kernel call.  Slices
-    follow ``us``.
+    follow ``us``, which may be any iterable.
     """
+    us = list(us)
     lo, hi = _validate(window, tol_root, tol_residual)
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)

@@ -1,19 +1,21 @@
 """Tests for eigenphase tracks and spectrum extraction."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ring_spectra import bc, dirac, schrod
+from ring_spectra import bc, dirac, roots, schrod
 from ring_spectra.dirac import DiracKernel, coefficient_arrays, snap_band
 from ring_spectra.oracles import boundary_matrix, grid_spectra
 from ring_spectra.roots import (
     _SIGNS,
     MAX_ROOTS,
     NumericalError,
+    Root,
     SpectrumSlice,
     _charts,
     _tracks,
@@ -373,6 +375,20 @@ def test_spectrum_slice_expansion():
     assert s.expanded().size == 0
 
 
+def test_root_contract():
+    # an immutable record of four named fields, rebuilt positionally by
+    # type(r)(...), that also compares equal to a plain tuple
+    r = find_spectrum(bc.named_family("dpp", 0.0), (-10.0, 10.0), DiracKernel(1.0)).roots[0]
+    assert type(r) is Root
+    assert Root._fields == ("x", "multiplicity", "residual", "method")
+    with pytest.raises(AttributeError):
+        r.x = 0.0
+    split = type(r)(r.x, 1, r.residual, r.method)
+    assert (split.x, split.multiplicity, split.residual, split.method) == (r.x, 1, r.residual, r.method)
+    assert r == (r.x, r.multiplicity, r.residual, r.method)
+    assert r.method == "eigenphase-count"
+
+
 def test_root_count_over_cap_raises_before_allocating():
     # the count comes from the tracks at the two window ends, so memory
     # follows the roots, not the window: (0, 1e6] (~163M grid points for
@@ -616,6 +632,91 @@ def test_search_protocol_counts(n_us):
     assert rounds[0] == sum(r.multiplicity for s in slices for r in s.roots)
     assert all(now >= after for now, after in zip(rounds, rounds[1:]))
     assert sum(rounds) == sum(s.grid_points - 2 for s in slices)
+
+
+def refine_call(us, window, kernel):
+    """find_spectra's slices, with the arguments and result of its one
+    _refine call."""
+    calls = []
+    refine = roots._refine
+
+    def spy(*args):
+        calls.append((args, refine(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(roots, "_refine", spy):
+        slices = find_spectra(us, window, kernel)
+    (call,) = calls
+    return slices, *call
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    case=st.sampled_from(BATCH_CASES[:3]),
+    us=st.lists(batch_bcs, min_size=1, max_size=16),
+)
+def test_search_protocol_counts_on_random_batches(case, us):
+    # each round's polar call covers exactly the brackets still active
+    # (those with more evaluations than rounds so far), so the sizes
+    # never increase and add up to the reported evaluations
+    kernel, window = case
+    proxy = CountingKernel(kernel)
+    slices, _, (_, _, _, evals) = refine_call(us, window, proxy)
+    sizes = [n for name, n in proxy.calls if name == "polar"][1:]
+    assert sizes == [int(np.sum(evals > r)) for r in range(len(sizes))]
+    assert all(now >= after for now, after in zip(sizes, sizes[1:]))
+    assert sum(sizes) == sum(s.grid_points - 2 for s in slices)
+
+
+@pytest.mark.parametrize("cap", [3, 5])
+def test_refine_round_cap(monkeypatch, cap):
+    # brackets cut off by the round cap come back as they stand: a valid
+    # bracket around the root the uncapped search finds at the same
+    # index, after at most cap evaluations; those that retired earlier
+    # come back exactly as without the cap
+    rng = np.random.default_rng(61)
+    us = [bc.random_unitary_bc(rng) for _ in range(16)]
+    _, args, (full, _, _, full_evals) = refine_call(us, (-40.0, 40.0), DiracKernel(1.0))
+    monkeypatch.setattr(roots, "_MAX_ROUNDS", cap)
+    x, lower, upper, evals = roots._refine(*args)
+    assert np.all((lower <= x) & (x <= upper))
+    assert np.all((lower <= full) & (full <= upper))
+    assert np.all(evals == np.minimum(full_evals, cap))
+    early = full_evals < cap
+    assert np.array_equal(x[early], full[early])
+
+
+def test_find_spectra_accepts_any_iterable():
+    rng = np.random.default_rng(5)
+    us = [bc.random_unitary_bc(rng) for _ in range(3)]
+    kernel, window = DiracKernel(1.0), (-10.0, 10.0)
+    want = find_spectra(us, window, kernel)
+    assert find_spectra(iter(us), window, kernel) == want
+    assert find_spectra(tuple(us), window, kernel) == want
+    assert find_spectra((u for u in us), window, kernel) == want
+
+
+@pytest.mark.parametrize("kernel, window", [
+    (DiracKernel(1.0), (-40.0, 40.0)),
+    (SchrodKernel(), (0.0, 2000.0)),
+])
+def test_batch_order_does_not_matter(kernel, window):
+    # brackets retire at different rounds (dpp:alpha=0 has slow
+    # double-root tails), so the compacted refinement state must keep
+    # every bracket's own result wherever it sits in the batch
+    rng = np.random.default_rng(17)
+    us = [bc.random_unitary_bc(rng) for _ in range(6)]
+    us[1:1] = [bc.named_family("dpp", 0.0)]
+    us[4:4] = [bc.named_family("dpp", 0.0), bc.named_family("qp", 0.0)]
+
+    def bits(slices):
+        return [
+            ([(r.x.hex(), r.multiplicity, r.residual.hex()) for r in s.roots], s.grid_points)
+            for s in slices
+        ]
+
+    forward = find_spectra(us, window, kernel)
+    assert bits(find_spectra(us[::-1], window, kernel)) == bits(forward)[::-1]
 
 
 def test_batch_of_none_is_empty():
