@@ -24,12 +24,15 @@ sees U only through (eta, m0, m1, m_perp^2), which is the invariant
 triple (det U, tr U, tr(U sx)) in other coordinates.  Every kernel
 hands out h already lifted, continuous in x in closed form, so t_pm
 are continuous tracks at any single x, with no grid and no unwrapping.
-Both tracks never increase
-with energy (the Herglotz/Krein monotonicity of the eigenphases), so
-the multiples of 2 pi a track passes between the window ends are
-exactly its crossings: the tracks at the two ends alone certify the
-root count, and each crossing gets its own bracket, refined by Brent's
-method on its own track.  |w| comes straight from (u, v), so the
+Both tracks never increase with energy (the Herglotz/Krein
+monotonicity of the eigenphases), so the multiples of 2 pi a track
+passes between the window ends are exactly its crossings: the tracks
+at the two ends alone certify the root count.  The one kernel call
+that reads the ends samples the tracks at _SAMPLES + 1 evenly spaced
+energies across the window, so each crossing starts in the sample
+interval it lies in, and is refined there on its own track by a
+two-point step that keeps the crossing between its ends, down to
+adjacent doubles at most.  |w| comes straight from (u, v), so the
 phases stay accurate to machine precision through degeneracies and
 double roots are located as sharply as simple ones.  Two crossings
 closer than the separation tolerance merge into one root of
@@ -77,6 +80,10 @@ DEFAULT_TOL_RESIDUAL = 1e-9
 MAX_ROOTS = 2**17
 
 _MAX_ROUNDS = 200
+#: sample intervals of the ends call, each crossing starting in its own;
+#: more samples save rounds on narrow batches but cost large ones (an
+#: orbit of 16 U and ~2000 roots) more in the ends call than they save
+_SAMPLES = 64
 
 
 class NumericalError(RuntimeError):
@@ -103,8 +110,9 @@ class SpectrumSlice:
     """Sorted eigenvalues with multiplicities inside one energy window.
 
     ``grid_points`` is the number of energies the search evaluated for
-    this U: the two window ends plus every refinement step of its
-    brackets (the grid size, for the grid oracle).
+    this U: the _SAMPLES + 1 samples across the window plus every
+    refinement step of its brackets (the grid size, for the grid
+    oracle).
     """
 
     window: tuple[float, float]
@@ -172,107 +180,101 @@ def _tracks(h, u, v, eta, m0, m1, mperp2, sign):
 
 
 def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
-    """Brent's method on all track crossings at once.
+    """A two-point bracketing step on all track crossings at once.
 
     Per bracket: [xl, xr] with g = t - target straddling zero, gl > 0 >=
     gr (tracks never increase), on the track whose :func:`_tracks`
     arguments (eta, m0, m1, m_perp^2, sign) and target make its column
     of ``consts``.  Each round makes one ``polar`` call at one point per
-    active bracket and evaluates each bracket's own track alone.  The
-    state is Brent's: the best end b, the
-    contrapoint c with g(c) of the other sign, the previous best a, and
-    the last two step lengths.  Steps are secant or inverse quadratic
-    interpolation, replaced by bisection whenever they would not shrink
-    the bracket fast enough, and never shorter than a quarter of the
-    width the stop rule asks for, so a one-sided approach still closes
-    the bracket.  Superlinear on smooth tracks; at the kinks where two
-    tracks touch (double roots) it falls back to bisection steps.
+    active bracket and evaluates each bracket's own track alone; the new
+    point replaces the end of its own sign, so the two ends always
+    straddle the crossing and no swap or sign test is needed.  The step
+    is Anderson-Bjorck false position: the secant through the two ends,
+    with the value at an end kept twice in a row scaled down by 1 -
+    g(new) / g(replaced) (by 1/2 if that is not positive).  Brent's
+    safeguard stays: a step from the better end that is not shorter
+    than half the step before last becomes a bisection.  Every point
+    lies at least a quarter of the width the stop rule asks for inside
+    both ends, so a one-sided approach still closes the bracket, and
+    falls back to the midpoint where that would leave the open bracket.
+    Superlinear on smooth tracks; at the kinks where two tracks touch
+    (double roots) it falls back to bisection steps.
 
     Brackets stay active until the width tolerance holds *and* the
-    nearer endpoint's phase is small enough that |F| ~ |phase| clears
-    the residual contract, with a hard floor at the fp grid spacing (a
-    steep crossing far from the origin cannot be localized below it).
-    The state holds the active brackets only, with each one's original
-    index: a bracket that retires has its final (b, c, g(b), g(c)) and
-    evaluation count written back at that index, and the state is
-    compressed, so every round works on whole arrays.  Whatever is still
-    active after _MAX_ROUNDS rounds is written back as it stands.  The
-    nearer endpoint is what gets returned: it is the point the stop rule
-    certified.  Returns (x, lower end, upper end, evaluations per
-    bracket).
+    better end's phase is small enough that |F| ~ |phase| clears the
+    residual contract, or until no double lies strictly between the
+    ends (a steep crossing far from the origin cannot be localized
+    further).  The state holds the active brackets only, with each one's
+    original index: a bracket that retires has its final ends, their
+    values and its evaluation count written back at that index, and the
+    state is compressed, so every round works on whole arrays.  Whatever
+    is still active after _MAX_ROUNDS rounds is written back as it
+    stands.  The better end is what gets returned: it is the point the
+    stop rule certified.  Returns (x, lower end, upper end, evaluations
+    per bracket).
     """
     n = len(xl)
-    b_out, c_out, fb_out, fc_out = (np.empty(n) for _ in range(4))
+    xl_out, xr_out, gl_out, gr_out = (np.empty(n) for _ in range(4))
     evals_out = np.empty(n, dtype=int)
     live = np.arange(n)
-    b, fb = np.array(xr, dtype=float), np.array(gr, dtype=float)
-    c, fc = np.array(xl, dtype=float), np.array(gl, dtype=float)
-    a, fa = c.copy(), fc.copy()
-    d = b - a
-    e = d.copy()
+    xl, xr = np.array(xl, dtype=float), np.array(xr, dtype=float)
+    gl, gr = np.array(gl, dtype=float), np.array(gr, dtype=float)
+    fl, fr = gl.copy(), gr.copy()  # the end values the secant is drawn through
+    e = xr - xl  # the step before last
+    # the last step, signed by the end it replaced (+ left, - right); the
+    # better end counts as the last one replaced before the first step
+    d = np.where(np.abs(gr) <= np.abs(gl), -e, e)
     evals = np.zeros(n, dtype=int)
     phase_tol = 0.125 * tol_residual
-    fp_floor = 32.0 * np.finfo(float).eps
-    for _ in range(_MAX_ROUNDS):
-        swap = np.abs(fc) < np.abs(fb)  # keep b the better end
-        a, fa = np.where(swap, b, a), np.where(swap, fb, fa)
-        b, c = np.where(swap, c, b), np.where(swap, b, c)
-        fb, fc = np.where(swap, fc, fb), np.where(swap, fb, fc)
-        width = np.abs(c - b)
-        scale = np.maximum(1.0, np.abs(0.5 * (b + c)))
-        active = (
-            (fb != 0.0)
-            & (width > fp_floor * scale)
-            & ((width > tol_root * scale) | (np.abs(fb) > phase_tol))
-        )
-        if not active.all():
-            done = ~active
-            k = live[done]
-            b_out[k], c_out[k], fb_out[k], fc_out[k] = b[done], c[done], fb[done], fc[done]
-            evals_out[k] = evals[done]
-            live, a, fa, b, fb, c, fc, d, e, evals, width, scale = (
-                arr[active] for arr in (live, a, fa, b, fb, c, fc, d, e, evals, width, scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ROUNDS):
+            width = xr - xl
+            right = np.abs(gr) <= np.abs(gl)  # the better end
+            best, g_best = np.where(right, xr, xl), np.where(right, gr, gl)
+            scale = np.maximum(1.0, np.abs(xl + 0.5 * width))
+            active = (
+                (g_best != 0.0)
+                & (np.nextafter(xl, xr) < xr)
+                & ((width > tol_root * scale) | (np.abs(g_best) > phase_tol))
             )
-            consts = consts[:, active]
-        if not live.size:
-            break
-        # shortest step: a quarter of the width that meets both the width
-        # tolerance and, at the secant slope, the phase tolerance
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.abs(fc - fb) / width
-            tol_x = np.fmin(tol_root * scale, phase_tol / slope)
-            tol1 = np.maximum(0.25 * tol_x, 2.0 * np.finfo(float).eps * np.abs(b))
-            xm = 0.5 * (c - b)
-            s = fb / fa
-            secant = a == c
-            qa, rb = fa / fc, fb / fc
-            p = np.where(secant, 2.0 * xm * s, s * (2.0 * xm * qa * (qa - rb) - (b - a) * (rb - 1.0)))
-            q = np.where(secant, 1.0 - s, (qa - 1.0) * (rb - 1.0) * (s - 1.0))
-            q = np.where(p > 0, -q, q)
-            p = np.abs(p)
-            take = (
-                (np.abs(e) >= tol1)
-                & (np.abs(fa) > np.abs(fb))
-                & (2.0 * p < np.minimum(3.0 * xm * q - np.abs(tol1 * q), np.abs(e * q)))
-            )
-            step = np.where(take, p / q, xm)
-        x = b + np.where(np.abs(step) > tol1, step, np.copysign(tol1, xm))
-        *track, goal = consts
-        g = _tracks(*kernel.polar(x), *track) - goal
-        evals += 1
-        # the new point replaces c when it lands on c's side of the root
-        same = np.sign(g) == np.sign(fc)
-        e = np.where(same, x - b, np.where(take, d, step))
-        d = np.where(same, x - b, step)
-        a, fa, c, fc = b, fb, np.where(same, b, c), np.where(same, fb, fc)
-        b, fb = x, g
-    b_out[live], c_out[live], fb_out[live], fc_out[live] = b, c, fb, fc
+            if not active.all():
+                done = ~active
+                k = live[done]
+                xl_out[k], xr_out[k], gl_out[k], gr_out[k] = xl[done], xr[done], gl[done], gr[done]
+                evals_out[k] = evals[done]
+                live, xl, xr, gl, gr, fl, fr, d, e, evals, width, best, scale = (
+                    arr[active] for arr in (live, xl, xr, gl, gr, fl, fr, d, e, evals, width, best, scale)
+                )
+                consts = consts[:, active]
+            if not live.size:
+                break
+            mid = xl + 0.5 * width
+            # a quarter of the width that meets both the width tolerance
+            # and, at the secant slope, the phase tolerance
+            tol1 = 0.25 * np.fmin(tol_root * scale, phase_tol * width / (gl - gr))
+            x = xl + width * (fl / (fl - fr))
+            x = np.where(np.abs(x - best) < 0.5 * e, x, mid)
+            x = np.minimum(np.maximum(x, xl + tol1), xr - tol1)
+            x = np.where((xl < x) & (x < xr), x, mid)
+            *track, goal = consts
+            g = _tracks(*kernel.polar(x), *track) - goal
+            evals += 1
+            left = g > 0.0
+            # the end kept twice in a row: Anderson-Bjorck scaling of its value
+            m = 1.0 - g / np.where(left, gl, gr)
+            m = np.where((d > 0.0) == left, np.where(m > 0.0, m, 0.5), 1.0)
+            step = np.abs(x - best)
+            e = np.where(x == mid, step, np.abs(d))
+            d = np.copysign(step, g)
+            xl, gl, fl = np.where(left, x, xl), np.where(left, g, gl), np.where(left, g, fl * m)
+            xr, gr, fr = np.where(left, xr, x), np.where(left, gr, g), np.where(left, fr * m, g)
+    xl_out[live], xr_out[live], gl_out[live], gr_out[live] = xl, xr, gl, gr
     evals_out[live] = evals
-    located = np.where(np.abs(fb_out) <= np.abs(fc_out), b_out, c_out)
-    exact = fb_out == 0.0
-    lower = np.where(exact, b_out, np.minimum(b_out, c_out))
-    upper = np.where(exact, b_out, np.maximum(b_out, c_out))
-    return located, lower, upper, evals_out
+    right = np.abs(gr_out) <= np.abs(gl_out)
+    located = np.where(right, xr_out, xl_out)
+    exact = gr_out == 0.0
+    lower = np.where(exact, xr_out, xl_out)
+    return located, lower, xr_out, evals_out
 
 
 def _snap_to_special_points(x, xl, xr, specials) -> np.ndarray:
@@ -350,13 +352,17 @@ def find_spectra(
 ) -> list[SpectrumSlice]:
     """All zeros of F_U in the half-open window (lo, hi], for each U.
 
-    The tracks of every U are evaluated at the two window ends only (one
-    kernel call); since they never increase, the multiples of 2 pi they
-    cross are the exact root count, and each crossing becomes its own
-    bracket over the whole window.  A U whose count exceeds MAX_ROOTS,
-    or is not finite, is refused before anything else is allocated.
-    The brackets of all U are refined together to |dx| < tol_root *
-    max(1, |x|).  Per U, crossings closer than the separation tolerance
+    The tracks of every U are evaluated at _SAMPLES + 1 evenly spaced
+    energies from lo to the top end (one kernel call); since they never
+    increase, the multiples of 2 pi they cross between the two ends are
+    the exact root count, and each crossing becomes its own bracket over
+    the one sample interval it lies in.  The count per interval is read
+    off the running minimum of the tracks, so it is never negative and
+    the counts add up to the certificate of the two ends.  A U whose
+    count exceeds MAX_ROOTS, or is not finite, is refused before any
+    bracket is allocated.  The brackets of all U are refined together
+    (:func:`_refine`) to |dx| < tol_root * max(1, |x|), or to adjacent
+    doubles.  Per U, crossings closer than the separation tolerance
     merge into a multiplicity-2 root, and the roots of every U are
     verified against |F_U| < tol_residual in one kernel call.  Slices
     follow ``us``, which may be any iterable.
@@ -365,14 +371,18 @@ def find_spectra(
     lo, hi = _validate(window, tol_root, tol_residual)
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
+    xs = np.linspace(lo, top, _SAMPLES + 1)  # ends exactly lo and top
     with np.errstate(invalid="ignore", over="ignore"):
-        h, u, v = (part[:, None] for part in kernel.polar(np.array([lo, top])))
-        ends = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
-    # ends[k, e, g]: track g of U k at end e; crossings of 2 pi n with
-    # t(top) <= 2 pi n < t(lo)
-    first = np.ceil(ends[:, 1] / TAU)
-    counts = np.maximum(np.ceil(ends[:, 0] / TAU) - first, 0.0)
-    totals = counts.sum(axis=1)
+        h, u, v = (part[:, None] for part in kernel.polar(xs))
+        tracks = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
+        # tracks[k, j, g]: track g of U k at sample j; the multiples 2 pi n
+        # with t(x_j+1) <= 2 pi n < t(x_j) are its crossings in interval j.
+        # The running minimum, held at the top end's level, keeps every
+        # count nonnegative and their sum the end-point certificate
+        level = np.ceil(tracks / TAU)
+        level = np.maximum(np.minimum.accumulate(level, axis=1), level[:, -1:])
+        counts = level[:, :-1] - level[:, 1:]
+    totals = counts.sum(axis=(1, 2))
     for k, total in enumerate(totals):
         if not total <= MAX_ROOTS:
             count = f"{total:.0f} roots" if np.isfinite(total) else "no finite root count"
@@ -382,18 +392,19 @@ def find_spectra(
             )
 
     n = counts.astype(int).ravel()
-    row = np.repeat(np.arange(n.size), n)  # flat (U, track) index per bracket
+    row = np.repeat(np.arange(n.size), n)  # flat (U, interval, track) index per bracket
     step = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
-    target = TAU * (first.ravel()[row] + step)
-    owner, track = np.divmod(row, 2)
+    target = TAU * (level[:, 1:].ravel()[row] + step)
+    owner, rest = np.divmod(row, 2 * _SAMPLES)
+    interval, track = np.divmod(rest, 2)
     consts = np.vstack([chart[owner].T, _SIGNS[track], target])
-    t_lo, t_hi = ends[:, 0].ravel()[row], ends[:, 1].ravel()[row]
     located, xl, xr, evals = _refine(
-        kernel, consts, np.full(row.size, lo), np.full(row.size, top),
-        t_lo - target, t_hi - target, tol_root, tol_residual,
+        kernel, consts, xs[interval], xs[interval + 1],
+        tracks[:, :-1].ravel()[row] - target, tracks[:, 1:].ravel()[row] - target,
+        tol_root, tol_residual,
     )
     located = _snap_to_special_points(located, xl, xr, kernel.special_points())
-    evaluated = 2 + np.bincount(owner, weights=evals, minlength=len(us))
+    evaluated = _SAMPLES + 1 + np.bincount(owner, weights=evals, minlength=len(us))
     return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 
 

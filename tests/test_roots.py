@@ -1,6 +1,7 @@
 """Tests for eigenphase tracks and spectrum extraction."""
 
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ring_spectra import bc, dirac, roots, schrod
 from ring_spectra.dirac import DiracKernel, coefficient_arrays, snap_band
+from ring_spectra.matalg import TAU
 from ring_spectra.oracles import boundary_matrix, grid_spectra
 from ring_spectra.roots import (
     _SIGNS,
@@ -615,9 +617,10 @@ class CountingKernel:
 
 @pytest.mark.parametrize("n_us", [1, 16])
 def test_search_protocol_counts(n_us):
-    # the ends take one polar call, each refinement round one more over
-    # the brackets still active, and the roots of every U are verified in
-    # one spectral_values call; coefficients is never called
+    # the samples across the window take one polar call, each refinement
+    # round one more over the brackets still active, and the roots of
+    # every U are verified in one spectral_values call; coefficients is
+    # never called
     rng = np.random.default_rng(61)
     us = [bc.random_unitary_bc(rng) for _ in range(n_us)]
     proxy = CountingKernel(DiracKernel(1.0))
@@ -627,16 +630,17 @@ def test_search_protocol_counts(n_us):
     assert names.count("spectral_values") == 1 and names[-1] == "spectral_values"
     assert proxy.calls[-1][1] == sum(len(s.roots) for s in slices)
     sizes = [n for name, n in proxy.calls if name == "polar"]
-    assert sizes[0] == 2
+    assert sizes[0] == roots._SAMPLES + 1
     rounds = sizes[1:]
     assert rounds[0] == sum(r.multiplicity for s in slices for r in s.roots)
     assert all(now >= after for now, after in zip(rounds, rounds[1:]))
-    assert sum(rounds) == sum(s.grid_points - 2 for s in slices)
+    assert sum(rounds) == sum(s.grid_points - roots._SAMPLES - 1 for s in slices)
 
 
-def refine_call(us, window, kernel):
-    """find_spectra's slices, with the arguments and result of its one
-    _refine call."""
+@contextmanager
+def refine_spy():
+    """Records the arguments and result of every _refine call, also of a
+    search that raises after refining."""
     calls = []
     refine = roots._refine
 
@@ -645,6 +649,13 @@ def refine_call(us, window, kernel):
         return calls[-1][1]
 
     with mock.patch.object(roots, "_refine", spy):
+        yield calls
+
+
+def refine_call(us, window, kernel):
+    """find_spectra's slices, with the arguments and result of its one
+    _refine call."""
+    with refine_spy() as calls:
         slices = find_spectra(us, window, kernel)
     (call,) = calls
     return slices, *call
@@ -665,7 +676,127 @@ def test_search_protocol_counts_on_random_batches(case, us):
     sizes = [n for name, n in proxy.calls if name == "polar"][1:]
     assert sizes == [int(np.sum(evals > r)) for r in range(len(sizes))]
     assert all(now >= after for now, after in zip(sizes, sizes[1:]))
-    assert sum(sizes) == sum(s.grid_points - 2 for s in slices)
+    assert sum(sizes) == sum(s.grid_points - roots._SAMPLES - 1 for s in slices)
+
+
+@st.composite
+def sampled_windows(draw):
+    """A kernel and a window: Dirac (mu0 in {0, 1, 20}) with an end on
+    +-mu0 or reaching across it, Schroedinger starting below e = 0."""
+    kernel = draw(st.sampled_from(PHASE_KERNELS))
+    width = draw(st.floats(0.5, 60.0))
+    if kernel.theory == "schrod":
+        return kernel, (-draw(st.floats(1e-3, 100.0)), 20.0 * width)
+    edge = draw(st.sampled_from(kernel.special_points()))
+    where = draw(st.sampled_from(["lo", "hi", "across"]))
+    if where == "lo":
+        return kernel, (edge, edge + width)
+    if where == "hi":
+        return kernel, (edge - width, edge)
+    frac = draw(st.floats(0.01, 0.99))
+    return kernel, (edge - frac * width, edge + (1.0 - frac) * width)
+
+
+degenerate_bcs = st.builds(
+    bc.named_family, st.sampled_from(["dpp", "pp"]), st.sampled_from([0.0, np.pi])
+)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(case=sampled_windows(), u=st.one_of(unitary_bcs(), degenerate_bcs))
+def test_each_crossing_starts_in_its_own_sample_interval(case, u):
+    # as many brackets as the tracks at the two window ends certify, each
+    # one sample interval of the ends call with g(left) > 0 >= g(right)
+    kernel, (lo, hi) = case
+    _, (_, _, xl, xr, gl, gr, tol_root, _), _ = refine_call([u], (lo, hi), kernel)
+    top = roots._top_end(hi, tol_root, kernel.special_points())
+    ends = phases_at(kernel, np.array([lo, top]), u)
+    certificate = np.maximum(np.ceil(ends[0] / TAU) - np.ceil(ends[1] / TAU), 0.0).sum()
+    assert len(xl) == certificate
+    samples = np.linspace(lo, top, roots._SAMPLES + 1)
+    j = np.searchsorted(samples, xl)
+    assert np.all(j < roots._SAMPLES)
+    assert np.array_equal(samples[j], xl) and np.array_equal(samples[j + 1], xr)
+    assert np.all(xl < xr)
+    assert np.all(gl > 0.0) and np.all(gr <= 0.0)
+
+
+def test_brackets_stop_on_adjacent_doubles_at_the_fp_limit():
+    # near mu = 2e6 one ulp moves a track by more than the phase the
+    # residual contract asks for: a bracket that retires short of the
+    # width or phase tolerance has no double left between its ends
+    rng = np.random.default_rng(1)
+    kernel, window = DiracKernel(1.0), (2e6, 2e6 + 100.0)
+    floor = 0
+    for _ in range(20):
+        with refine_spy() as calls:
+            try:
+                find_spectra([bc.random_unitary_bc(rng)], window, kernel)
+            except NumericalError as err:
+                assert "residual verification" in str(err)
+        ((args, (x, lower, upper, evals)),) = calls
+        _, consts, *_, tol_root, tol_residual = args
+        *track, goal = consts
+        g = _tracks(*kernel.polar(x), *track) - goal
+        short = (upper - lower > tol_root * np.maximum(1.0, np.abs(x))) | (
+            np.abs(g) > 0.125 * tol_residual
+        )
+        assert np.array_equal(np.nextafter(lower[short], upper[short]), upper[short])
+        assert np.all(evals < roots._MAX_ROUNDS)
+        floor += np.count_nonzero(short)
+    assert floor > 0
+
+
+class StaircaseKernel:
+    """A fake kernel whose half phase is a falling staircase, so its
+    tracks repeat the same values exactly on every step: with ``offset``
+    0 a track sits on its target over a whole step, otherwise it jumps
+    across it at an integer x."""
+
+    theory = "schrod"
+
+    def __init__(self, offset):
+        self.offset = offset
+
+    def special_points(self):
+        return ()
+
+    def polar(self, x):
+        x = np.asarray(x, dtype=float)
+        return -np.pi * np.floor(x) + self.offset, np.ones_like(x), np.zeros_like(x)
+
+    def spectral_values(self, x, u):
+        return np.zeros(np.shape(x))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_repeated_track_values_still_terminate(offset):
+    # identity conditions: both tracks are the half phase itself
+    kernel = StaircaseKernel(offset)
+    (s,), (_, consts, *_), (x, lower, upper, evals) = refine_call(
+        [bc.from_matrix(np.eye(2))], (-10.3, 10.3), kernel
+    )
+    *track, goal = consts
+    g = _tracks(*kernel.polar(x), *track) - goal
+    # the targets on (-10.3, 10.3]: 11 steps at even x, or 10 jumps at odd x
+    assert 2 * len(s.roots) == len(x) == (22 if offset == 0.0 else 20)
+    assert np.all(evals < roots._MAX_ROUNDS)
+    assert np.all((g == 0.0) | (np.nextafter(lower, upper) == upper))
+    if offset:
+        assert np.all(g != 0.0) and np.array_equal(np.floor(upper), upper)
+
+
+def test_convergence_cost_is_pinned():
+    # the energies evaluated for two fixed batches, at the count measured
+    # when the sampled start and the two-point step came in: a change that
+    # quietly adds rounds fails here
+    spent = {}
+    for kernel, window in ((DiracKernel(1.0), (-10.0, 10.0)), (SchrodKernel(), (0.0, 1e4))):
+        rng = np.random.default_rng(101)
+        us = [bc.random_unitary_bc(rng) for _ in range(16)]
+        spent[kernel.theory] = sum(s.grid_points for s in find_spectra(us, window, kernel))
+    assert spent["dirac"] <= 1457
+    assert spent["schrod"] <= 6632
 
 
 @pytest.mark.parametrize("cap", [3, 5])
