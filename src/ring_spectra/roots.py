@@ -56,13 +56,17 @@ search it replaced, and the complex eigenphase route it used, live on
 as oracles (:mod:`ring_spectra.oracles`).
 
 Everything here is pure-function over value inputs; concurrent searches
-on shared read-only kernels are safe.
+on shared read-only kernels are safe.  A :class:`SpectrumSlice` holds its
+roots as read-only arrays and builds its ``roots`` records on first
+access; two threads that race on that access build equal tuples, and
+either one is kept.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -105,9 +109,19 @@ class Root(NamedTuple):
     method: str
 
 
-@dataclass(frozen=True)
 class SpectrumSlice:
     """Sorted eigenvalues with multiplicities inside one energy window.
+
+    The roots are held as three read-only columns: ``x`` (float),
+    ``multiplicity`` (int) and ``residual`` (|F| at the root, float).
+    ``roots`` builds the matching tuple of :class:`Root` records, with
+    Python floats and ints, on first access and keeps it; a search
+    builds none.  The constructor takes such records (any tuples of the
+    four fields; the method is not kept, since every root here is found
+    by eigenphase counting), as ``SpectrumSlice(window, roots,
+    grid_points, theory)``.  A slice is immutable and hashable, and two
+    slices are equal when their window, columns, ``grid_points`` and
+    theory are.
 
     ``grid_points`` is the number of energies the search evaluated for
     this U: the _SAMPLES + 1 samples across the window plus every
@@ -116,16 +130,60 @@ class SpectrumSlice:
     """
 
     window: tuple[float, float]
-    roots: tuple[Root, ...]
+    x: np.ndarray
+    multiplicity: np.ndarray
+    residual: np.ndarray
     grid_points: int
     theory: str
 
+    _FIELDS = ("window", "x", "multiplicity", "residual", "grid_points", "theory")
+
+    def __init__(self, window, roots, grid_points, theory):
+        roots = tuple(roots)
+        columns = [np.array([r[i] for r in roots], dtype=t) for i, t in enumerate((float, int, float))]
+        for column in columns:
+            column.flags.writeable = False
+        vars(self).update(zip(self._FIELDS, (window, *columns, grid_points, theory)))
+
+    @classmethod
+    def _from_columns(cls, *fields):
+        """A slice over the given fields, in ``_FIELDS`` order; the
+        columns are taken as they are, so they must be read-only."""
+        s = cls.__new__(cls)
+        vars(s).update(zip(cls._FIELDS, fields))
+        return s
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        return tuple(map(Root._make, zip(
+            self.x.tolist(), self.multiplicity.tolist(), self.residual.tolist(),
+            repeat("eigenphase-count"),
+        )))
+
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # every field compares as an array: the columns, and the rest as 0-d or 1-d arrays
+        return all(np.array_equal(vars(self)[f], vars(other)[f]) for f in self._FIELDS)
+
+    def __hash__(self):
+        return hash((self.window, self.grid_points, self.theory, *self.x.tolist()))
+
+    def __repr__(self):
+        return (f"SpectrumSlice(window={self.window!r}, roots={self.roots!r}, "
+                f"grid_points={self.grid_points!r}, theory={self.theory!r})")
+
     def values(self) -> np.ndarray:
-        return np.array([r.x for r in self.roots])
+        return self.x.copy()
 
     def expanded(self) -> np.ndarray:
         """Root values repeated according to multiplicity."""
-        return np.repeat(self.values(), [r.multiplicity for r in self.roots])
+        return np.repeat(self.x, self.multiplicity)
 
 
 def _validate(window, tol_root, tol_residual) -> tuple[float, float]:
@@ -202,16 +260,17 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
 
     Brackets stay active until the width tolerance holds *and* the
     better end's phase is small enough that |F| ~ |phase| clears the
-    residual contract, or until no double lies strictly between the
-    ends (a steep crossing far from the origin cannot be localized
-    further).  The state holds the active brackets only, with each one's
-    original index: a bracket that retires has its final ends, their
-    values and its evaluation count written back at that index, and the
-    state is compressed, so every round works on whole arrays.  Whatever
-    is still active after _MAX_ROUNDS rounds is written back as it
-    stands.  The better end is what gets returned: it is the point the
-    stop rule certified.  Returns (x, lower end, upper end, evaluations
-    per bracket).
+    residual contract, or until the rounded midpoint xl + (xr - xl) / 2
+    is no longer strictly between the ends, which happens exactly when
+    no double lies strictly between them (a steep crossing far from the
+    origin cannot be localized further).  The state holds the active
+    brackets only, with each one's original index: a bracket that
+    retires has its final ends, their values and its evaluation count
+    written back at that index, and the state is compressed, so every
+    round works on whole arrays.  Whatever is still active after
+    _MAX_ROUNDS rounds is written back as it stands.  The better end is
+    what gets returned: it is the point the stop rule certified.
+    Returns (x, lower end, upper end, evaluations per bracket).
     """
     n = len(xl)
     xl_out, xr_out, gl_out, gr_out = (np.empty(n) for _ in range(4))
@@ -229,12 +288,13 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ROUNDS):
             width = xr - xl
+            mid = xl + 0.5 * width
             right = np.abs(gr) <= np.abs(gl)  # the better end
             best, g_best = np.where(right, xr, xl), np.where(right, gr, gl)
-            scale = np.maximum(1.0, np.abs(xl + 0.5 * width))
+            scale = np.maximum(1.0, np.abs(mid))
             active = (
                 (g_best != 0.0)
-                & (np.nextafter(xl, xr) < xr)
+                & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
                 & ((width > tol_root * scale) | (np.abs(g_best) > phase_tol))
             )
             if not active.all():
@@ -242,13 +302,13 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
                 k = live[done]
                 xl_out[k], xr_out[k], gl_out[k], gr_out[k] = xl[done], xr[done], gl[done], gr[done]
                 evals_out[k] = evals[done]
-                live, xl, xr, gl, gr, fl, fr, d, e, evals, width, best, scale = (
-                    arr[active] for arr in (live, xl, xr, gl, gr, fl, fr, d, e, evals, width, best, scale)
+                live, xl, xr, gl, gr, fl, fr, d, e, evals, width, mid, best, scale = (
+                    arr[active]
+                    for arr in (live, xl, xr, gl, gr, fl, fr, d, e, evals, width, mid, best, scale)
                 )
                 consts = consts[:, active]
             if not live.size:
                 break
-            mid = xl + 0.5 * width
             # a quarter of the width that meets both the width tolerance
             # and, at the secant slope, the phase tolerance
             tol1 = 0.25 * np.fmin(tol_root * scale, phase_tol * width / (gl - gr))
@@ -292,7 +352,9 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     """Cluster the located crossings of every U into roots (multiplicity
     at most 2), keep those in the half-open window, verify all of them
     against |F_U| < tol_residual in one kernel call, and wrap each U's
-    roots in a slice reporting ``evaluated[k]`` energies.
+    roots in a slice reporting ``evaluated[k]`` energies.  The roots of
+    all U are made read-only columns once, and each slice holds views of
+    its own run of them: no per-root Python object is built.
 
     ``owner[j]`` is the index in ``us`` of crossing j.  A root is only
     located to tol_root * max(1, |x|), so one that close to an end
@@ -333,12 +395,14 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
             f"root at x = {xs[j]:.12g} failed residual verification: "
             f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}"
         )
-    roots = list(map(Root._make, zip(
-        xs.tolist(), mults.tolist(), residuals.tolist(), repeat("eigenphase-count")
-    )))
+    for column in (xs, mults, residuals):
+        column.flags.writeable = False
     ends = np.cumsum(np.bincount(ks, minlength=len(us))).tolist()
     return [
-        SpectrumSlice((lo, hi), tuple(roots[start:end]), int(evaluated[k]), kernel.theory)
+        SpectrumSlice._from_columns(
+            (lo, hi), xs[start:end], mults[start:end], residuals[start:end],
+            int(evaluated[k]), kernel.theory,
+        )
         for k, (start, end) in enumerate(zip([0] + ends[:-1], ends))
     ]
 

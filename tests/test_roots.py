@@ -1,15 +1,17 @@
 """Tests for eigenphase tracks and spectrum extraction."""
 
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ring_spectra import bc, dirac, roots, schrod
+from ring_spectra import bc, dirac, iso, roots, schrod
 from ring_spectra.dirac import DiracKernel, coefficient_arrays, snap_band
 from ring_spectra.matalg import TAU
 from ring_spectra.oracles import boundary_matrix, grid_spectra
@@ -389,6 +391,116 @@ def test_root_contract():
     assert (split.x, split.multiplicity, split.residual, split.method) == (r.x, 1, r.residual, r.method)
     assert r == (r.x, r.multiplicity, r.residual, r.method)
     assert r.method == "eigenphase-count"
+
+
+def column_records(s) -> tuple:
+    """The root records of a slice, as plain tuples built from its columns."""
+    return tuple(zip(
+        s.x.tolist(), s.multiplicity.tolist(), s.residual.tolist(), ["eigenphase-count"] * len(s.x)
+    ))
+
+
+def test_searches_build_no_root_records(monkeypatch):
+    # a slice holds its roots as columns: the searches, the orbit sweep,
+    # the comparison and values()/expanded() build no Root; the first
+    # access to .roots builds one record per root, from the columns, and
+    # keeps them
+    made = []
+
+    class CountedRoot(Root):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+        @classmethod
+        def _make(cls, iterable):
+            made.append(iterable)
+            return super()._make(iterable)
+
+    monkeypatch.setattr(roots, "Root", CountedRoot)
+    kernel, window = DiracKernel(1.0), (-20.0, 20.0)
+    rng = np.random.default_rng(3)
+    us = [bc.random_unitary_bc(rng) for _ in range(3)] + [bc.named_family("dpp", 0.0)]
+    slices = find_spectra(us, window, kernel) + [find_spectrum(us[0], window, kernel)]
+    orbit = iso.orbit_spectra(us[0], window, kernel, n_lambda=4)
+    assert all(iso.compare_spectra(orbit[0][2], o, tol=1e-8).equal for _, _, o in orbit)
+    for s in slices:
+        s.values(), s.expanded()
+    assert made == []
+    s = slices[3]
+    records = s.roots
+    assert s.roots is records
+    assert len(made) == len(records) == len(s.x) > 0 and 2 in s.multiplicity
+    assert records == column_records(s)
+    for r in records:
+        assert type(r) is CountedRoot
+        assert [type(v) for v in r] == [float, int, float, str]
+
+
+def test_spectrum_slice_contract():
+    kernel, window = DiracKernel(1.0), (-20.0, 20.0)
+    rng = np.random.default_rng(3)
+    us = [bc.random_unitary_bc(rng) for _ in range(3)] + [bc.named_family("dpp", 0.0)]
+    slices = find_spectra(us, window, kernel)
+    s = slices[3]
+    columns = (s.x, s.multiplicity, s.residual)
+    assert [c.dtype.kind for c in columns] == ["f", "i", "f"]
+    assert np.array_equal(s.expanded(), np.repeat(s.values(), s.multiplicity))
+    # the public constructor round-trips
+    again = SpectrumSlice(window=s.window, roots=s.roots, grid_points=s.grid_points, theory=s.theory)
+    assert again == s and hash(again) == hash(s) and again.roots == s.roots
+    assert [c.dtype for c in (again.x, again.multiplicity, again.residual)] == [c.dtype for c in columns]
+    # immutable, with read-only columns
+    for name in ("window", "x", "multiplicity", "residual", "roots", "grid_points", "theory", "new"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    with pytest.raises(AttributeError):
+        del s.theory
+    for column in (*columns, again.x, again.multiplicity, again.residual):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+    # equal slices compare and hash equal, whichever route built them
+    twins = find_spectra(us, window, kernel)
+    assert twins == slices and [hash(t) for t in twins] == [hash(o) for o in slices]
+    assert len({*twins, *slices}) == len(slices)
+    moved = (s.roots[0]._replace(x=s.roots[0].x + 1e-9),) + s.roots[1:]
+    assert SpectrumSlice(s.window, moved, s.grid_points, s.theory) != s
+    assert SpectrumSlice(s.window, s.roots, s.grid_points + 1, s.theory) != s
+    assert SpectrumSlice(s.window, s.roots[1:], s.grid_points, s.theory) != s
+    assert s != s.roots
+
+
+def test_racing_first_access_to_roots_builds_equal_records():
+    # threads that race on the first s.roots of shared slices all get
+    # the records of the columns, and so does every later access
+    rng = np.random.default_rng(3)
+    us = [bc.random_unitary_bc(rng) for _ in range(8)]
+    slices = find_spectra(us, (-40.0, 40.0), DiracKernel(1.0))
+    want = [column_records(s) for s in slices]
+    n = 8
+    barrier = threading.Barrier(n)
+    seen = [None] * n
+
+    def read(i):
+        barrier.wait(timeout=10)
+        seen[i] = [s.roots for s in slices]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want for got in seen)
+    assert [s.roots for s in slices] == want
 
 
 def test_root_count_over_cap_raises_before_allocating():
@@ -784,6 +896,52 @@ def test_repeated_track_values_still_terminate(offset):
     assert np.all((g == 0.0) | (np.nextafter(lower, upper) == upper))
     if offset:
         assert np.all(g != 0.0) and np.array_equal(np.floor(upper), upper)
+
+
+def ulps(x: float, k: int) -> float:
+    """x moved by k doubles, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.copysign(np.inf, k)))
+    return x
+
+
+@st.composite
+def stop_rule_ends(draw):
+    """Finite ends xl < xr: adjacent and near-adjacent doubles, binade
+    edges, ends on both sides of zero or on a signed zero, subnormals,
+    magnitudes up to 1e300."""
+    xl = draw(st.one_of(
+        st.floats(-1e300, 1e300),
+        st.floats(-1e-300, 1e-300),  # subnormals included
+        st.builds(lambda p, s: s * 2.0**p, st.integers(-1074, 996), st.sampled_from([1.0, -1.0])),
+        st.sampled_from([0.0, -0.0]),
+    ))
+    xl = ulps(xl, draw(st.integers(-3, 3)))
+    xr = draw(st.one_of(
+        st.integers(1, 4).map(lambda k: ulps(xl, k)),
+        st.integers(-3, 3).map(lambda k: ulps(-xl, k)),
+        st.floats(-1e300, 1e300),
+    ))
+    xl, xr = min(xl, xr), max(xl, xr)
+    assume(xl < xr and np.isfinite(xr - xl))
+    return xl, xr
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(ends=stop_rule_ends())
+@example(ends=(-0.0, 5e-324))
+@example(ends=(-5e-324, 0.0))
+@example(ends=(-5e-324, 5e-324))
+@example(ends=(1.0, ulps(1.0, 1)))
+@example(ends=(ulps(1.0, -1), ulps(1.0, 1)))
+@example(ends=(ulps(2.0**-1022, -1), 2.0**-1022))
+@example(ends=(-1e300, 1e300))
+def test_midpoint_stop_rule_is_the_adjacent_doubles_test(ends):
+    # _refine stops a bracket when its midpoint is not strictly inside:
+    # exactly when no double lies strictly between the ends
+    xl, xr = ends
+    mid = xl + 0.5 * (xr - xl)
+    assert ((xl < mid) and (mid < xr)) == (np.nextafter(xl, xr) < xr)
 
 
 def test_convergence_cost_is_pinned():
