@@ -43,14 +43,19 @@ search works on (h, u, v) alone, in real arithmetic (``polar``);
 
 :func:`_closed_form` is the only place this is written; it works on
 (p, n), so u = (n - p) S / 2, and forms K^2 as their product, never
-as mu^2 - mu0^2, which would cancel.  The non-relativistic kernel is
-the same form at p = e, n = 1 (:mod:`ring_spectra.schrod`).  An energy in the snap band of a
-zero-wavenumber point is evaluated as that point itself; the band is
-decided in one place, :func:`snap_band`.
+as mu^2 - mu0^2, which would cancel.  Where |u| / v =
+|n - p| |sin K| / (2 K) can exceed 1 (for Dirac at K < mu0, near the
+gap edges) the eigenphase tracks turn steeply near each zero of sin K;
+:func:`_turns` names those spots on (p, n), once for both kernels, and
+the search samples them (``turning_points``).  The non-relativistic
+kernel is the same form at p = e, n = 1 (:mod:`ring_spectra.schrod`).
+An energy in the snap band of a zero-wavenumber point is evaluated as
+that point itself; the band is decided in one place, :func:`snap_band`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +167,74 @@ def _closed_form(p, n, mu0: float):
     return h, 0.5 * (n - p) * big_s, sigma, mu_s, big_c
 
 
+def _turns(k, p, n):
+    """The wavenumbers where the tracks turn, around the zeros K = k of
+    sin K, with (p, n) taken at K = k.
+
+    In the oscillatory regime |u| / v = |n - p| |sin K| / (2 K), which
+    is 0 at K = k.  Where its peak |n - p| / (2 k) exceeds 1 the tracks
+    are staircases: almost all of a level's 2 pi turns within
+    |K - k| ~ 2 k / |n - p|.  For each such k this returns k and the
+    points k +- arcsin(min(1, c 2 k / |n - p|)), c = 1 and 3, where
+    |u| / v is about c; unsorted.
+    """
+    peak = np.abs(n - p) / (2.0 * k)
+    k, peak = k[peak > 1.0], peak[peak > 1.0]
+    offsets = [np.arcsin(np.minimum(1.0, c / peak)) for c in (1.0, 3.0)]
+    return np.concatenate([k, *(k + d for d in offsets), *(k - d for d in offsets)])
+
+
+def _turn_spots(k_lo: float, k_hi: float) -> tuple[int, int]:
+    """The first m >= 1 of the zeros K = m pi from the last at or below
+    k_lo to the first at or above k_hi, those whose turning points can
+    reach into [k_lo, k_hi], and how many they are (a Python int, so a
+    window up to the largest double counts them exactly)."""
+    first = max(1, math.floor(k_lo / np.pi))
+    return first, max(0, math.ceil(k_hi / np.pi) + 1 - first)
+
+
+def _in_window(x, lo: float, hi: float, specials) -> np.ndarray:
+    """x sorted, without exact repeats, strictly inside (lo, hi) and
+    outside the snap band of every special point."""
+    x = np.sort(x)
+    keep = (lo < x) & (x < hi) & np.append(True, x[1:] != x[:-1])
+    for s in specials:
+        keep &= np.abs(x - s) >= snap_band(s)
+    return x[keep]
+
+
+def turning_points(lo: float, hi: float, mu0: float, limit: int) -> np.ndarray:
+    """The energies in (lo, hi) around which the Dirac tracks at rest
+    energy mu0 turn (:func:`_turns`), sorted and distinct, outside the
+    snap bands of +-mu0; they do not depend on U.
+
+    n - p = 2 mu0, so the peak ratio mu0 / K exceeds 1 only at K < mu0,
+    near the gap edges, on both oscillatory branches mu = +-sqrt(K^2 +
+    mu0^2); as K >= pi there, the set is empty for mu0 <= pi.  A window
+    with more than ``limit`` zeros K = m pi to turn at gets none, so
+    nothing is allocated for it.
+    """
+    if mu0 <= np.pi:
+        return np.empty(0)
+
+    def wavenumber(mu):
+        return math.sqrt(abs(mu) - mu0) * math.sqrt(abs(mu) + mu0)
+
+    branches = [
+        (sign, _turn_spots(wavenumber(near), min(wavenumber(far), mu0)))
+        for sign, near, far in ((1.0, max(lo, mu0), hi), (-1.0, min(hi, -mu0), lo))
+        if sign * far > mu0
+    ]
+    if sum(count for _, (_, count) in branches) > limit:
+        return np.empty(0)
+    parts = [np.empty(0)]
+    for sign, (first, count) in branches:
+        k = np.pi * np.arange(first, first + count)
+        mu = np.hypot(k, mu0)
+        parts.append(sign * np.hypot(_turns(k, mu - mu0, mu + mu0), mu0))
+    return _in_window(np.concatenate(parts), lo, hi, (-mu0, mu0))
+
+
 def _coefficients(h, u, v, mu_s, big_c):
     """(a, b, c, h) from the real core: a = u / D, b = -i v / D and
     c = conj(D) / D, with D = mu S - i C."""
@@ -205,7 +278,9 @@ class DiracKernel:
     """Relativistic kernel bound to a fixed dimensionless mass.
 
     The kernel protocol the root search uses: ``theory``,
-    ``special_points()``, ``polar(mu) -> (h, u, v)`` and
+    ``special_points()``, ``turning_points(lo, hi, limit)`` (the
+    energies it samples besides its evenly spaced ones,
+    :func:`turning_points`), ``polar(mu) -> (h, u, v)`` and
     ``spectral_values``, which evaluates F_U from
     ``coefficients(mu) -> (a, b, c, h)``.
     """
@@ -227,6 +302,9 @@ class DiracKernel:
 
     def spectral_values(self, mu, u: UnitaryBC | InvariantTriple) -> np.ndarray:
         return spectral_function(*self.coefficients(mu)[:3], u)
+
+    def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
+        return turning_points(lo, hi, self.mu0, limit)
 
     def special_points(self) -> tuple[float, ...]:
         if self.mu0 > 0:

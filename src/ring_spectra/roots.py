@@ -29,23 +29,33 @@ monotonicity of the eigenphases), so the multiples of 2 pi a track
 passes between the window ends are exactly its crossings: the tracks
 at the two ends alone certify the root count.  The one kernel call
 that reads the ends samples the tracks at _SAMPLES + 1 evenly spaced
-energies across the window, so each crossing starts in the sample
-interval it lies in, and is refined there on its own track by a
-two-point step that keeps the crossing between its ends, down to
-adjacent doubles at most.  |w| comes straight from (u, v), so the
-phases stay accurate to machine precision through degeneracies and
-double roots are located as sharply as simple ones.  Two crossings
+energies across the window and at the kernel's turning points, so each
+crossing starts in the sample interval it lies in, and is refined there
+on its own track by a two-point step that keeps the crossing between
+its ends, down to adjacent doubles at most.  The turning points are
+where the tracks turn steeply: where |u| / v can exceed 1 the tracks
+are staircases that take almost all of a level's 2 pi near each zero
+of u, and the kernel names those spots, with the points on either side
+where |u| / v is 1 and 3, so no refinement round is spent finding the
+step.  |w| comes straight from (u, v), so the phases stay accurate to
+machine precision through degeneracies and double roots are located as
+sharply as simple ones.  Two crossings
 closer than the separation tolerance merge into one root of
 multiplicity 2, which is the maximum for 2x2 unitaries; a larger
 cluster raises, since it would mean the dimension count failed.
 
 A kernel is anything with ``theory``, ``special_points()``,
-``polar(x) -> (h, u, v)`` and ``spectral_values(x, u)``; the search
-calls nothing else, and never builds a 2x2 matrix per point.  The
-kernels evaluate a small band around each special point as the point
-itself (:func:`ring_spectra.dirac.snap_band`), so a root whose final
-bracket meets that band is reported at the special point, and the
-count at the window's top end is read past any band that holds it.
+``turning_points(lo, hi, limit)``, ``polar(x) -> (h, u, v)`` and
+``spectral_values(x, u)``; the search calls nothing else, and never
+builds a 2x2 matrix per point.  ``turning_points`` returns energies
+strictly inside (lo, hi) and outside the snap bands, sorted and
+distinct, that do not depend on U (none at all where the tracks do not
+turn steeply, or past ``limit`` spots, so a window over MAX_ROOTS is
+refused before they are built).  The kernels evaluate a small band
+around each special point as the point itself
+(:func:`ring_spectra.dirac.snap_band`), so a root whose final bracket
+meets that band is reported at the special point, and the count at the
+window's top end is read past any band that holds it.
 
 (h, u, v) do not depend on U, so the one search, :func:`find_spectra`,
 runs a batch of boundary conditions on one kernel call per refinement
@@ -124,7 +134,8 @@ class SpectrumSlice:
     theory are.
 
     ``grid_points`` is the number of energies the search evaluated for
-    this U: the _SAMPLES + 1 samples across the window plus every
+    this U: the samples across the window (_SAMPLES + 1 evenly spaced
+    energies merged with the kernel's turning points) plus every
     refinement step of its brackets (the grid size, for the grid
     oracle).
     """
@@ -352,9 +363,13 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     """Cluster the located crossings of every U into roots (multiplicity
     at most 2), keep those in the half-open window, verify all of them
     against |F_U| < tol_residual in one kernel call, and wrap each U's
-    roots in a slice reporting ``evaluated[k]`` energies.  The roots of
-    all U are made read-only columns once, and each slice holds views of
-    its own run of them: no per-root Python object is built.
+    roots in a slice reporting ``evaluated[k]`` energies.  Only if a root
+    fails, one more call evaluates the 1- and 2-ulp neighbours of every
+    failing root (those in the window), and each takes its neighbour of
+    least |F| where that is smaller; a root that still fails raises.
+    The roots of all U are made read-only columns once, and each slice
+    holds views of its own run of them: no per-root Python object is
+    built.
 
     ``owner[j]`` is the index in ``us`` of crossing j.  A root is only
     located to tol_root * max(1, |x|), so one that close to an end
@@ -378,11 +393,28 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     inside = (xs > lo + pad_lo) & (xs <= hi)
     xs, mults, ks = xs[inside], sizes[inside], owner[starts][inside]
     per_u = invariant_triple(np.array([u.matrix for u in us], dtype=complex).reshape(-1, 2, 2))
-    triples = InvariantTriple(per_u.det_u[ks], per_u.tr_u[ks], per_u.tr_u_sx[ks])
-    residuals = np.abs(kernel.spectral_values(xs, triples))
+
+    def residuals_at(x, k):
+        triples = InvariantTriple(per_u.det_u[k], per_u.tr_u[k], per_u.tr_u_sx[k])
+        return np.abs(kernel.spectral_values(x, triples))
+
+    residuals = residuals_at(xs, ks)
+    bad = np.flatnonzero(residuals > tol_residual)
+    if bad.size:
+        # a double next to a failing root may pass where the root does
+        # not: try its 1- and 2-ulp neighbours in the window, keep the best
+        down, up = np.nextafter(xs[bad], -np.inf), np.nextafter(xs[bad], np.inf)
+        near = np.stack([down, up, np.nextafter(down, -np.inf), np.nextafter(up, np.inf)])
+        f = residuals_at(near.ravel(), np.tile(ks[bad], 4)).reshape(near.shape)
+        f[(near <= lo + pad_lo) | (near > hi)] = np.inf
+        best = np.argmin(f, axis=0)
+        x_best, f_best = (a[best, np.arange(bad.size)] for a in (near, f))
+        better = f_best < residuals[bad]
+        xs[bad] = np.where(better, x_best, xs[bad])
+        residuals[bad] = np.where(better, f_best, residuals[bad])
+        bad = bad[residuals[bad] > tol_residual]
 
     big = np.flatnonzero(sizes > 2)
-    bad = np.flatnonzero(residuals > tol_residual)
     if big.size and (not bad.size or owner[starts[big[0]]] <= ks[bad[0]]):
         j = big[0]
         raise NumericalError(
@@ -393,7 +425,8 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
         j = bad[0]
         raise NumericalError(
             f"root at x = {xs[j]:.12g} failed residual verification: "
-            f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}"
+            f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}, the least over it and its "
+            f"1- and 2-ulp neighbours"
         )
     for column in (xs, mults, residuals):
         column.flags.writeable = False
@@ -417,15 +450,17 @@ def find_spectra(
     """All zeros of F_U in the half-open window (lo, hi], for each U.
 
     The tracks of every U are evaluated at _SAMPLES + 1 evenly spaced
-    energies from lo to the top end (one kernel call); since they never
-    increase, the multiples of 2 pi they cross between the two ends are
-    the exact root count, and each crossing becomes its own bracket over
-    the one sample interval it lies in.  The count per interval is read
-    off the running minimum of the tracks, so it is never negative and
-    the counts add up to the certificate of the two ends.  A U whose
-    count exceeds MAX_ROOTS, or is not finite, is refused before any
-    bracket is allocated.  The brackets of all U are refined together
-    (:func:`_refine`) to |dx| < tol_root * max(1, |x|), or to adjacent
+    energies from lo to the top end, merged with the kernel's turning
+    points (one kernel call); since they never increase, the multiples
+    of 2 pi they cross between the two ends are the exact root count,
+    and each crossing becomes its own bracket over the one sample
+    interval it lies in.  The count per interval is read off the running
+    minimum of the tracks, so it is never negative and the counts add up
+    to the certificate of the two ends.  A U whose count exceeds
+    MAX_ROOTS, or is not finite, is refused before any bracket is
+    allocated; a window with more than MAX_ROOTS spots to turn at gets
+    no turning points, so none is built for it either.  The brackets of
+    all U are refined together (:func:`_refine`) to |dx| < tol_root * max(1, |x|), or to adjacent
     doubles.  Per U, crossings closer than the separation tolerance
     merge into a multiplicity-2 root, and the roots of every U are
     verified against |F_U| < tol_residual in one kernel call.  Slices
@@ -436,6 +471,12 @@ def find_spectra(
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
     xs = np.linspace(lo, top, _SAMPLES + 1)  # ends exactly lo and top
+    # by keyword: the call evaluates no energy, and proxies that count
+    # evaluations by the size of the first argument must not count it
+    turns = kernel.turning_points(lo=lo, hi=top, limit=MAX_ROOTS)
+    if turns.size:
+        xs = np.sort(np.concatenate([xs, turns]))
+        xs = xs[np.append(True, xs[1:] != xs[:-1])]
     with np.errstate(invalid="ignore", over="ignore"):
         h, u, v = (part[:, None] for part in kernel.polar(xs))
         tracks = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
@@ -458,17 +499,19 @@ def find_spectra(
     n = counts.astype(int).ravel()
     row = np.repeat(np.arange(n.size), n)  # flat (U, interval, track) index per bracket
     step = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
-    target = TAU * (level[:, 1:].ravel()[row] + step)
-    owner, rest = np.divmod(row, 2 * _SAMPLES)
+    owner, rest = np.divmod(row, 2 * (xs.size - 1))
     interval, track = np.divmod(rest, 2)
+    left = row + 2 * owner  # flat index of each bracket's left end in tracks
+    target = TAU * (level.ravel()[left + 2] + step)
+    gl, gr = (tracks.ravel()[left + end] - target for end in (0, 2))
+    # the sample arrays grow with the turning points: free them before refining
+    del h, u, v, turns, tracks, level, counts, n, row, step, left
     consts = np.vstack([chart[owner].T, _SIGNS[track], target])
     located, xl, xr, evals = _refine(
-        kernel, consts, xs[interval], xs[interval + 1],
-        tracks[:, :-1].ravel()[row] - target, tracks[:, 1:].ravel()[row] - target,
-        tol_root, tol_residual,
+        kernel, consts, xs[interval], xs[interval + 1], gl, gr, tol_root, tol_residual
     )
     located = _snap_to_special_points(located, xl, xr, kernel.special_points())
-    evaluated = _SAMPLES + 1 + np.bincount(owner, weights=evals, minlength=len(us))
+    evaluated = xs.size + np.bincount(owner, weights=evals, minlength=len(us))
     return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 
 

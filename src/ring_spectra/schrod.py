@@ -21,20 +21,25 @@ d = mu sin q - i q cos q = D_S / 2, so
 B(e) is minus the relativistic transfer matrix at that pair, and its
 polar form B = e^{ih} (u I - i v sx) / |D| has (u, v) = -(u, v)_dirac.
 So this module evaluates :func:`ring_spectra.dirac._closed_form` at
-(p, n) = (e, 1).  The regimes follow: e > 0 is oscillatory, e < 0 is the
-evanescent (in-gap) form, and e = 0 is the zero-wavenumber point at
-rest energy 1/2, where the polynomial-basis (1, x/L) limit is
-a = -1/(1 - 2i), b = 2i/(1 - 2i), c = (1 + 2i)/(1 - 2i) and
-h = atan 2.  The lifted half phase h of c is continuous and never
+(p, n) = (e, 1), and takes its turning points from
+:func:`ring_spectra.dirac._turns` at the same pair: |u| / v peaks
+above 1 near every zero q = m pi of sin q, so the tracks are
+staircases from e ~ 6 on.  The regimes follow: e > 0 is oscillatory,
+e < 0 is the evanescent (in-gap) form, and e = 0 is the
+zero-wavenumber point at rest energy 1/2, where the polynomial-basis
+(1, x/L) limit is a = -1/(1 - 2i), b = 2i/(1 - 2i),
+c = (1 + 2i)/(1 - 2i) and h = atan 2.  The lifted half phase h of c is continuous and never
 increases.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, spectral_function
-from .dirac import _closed_form, _coefficients
+from .dirac import _closed_form, _coefficients, _in_window, _turn_spots, _turns
 
 
 def _core(e):
@@ -51,7 +56,8 @@ def coefficient_arrays(e):
 
 class SchrodKernel:
     """Non-relativistic kernel (no free parameters after rescaling);
-    same protocol as :class:`~ring_spectra.dirac.DiracKernel`."""
+    same protocol as :class:`~ring_spectra.dirac.DiracKernel`, including
+    ``turning_points``."""
 
     theory = "schrod"
 
@@ -66,6 +72,20 @@ class SchrodKernel:
 
     def spectral_values(self, e, u: UnitaryBC | InvariantTriple) -> np.ndarray:
         return spectral_function(*self.coefficients(e)[:3], u)
+
+    def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
+        """The energies in (lo, hi) around which the tracks turn, sorted
+        and distinct, outside the snap band of e = 0; they do not depend
+        on U.  At (p, n) = (q^2, 1) the peak ratio (q^2 - 1) / (2 q)
+        exceeds 1 at every zero q = m pi of sin q
+        (:func:`ring_spectra.dirac._turns`).  A window with more than
+        ``limit`` such zeros gets none, so nothing is allocated for it.
+        """
+        first, count = _turn_spots(math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0)))
+        if count > limit:
+            return np.empty(0)
+        q = np.pi * np.arange(first, first + count)
+        return _in_window(_turns(q, q * q, 1.0) ** 2, lo, hi, self.special_points())
 
     def special_points(self) -> tuple[float, ...]:
         return (0.0,)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, from_matrix, spectral_function
-from .dirac import coefficient_arrays, snap_band
+from .dirac import coefficient_arrays, snap_band, turning_points
 from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
 
 _REP_TOL = 1e-12
@@ -418,6 +418,9 @@ class RepKernel:
 
     def spectral_values(self, mu, u: UnitaryBC | InvariantTriple) -> np.ndarray:
         return spectral_function(*self.coefficients(mu)[:3], u)
+
+    def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
+        return turning_points(lo, hi, self.mu0, limit)
 
     def special_points(self) -> tuple[float, ...]:
         if self.mu0 > 0:

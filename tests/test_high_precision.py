@@ -81,6 +81,21 @@ def test_dirac_in_gap_bound_states_are_true_zeros():
         assert abs(dirac_f_mp(r.x, mu0, u)) < 5e-11
 
 
+def test_dirac_gap_edge_roots_are_true_zeros():
+    # mu0 = 100, from just inside the gap to K ~ 173: the window the
+    # turning points sample, where the tracks are staircases
+    rng = np.random.default_rng(3)
+    mu0 = 100.0
+    kernel = DiracKernel(mu0)
+    for _ in range(3):
+        u = bc.random_unitary_bc(rng)
+        s = find_spectrum(u, (mu0 - 1.0, mu0 + 100.0), kernel)
+        assert len(s.roots) > 40
+        for r in s.roots:
+            x = mu0 + 1e-25 if abs(r.x - mu0) < 1e-9 else r.x
+            assert abs(dirac_f_mp(x, mu0, u)) < 1e-9
+
+
 def test_schrod_roots_are_true_zeros():
     rng = np.random.default_rng(82)
     kernel = SchrodKernel()

@@ -47,6 +47,21 @@ def test_public_names_resolve():
     assert all(hasattr(ring_spectra, name) for name in ring_spectra.__all__)
 
 
+def test_searches_leave_numpy_ma_unloaded():
+    # numpy.ma costs ~1.6 MB of memory when first imported, and
+    # np.unique or np.union1d import it; the search merges its samples
+    # without them, on either kernel, also where the turning points apply
+    code = (
+        "import sys\nimport numpy as np\nimport ring_spectra as rs\n"
+        "u = rs.random_unitary_bc(np.random.default_rng(1))\n"
+        "rs.find_spectrum(u, (0.0, 1e4), rs.SchrodKernel())\n"
+        "rs.find_spectrum(u, (99.0, 200.0), rs.DiracKernel(100.0))\n"
+        "rs.find_spectrum(u, (-10.0, 10.0), rs.DiracKernel(1.0))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert run_python(code).split() == ["False"]
+
+
 def test_verify_still_runs_the_checks():
     code = "from ring_spectra import cli\nraise SystemExit(cli.main(['verify', '--only', '3']))"
     out = run_python(code)
