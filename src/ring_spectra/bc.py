@@ -11,21 +11,14 @@ itself is written once, here, in terms of that triple.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matalg import (
-    I2,
-    SX,
-    TAU,
-    NonUnitaryError,
-    det2,
-    require_unitary,
-    tr2,
-    unitarity_residual,
-)
+from .matalg import I2, SX, TAU, NonUnitaryError, det2, require_unitary, tr2
 
 
 class BCParseError(ValueError):
@@ -42,7 +35,8 @@ class UnitaryBC:
 
     Invariants (validated on construction): the matrix is unitary to
     1e-12, m0^2 + |m|^2 = 1 to 1e-12, and the matrix equals
-    e^{i eta} (m0 I + i m.sigma) to 1e-12.
+    e^{i eta} (m0 I + i m.sigma) to 1e-12; a NaN or infinite entry
+    fails them.
     """
 
     matrix: np.ndarray
@@ -57,12 +51,20 @@ class UnitaryBC:
         mvec.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "m", mvec)
-        res = unitarity_residual(mat)
+        # on Python scalars, and as `not x < tol`, so that NaN fails every check
+        (a, b), (c, d) = mat.tolist()
+        eta, m0 = float(self.eta), float(self.m0)
+        m1, m2, m3 = mvec.tolist()
+        off = a.conjugate() * b + c.conjugate() * d  # W^H W - I, entry by entry
+        res = math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1.0, abs(b) ** 2 + abs(d) ** 2 - 1.0,
+                         abs(off), abs(off))
         if not res < 1e-12:
             raise NonUnitaryError(res, 1e-12)
-        if abs(self.m0**2 + mvec @ mvec - 1.0) >= 1e-12:
+        if not abs(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 - 1.0) < 1e-12:
             raise BCConstraintError("(m0, m) is not a unit 4-vector")
-        if np.linalg.norm(mat - _chart_matrix(self.eta, self.m0, mvec)) >= 1e-12:
+        z = cmath.exp(1j * eta)  # NaN, not an error, at an infinite eta
+        chart = (z * complex(m0, m3), z * complex(m2, m1), z * complex(-m2, m1), z * complex(m0, -m3))
+        if not math.hypot(*(abs(x - y) for x, y in zip((a, b, c, d), chart))) < 1e-12:
             raise BCConstraintError("matrix does not match its (eta, m0, m) chart")
 
     def __repr__(self) -> str:  # compact, chart-first
@@ -214,20 +216,19 @@ def spectral_function(a, b, c, u: UnitaryBC | InvariantTriple):
     return t.det_u - a * t.tr_u + b * t.tr_u_sx + c
 
 
-def sx_rotation(lam: float) -> np.ndarray:
-    """e^{i lam sx} = cos(lam) I + i sin(lam) sx."""
-    return np.cos(lam) * I2 + 1j * np.sin(lam) * SX
-
-
 def conjugate_orbit(u: UnitaryBC, lam: float) -> UnitaryBC:
     """The isospectral partner e^{i lam sx} U e^{-i lam sx}.
 
     Conjugation by e^{i lam sx} preserves the invariant triple, hence
-    the whole orbit shares one spectrum.
+    the whole orbit shares one spectrum.  In U's chart it keeps (eta,
+    m0, m1) as they are and turns (m2, m3) by the angle 2 lam:
+    m2' = c m2 + s m3 and m3' = c m3 - s m2, with c = cos 2 lam and
+    s = sin 2 lam; the matrix is built from that chart.
     """
-    g = sx_rotation(lam)
-    mat = g @ u.matrix @ g.conj().T
-    return UnitaryBC(mat, *_extract_chart(mat))
+    c, s = math.cos(2.0 * lam), math.sin(2.0 * lam)
+    m1, m2, m3 = u.m.tolist()
+    m = [m1, c * m2 + s * m3, c * m3 - s * m2]
+    return UnitaryBC(_chart_matrix(u.eta, u.m0, m), u.eta, u.m0, m)
 
 
 def is_parity_symmetric(u: UnitaryBC, tol: float = 1e-10) -> bool:

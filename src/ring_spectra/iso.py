@@ -3,8 +3,9 @@
 Every boundary condition U is either parity symmetric (it commutes with
 sx, sits in the two-parameter family, and is uniquely tied to its
 spectrum) or it generates a U(1) orbit of distinct matrices that all
-sound identical.  This module classifies a U, sweeps its orbit, and
-compares spectra.  Distinguishability of parity-symmetric conditions is
+sound identical.  This module classifies a U, sweeps its orbit (one
+search, whose roots are then certified for every member), and compares
+spectra.  Distinguishability of parity-symmetric conditions is
 only ever checked on finite windows, and results are reported with the
 window that produced them.
 """
@@ -18,7 +19,14 @@ import numpy as np
 from .bc import InvariantTriple, UnitaryBC, conjugate_orbit, invariant_triple, is_parity_symmetric
 # find_spectrum stays importable from here: perfbench's traced run rebinds
 # iso.find_spectrum around its measured loop
-from .roots import SpectrumSlice, find_spectra, find_spectrum  # noqa: F401
+from .roots import (  # noqa: F401
+    DEFAULT_TOL_RESIDUAL,
+    DEFAULT_TOL_ROOT,
+    SpectrumSlice,
+    _certify,
+    find_spectra,
+    find_spectrum,
+)
 
 #: classify() sweeps the orbit at lambda = k pi / 8, k = 1..15
 ORBIT_LAMBDAS = tuple(k * np.pi / 8.0 for k in range(1, 16))
@@ -82,13 +90,24 @@ def orbit_spectra(
 ) -> list[tuple[float, UnitaryBC, SpectrumSlice]]:
     """Spectra across the conjugation orbit, lambda = k pi / n_lambda.
 
-    The orbit has period pi.  All samples go through one batched search
-    (:func:`~ring_spectra.roots.find_spectra`), which makes one kernel
-    call per refinement round for the whole orbit; results come back in
-    lambda order.
+    The orbit has period pi, and all its members share one invariant
+    triple, hence one spectrum.  So the lambda = 0 member is searched
+    (:func:`~ring_spectra.roots.find_spectra`), and every member,
+    that one included, is certified from its roots on its own tracks:
+    its own count over the window, each crossing bracketed to
+    tol_root * max(1, |x|) by its own tracks, and its own residual
+    checked.  The members that fail certification (a root on a special
+    point, say) are searched in one batch.  Results come back in lambda
+    order.
     """
     if n_lambda < 1:
         raise ValueError("need at least one orbit sample")
     lams = [k * np.pi / n_lambda for k in range(n_lambda)]
     bcs = [conjugate_orbit(u, lam) for lam in lams]
-    return list(zip(lams, bcs, find_spectra(bcs, window, kernel)))
+    (first,) = find_spectra(bcs[:1], window, kernel)
+    slices = _certify(first, bcs, kernel, DEFAULT_TOL_ROOT, DEFAULT_TOL_RESIDUAL)
+    failed = [k for k, s in enumerate(slices) if s is None]
+    if failed:
+        for k, s in zip(failed, find_spectra([bcs[k] for k in failed], window, kernel)):
+            slices[k] = s
+    return list(zip(lams, bcs, slices))

@@ -320,4 +320,9 @@ def grid_spectra(
         tol_root, tol_residual,
     )
     evaluated = np.full(len(us), len(grid))
-    return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
+    slices, error = collect_spectra(
+        us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated
+    )
+    if error is not None:
+        raise error
+    return slices

@@ -61,7 +61,11 @@ window's top end is read past any band that holds it.
 runs a batch of boundary conditions on one kernel call per refinement
 round, and verifies the roots of every U in one more;
 :func:`find_spectrum` is that search for a single U.  Memory grows
-with the number of roots, not with the window.  The reference grid
+with the number of roots, not with the window.  U that share one
+invariant triple (a conjugation orbit) share one spectrum, so once one
+of them is searched, :func:`_certify` checks its roots for the others
+on their own tracks, in one kernel call and one verification call.
+The reference grid
 search it replaced, and the complex eigenphase route it used, live on
 as oracles (:mod:`ring_spectra.oracles`).
 
@@ -137,7 +141,8 @@ class SpectrumSlice:
     this U: the samples across the window (_SAMPLES + 1 evenly spaced
     energies merged with the kernel's turning points) plus every
     refinement step of its brackets (the grid size, for the grid
-    oracle).
+    oracle; 2 + 2N, the window ends and the ends of its N brackets, for
+    a slice certified from another U's roots).
     """
 
     window: tuple[float, float]
@@ -364,20 +369,23 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     at most 2), keep those in the half-open window, verify all of them
     against |F_U| < tol_residual in one kernel call, and wrap each U's
     roots in a slice reporting ``evaluated[k]`` energies.  Only if a root
-    fails, one more call evaluates the 1- and 2-ulp neighbours of every
-    failing root (those in the window), and each takes its neighbour of
-    least |F| where that is smaller; a root that still fails raises.
-    The roots of all U are made read-only columns once, and each slice
-    holds views of its own run of them: no per-root Python object is
-    built.
+    fails, one more call per U with failing roots, in order, evaluates
+    the 1- and 2-ulp neighbours of those roots (those in the window),
+    and each takes its neighbour of least |F| where that is smaller; the
+    calls stop at the first U with a root that still fails, so their
+    memory follows one U's roots.  The roots of all U are made read-only
+    columns once, and each slice holds views of its own run of them: no
+    per-root Python object is built.
 
     ``owner[j]`` is the index in ``us`` of crossing j.  A root is only
     located to tol_root * max(1, |x|), so one that close to an end
     counts as sitting on it: within that distance above lo it is left
     out, within it above hi it is reported at hi.  Adjacent windows
-    therefore split the roots between them exactly.  A failure is
-    raised for the first U that has one, as a search of that U alone
-    would raise it."""
+    therefore split the roots between them exactly.  Returns (slices,
+    error): error is None and every U has its slice, or error is the
+    :class:`NumericalError` for the first U that failed, as a search of
+    that U alone would raise it, and the slices are those of the U
+    before it."""
     lo, hi = window
     pad_lo, pad = (tol_root * max(1.0, abs(v)) for v in window)
     order = np.lexsort((located, owner))
@@ -400,30 +408,36 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
 
     residuals = residuals_at(xs, ks)
     bad = np.flatnonzero(residuals > tol_residual)
-    if bad.size:
-        # a double next to a failing root may pass where the root does
-        # not: try its 1- and 2-ulp neighbours in the window, keep the best
-        down, up = np.nextafter(xs[bad], -np.inf), np.nextafter(xs[bad], np.inf)
+    # a double next to a failing root may pass where the root does not:
+    # try the 1- and 2-ulp neighbours in the window of each U's failing
+    # roots and keep the best, U by U, up to the first U that still fails
+    for run in np.split(bad, np.flatnonzero(np.diff(ks[bad])) + 1) if bad.size else ():
+        down, up = np.nextafter(xs[run], -np.inf), np.nextafter(xs[run], np.inf)
         near = np.stack([down, up, np.nextafter(down, -np.inf), np.nextafter(up, np.inf)])
-        f = residuals_at(near.ravel(), np.tile(ks[bad], 4)).reshape(near.shape)
+        f = residuals_at(near.ravel(), np.tile(ks[run], 4)).reshape(near.shape)
         f[(near <= lo + pad_lo) | (near > hi)] = np.inf
         best = np.argmin(f, axis=0)
-        x_best, f_best = (a[best, np.arange(bad.size)] for a in (near, f))
-        better = f_best < residuals[bad]
-        xs[bad] = np.where(better, x_best, xs[bad])
-        residuals[bad] = np.where(better, f_best, residuals[bad])
-        bad = bad[residuals[bad] > tol_residual]
+        x_best, f_best = (a[best, np.arange(run.size)] for a in (near, f))
+        better = f_best < residuals[run]
+        xs[run] = np.where(better, x_best, xs[run])
+        residuals[run] = np.where(better, f_best, residuals[run])
+        if np.any(residuals[run] > tol_residual):
+            break
+    bad = bad[residuals[bad] > tol_residual]
 
+    error = None
     big = np.flatnonzero(sizes > 2)
     if big.size and (not bad.size or owner[starts[big[0]]] <= ks[bad[0]]):
         j = big[0]
-        raise NumericalError(
+        failed = owner[starts[j]]
+        error = NumericalError(
             f"{sizes[j]} coincident eigenphase crossings near x = "
             f"{found[starts[j]]:.6g}; multiplicity of a 2x2 unitary cannot exceed 2"
         )
-    if bad.size:
+    elif bad.size:
         j = bad[0]
-        raise NumericalError(
+        failed = ks[j]
+        error = NumericalError(
             f"root at x = {xs[j]:.12g} failed residual verification: "
             f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}, the least over it and its "
             f"1- and 2-ulp neighbours"
@@ -431,13 +445,83 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     for column in (xs, mults, residuals):
         column.flags.writeable = False
     ends = np.cumsum(np.bincount(ks, minlength=len(us))).tolist()
-    return [
+    slices = [
         SpectrumSlice._from_columns(
             (lo, hi), xs[start:end], mults[start:end], residuals[start:end],
             int(evaluated[k]), kernel.theory,
         )
         for k, (start, end) in enumerate(zip([0] + ends[:-1], ends))
     ]
+    return (slices, None) if error is None else (slices[:failed], error)
+
+
+def _levels(xs, chart, kernel):
+    """The tracks of every U at the sorted energies ``xs`` (one ``polar``
+    call), their levels and the crossings between neighbouring energies,
+    as (tracks, level, counts), each indexed [U, energy, track].
+
+    The multiples 2 pi n with t(x_j+1) <= 2 pi n < t(x_j) are a track's
+    crossings in (x_j, x_j+1], counts[:, j].  The levels ceil(t / 2 pi)
+    are taken as their running minimum, held at the last energy's level,
+    which keeps every count nonnegative and their sum the certificate of
+    the two ends.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        h, u, v = (part[:, None] for part in kernel.polar(xs))
+        tracks = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
+        level = np.ceil(tracks / TAU)
+        level = np.maximum(np.minimum.accumulate(level, axis=1), level[:, -1:])
+        return tracks, level, level[:, :-1] - level[:, 1:]
+
+
+def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None]:
+    """The spectrum of each U in ``us`` on the window of ``s``, certified
+    from the roots of ``s`` (found for a U of the same invariant triple)
+    instead of searched for, or None where that fails.
+
+    One ``polar`` call reads the tracks of every U at lo, at x_i -+ w_i/2
+    around each root x_i of ``s`` (w_i = tol_root * max(1, |x_i|),
+    clamped into the window) and at the window's top end.  A U is
+    certified when its own count over (lo, top] is the sum of the
+    multiplicities m_i, its two tracks cross m_i times in total inside
+    each bracket, and neither track crosses there more than once.  One
+    secant step between the bracket's ends locates each crossing, which
+    then goes through :func:`collect_spectra` like those of a search.
+    A certified slice reports the 2 + 2N energies of the call (N roots);
+    a U that is not certified, or fails verification, or follows one
+    that fails, gets None.
+    """
+    lo, hi = s.window
+    top = _top_end(hi, tol_root, kernel.special_points())
+    w = 0.5 * tol_root * np.maximum(1.0, np.abs(s.x))
+    xl, xr = np.maximum(s.x - w, lo), np.minimum(s.x + w, top)
+    xs = np.concatenate([[lo], np.column_stack([xl, xr]).ravel(), [top]])
+    if not np.all(xs[:-1] <= xs[1:]):  # brackets that overlap count nothing
+        return [None] * len(us)
+    tracks, level, counts = _levels(xs, _charts(us), kernel)
+    inside = counts[:, 1::2]  # [U, root, track]
+    target = TAU * level[:, 2:-1:2]
+    gl, gr = tracks[:, 1:-1:2] - target, tracks[:, 2:-1:2] - target
+    crossing = inside == 1
+    certified = (
+        (counts.sum(axis=(1, 2)) == s.multiplicity.sum())
+        & np.all(inside[..., 0] + inside[..., 1] == s.multiplicity, axis=1)
+        & np.all((inside == 0) | (crossing & (gl > 0.0) & (gr <= 0.0)), axis=(1, 2))
+    )
+    crossing &= certified[:, None, None]
+    owner, root, _ = np.nonzero(crossing)
+    gl, gr = gl[crossing], gr[crossing]
+    located = xl[root] + (xr[root] - xl[root]) * (gl / (gl - gr))
+    located = _snap_to_special_points(located, xl[root], xr[root], kernel.special_points())
+    kept = np.flatnonzero(certified)
+    slices, _ = collect_spectra(
+        [us[k] for k in kept], located, np.searchsorted(kept, owner), (lo, hi), tol_root,
+        kernel, tol_residual, np.full(kept.size, xs.size),
+    )
+    out = [None] * len(us)
+    for k, slice_ in zip(kept, slices):
+        out[k] = slice_
+    return out
 
 
 def find_spectra(
@@ -477,16 +561,7 @@ def find_spectra(
     if turns.size:
         xs = np.sort(np.concatenate([xs, turns]))
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
-    with np.errstate(invalid="ignore", over="ignore"):
-        h, u, v = (part[:, None] for part in kernel.polar(xs))
-        tracks = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
-        # tracks[k, j, g]: track g of U k at sample j; the multiples 2 pi n
-        # with t(x_j+1) <= 2 pi n < t(x_j) are its crossings in interval j.
-        # The running minimum, held at the top end's level, keeps every
-        # count nonnegative and their sum the end-point certificate
-        level = np.ceil(tracks / TAU)
-        level = np.maximum(np.minimum.accumulate(level, axis=1), level[:, -1:])
-        counts = level[:, :-1] - level[:, 1:]
+    tracks, level, counts = _levels(xs, chart, kernel)
     totals = counts.sum(axis=(1, 2))
     for k, total in enumerate(totals):
         if not total <= MAX_ROOTS:
@@ -505,14 +580,19 @@ def find_spectra(
     target = TAU * (level.ravel()[left + 2] + step)
     gl, gr = (tracks.ravel()[left + end] - target for end in (0, 2))
     # the sample arrays grow with the turning points: free them before refining
-    del h, u, v, turns, tracks, level, counts, n, row, step, left
+    del turns, tracks, level, counts, n, row, step, left
     consts = np.vstack([chart[owner].T, _SIGNS[track], target])
     located, xl, xr, evals = _refine(
         kernel, consts, xs[interval], xs[interval + 1], gl, gr, tol_root, tol_residual
     )
     located = _snap_to_special_points(located, xl, xr, kernel.special_points())
     evaluated = xs.size + np.bincount(owner, weights=evals, minlength=len(us))
-    return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
+    slices, error = collect_spectra(
+        us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated
+    )
+    if error is not None:
+        raise error
+    return slices
 
 
 def find_spectrum(

@@ -6,6 +6,7 @@ import pytest
 from ring_spectra.bc import (
     BCConstraintError,
     BCParseError,
+    UnitaryBC,
     conjugate_orbit,
     from_matrix,
     invariant_triple,
@@ -96,12 +97,24 @@ def test_named_family_missing_parameters():
 
 
 def test_unitary_bc_direct_construction_validates():
-    from ring_spectra.bc import UnitaryBC
-
     with pytest.raises(ValueError):
         UnitaryBC(I2, eta=0.0, m0=0.5, m=np.zeros(3))  # not a unit 4-vector
     with pytest.raises(ValueError):
         UnitaryBC(I2, eta=0.3, m0=1.0, m=np.zeros(3))  # chart mismatch
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["eta", "m0", "m1", "m2", "m3"])
+def test_unitary_bc_rejects_a_chart_that_is_not_finite(field, bad):
+    # NaN passes a `>= tol` test; every invariant is checked as `not < tol`
+    u = random_unitary_bc(np.random.default_rng(14))
+    chart = {"eta": u.eta, "m0": u.m0, "m": u.m.copy()}
+    if field in chart:
+        chart[field] = bad
+    else:
+        chart["m"][int(field[1]) - 1] = bad
+    with pytest.raises(BCConstraintError):
+        UnitaryBC(u.matrix, **chart)
 
 
 def test_qp_invariant_triple_is_family_constant():
@@ -137,6 +150,20 @@ def test_conjugate_orbit_lambda_zero():
     rng = np.random.default_rng(11)
     u = random_unitary_bc(rng)
     assert np.max(np.abs(conjugate_orbit(u, 0.0).matrix - u.matrix)) < 1e-15
+    assert np.max(np.abs(conjugate_orbit(u, np.pi).matrix - u.matrix)) < 1e-15
+
+
+def test_conjugate_orbit_turns_the_chart():
+    # (eta, m0, m1) are kept bit for bit, and the matrix is G U G^H for
+    # G = e^{i lam sx}
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        u = random_unitary_bc(rng)
+        lam = rng.uniform(0.0, np.pi)
+        v = conjugate_orbit(u, lam)
+        assert (v.eta, v.m0, v.m[0]) == (u.eta, u.m0, u.m[0])
+        g = np.cos(lam) * I2 + 1j * np.sin(lam) * SX
+        assert np.max(np.abs(v.matrix - g @ u.matrix @ g.conj().T)) < 1e-15
 
 
 def test_parity_family_is_orbit_fixed_point():

@@ -788,13 +788,45 @@ def test_a_failing_root_takes_its_best_neighbouring_double():
         assert np.all(s.residual < 1e-9)
         assert np.all(np.abs(kernel.spectral_values(s.x, u)) < 1e-9)
         assert np.all((s.x > window[0]) & (s.x <= window[1]))
-    # the neighbours take one more call, made only because a root failed
+    # the neighbours take one more call per condition with a failing root,
+    # made only because a root failed
     assert [name for name, _ in proxy.calls][-2:] == ["spectral_values"] * 2
     assert proxy.calls[-1][1] % 4 == 0 and proxy.calls[-1][1] > 0
     # one condition alone needs no second call
     proxy = CountingKernel(kernel)
     find_spectra(us[:1], window, proxy)
     assert [name for name, _ in proxy.calls].count("spectral_values") == 1
+
+
+def test_best_neighbours_are_tried_one_condition_at_a_time():
+    # Schroedinger (0, 1e10]: thousands of roots of U 1-8 of rng 1 fail.
+    # The neighbours of one U's failing roots at a time keep that stage
+    # under the refinement's peak (all failing roots at once peaked at
+    # about twice it), and the search still raises for U 1's root
+    rng = np.random.default_rng(1)
+    us = [bc.random_unitary_bc(rng) for _ in range(9)][1:]
+    peaks = {}
+
+    def peak_of(name, fn):
+        def measured(*args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                return fn(*args)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        return measured
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(roots, "_refine", peak_of("refine", roots._refine)), \
+                mock.patch.object(roots, "collect_spectra", peak_of("collect", roots.collect_spectra)):
+            with pytest.raises(NumericalError, match="residual verification") as batch:
+                find_spectra(us, (0.0, 1e10), SchrodKernel())
+    finally:
+        tracemalloc.stop()
+    assert peaks["collect"] <= peaks["refine"]
+    assert str(batch.value).startswith("root at x = 16833950.9231 failed residual verification")
 
 
 class CountingKernel:
@@ -1072,6 +1104,109 @@ def test_convergence_cost_is_pinned():
     assert spent[0] <= 1457
     assert spent[1] <= 6447
     assert spent[2] <= 8222
+
+
+#: the mass-mode condition: F_U vanishes at mu = mu0 = 1, on a special point
+MASS_MODE_M1 = (0.5 - np.cos(0.3)) - np.sin(0.3)
+MASS_MODE = bc._from_chart(0.3, 0.5, [MASS_MODE_M1, np.sqrt(1.0 - 0.25 - MASS_MODE_M1**2), 0.0])
+
+
+@st.composite
+def orbit_cases(draw):
+    """A kernel and a window: Dirac (mu0 in {0, 1, 20}) or Schroedinger
+    at random ends, or the gap edge at mu0 = 100."""
+    kind = draw(st.sampled_from(["dirac", "schrod", "gap edge"]))
+    if kind == "gap edge":
+        return DiracKernel(100.0), (99.0, 200.0)
+    if kind == "dirac":
+        kernel, lo = DiracKernel(draw(st.sampled_from([0.0, 1.0, 20.0]))), draw(st.floats(-60.0, 50.0))
+        return kernel, (lo, lo + draw(st.floats(0.5, 80.0)))
+    lo = draw(st.floats(-30.0, 2e3))
+    return SchrodKernel(), (lo, lo + draw(st.floats(0.5, 400.0)))
+
+
+orbit_bcs = st.one_of(
+    unitary_bcs(),
+    st.sampled_from([
+        bc.named_family("dpp", 0.0),  # double roots
+        bc.named_family("dpp", np.pi),
+        bc.named_family("qp", 0.0),
+        bc.named_family("qp", 1.1),
+        bc.named_family("parity", eta=0.3, theta=1.1),  # a fixed point of the orbit
+    ]),
+)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(case=orbit_cases(), u=orbit_bcs, n_lambda=st.integers(1, 6))
+def test_orbit_matches_independent_searches(case, u, n_lambda):
+    # each member certified from the lambda = 0 member's roots has the
+    # spectrum its own search finds, and meets the residual contract
+    kernel, window = case
+    entries = iso.orbit_spectra(u, window, kernel, n_lambda=n_lambda)
+    members = [member for _, member, _ in entries]
+    for (_, member, got), want in zip(entries, find_spectra(members, window, kernel)):
+        assert got.window == want.window
+        assert got.multiplicity.tolist() == want.multiplicity.tolist()
+        assert np.all(np.abs(got.x - want.x) <= 1e-12 * np.maximum(1.0, np.abs(want.x)))
+        assert np.all((got.x > window[0]) & (got.x <= window[1]))
+        assert np.all(got.residual < 1e-9)
+        assert np.all(np.abs(kernel.spectral_values(got.x, member)) < 1e-9)
+
+
+def test_orbit_is_one_search_then_one_certification():
+    # the lambda = 0 member is searched; then one polar call at lo, the
+    # two ends of each root's bracket and the top end, and one
+    # spectral_values call, certify all 16 members.  The energies
+    # evaluated are pinned at the count measured when certification came
+    # in (an independent search of every member evaluated 9004): a silent
+    # fall back to searching fails here
+    rng = np.random.default_rng(101)
+    u = bc.random_unitary_bc(rng)
+    proxy = CountingKernel(DiracKernel(1.0))
+    entries = iso.orbit_spectra(u, (-200.0, 200.0), proxy, n_lambda=16)
+    n = len(entries[0][2].roots)
+    search = [name for name, _ in proxy.calls].index("spectral_values") + 1
+    assert proxy.calls[search:] == [("polar", 2 + 2 * n), ("spectral_values", 16 * n)]
+    assert all(s.grid_points == 2 + 2 * n for _, _, s in entries)
+    assert sum(size for name, size in proxy.calls if name == "polar") <= 879
+
+
+def test_a_root_on_a_special_point_falls_back_to_the_search():
+    # both ends of the bracket around mu = mu0 lie in its snap band, where
+    # the tracks read as at the point itself: no member is certified, and
+    # the orbit is exactly the batched search of its members
+    kernel, window = DiracKernel(1.0), (-5.0, 5.0)
+    entries = iso.orbit_spectra(MASS_MODE, window, kernel, n_lambda=6)
+    members = [member for _, member, _ in entries]
+    assert 1.0 in entries[0][2].values()
+    assert roots._certify(entries[0][2], members, kernel, 1e-12, 1e-9) == [None] * 6
+    assert [s for _, _, s in entries] == find_spectra(members, window, kernel)
+
+
+def test_certify_refuses_a_condition_outside_the_orbit():
+    rng = np.random.default_rng(102)
+    u, other = bc.random_unitary_bc(rng), bc.random_unitary_bc(rng)
+    kernel, window = DiracKernel(1.0), (-40.0, 40.0)
+    s = find_spectrum(u, window, kernel)
+    got = roots._certify(s, [u, other, bc.conjugate_orbit(u, 0.4)], kernel, 1e-12, 1e-9)
+    assert got[1] is None
+    for certified in (got[0], got[2]):
+        assert certified.multiplicity.tolist() == s.multiplicity.tolist()
+        assert np.all(np.abs(certified.x - s.x) <= 1e-12 * np.maximum(1.0, np.abs(s.x)))
+
+
+@pytest.mark.parametrize("index", [3, 8])
+def test_orbit_fails_like_a_search_of_its_condition(index):
+    # Dirac near mu = 5e6, where double precision runs out for these U
+    rng = np.random.default_rng(1)
+    u = [bc.random_unitary_bc(rng) for _ in range(index + 1)][index]
+    kernel, window = DiracKernel(1.0), (5e6, 5e6 + 100.0)
+    with pytest.raises(NumericalError, match="residual verification") as single:
+        find_spectrum(u, window, kernel)
+    with pytest.raises(NumericalError, match="residual verification") as orbit:
+        iso.orbit_spectra(u, window, kernel)
+    assert str(orbit.value) == str(single.value)
 
 
 @pytest.mark.parametrize("cap", [3, 5])
