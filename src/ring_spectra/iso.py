@@ -92,20 +92,23 @@ def orbit_spectra(
 
     The orbit has period pi, and all its members share one invariant
     triple, hence one spectrum.  So the lambda = 0 member is searched
-    (:func:`~ring_spectra.roots.find_spectra`), and every member,
-    that one included, is certified from its roots on its own tracks:
-    its own count over the window, each crossing bracketed to
-    tol_root * max(1, |x|) by its own tracks, and its own residual
-    checked.  The members that fail certification (a root on a special
-    point, say) are searched in one batch.  Results come back in lambda
-    order.
+    (:func:`~ring_spectra.roots.find_spectra`) and keeps its search's
+    slice, and every other member is certified from its roots on its
+    own tracks (:func:`~ring_spectra.roots._certify`): its own count over
+    the window, each crossing bracketed to tol_root * max(1, |x|) by its
+    own tracks, and its own residual checked.  A certified member
+    reports the searched roots and multiplicities bit for bit, with its
+    own residuals.  The members that fail certification (a root on a
+    special point, say, or a residual over the tolerance) are searched
+    in one batch, which rescues or raises as a search of each would.
+    Results come back in lambda order.
     """
     if n_lambda < 1:
         raise ValueError("need at least one orbit sample")
     lams = [k * np.pi / n_lambda for k in range(n_lambda)]
     bcs = [conjugate_orbit(u, lam) for lam in lams]
     (first,) = find_spectra(bcs[:1], window, kernel)
-    slices = _certify(first, bcs, kernel, DEFAULT_TOL_ROOT, DEFAULT_TOL_RESIDUAL)
+    slices = [first, *_certify(first, bcs[1:], kernel, DEFAULT_TOL_ROOT, DEFAULT_TOL_RESIDUAL)]
     failed = [k for k, s in enumerate(slices) if s is None]
     if failed:
         for k, s in zip(failed, find_spectra([bcs[k] for k in failed], window, kernel)):

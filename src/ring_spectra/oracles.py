@@ -320,9 +320,4 @@ def grid_spectra(
         tol_root, tol_residual,
     )
     evaluated = np.full(len(us), len(grid))
-    slices, error = collect_spectra(
-        us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated
-    )
-    if error is not None:
-        raise error
-    return slices
+    return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)

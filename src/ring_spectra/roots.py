@@ -64,7 +64,8 @@ round, and verifies the roots of every U in one more;
 with the number of roots, not with the window.  U that share one
 invariant triple (a conjugation orbit) share one spectrum, so once one
 of them is searched, :func:`_certify` checks its roots for the others
-on their own tracks, in one kernel call and one verification call.
+on their own tracks in one kernel call, and reports them with each U's
+own residuals from one verification call.
 The reference grid
 search it replaced, and the complex eigenphase route it used, live on
 as oracles (:mod:`ring_spectra.oracles`).
@@ -99,8 +100,8 @@ MAX_ROOTS = 2**17
 
 _MAX_ROUNDS = 200
 #: sample intervals of the ends call, each crossing starting in its own;
-#: more samples save rounds on narrow batches but cost large ones (an
-#: orbit of 16 U and ~2000 roots) more in the ends call than they save
+#: more samples save refinement rounds but add points to the ends call,
+#: where every U of the batch is evaluated at every sample
 _SAMPLES = 64
 
 
@@ -381,11 +382,9 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     located to tol_root * max(1, |x|), so one that close to an end
     counts as sitting on it: within that distance above lo it is left
     out, within it above hi it is reported at hi.  Adjacent windows
-    therefore split the roots between them exactly.  Returns (slices,
-    error): error is None and every U has its slice, or error is the
-    :class:`NumericalError` for the first U that failed, as a search of
-    that U alone would raise it, and the slices are those of the U
-    before it."""
+    therefore split the roots between them exactly.  A failure raises
+    :class:`NumericalError` for the first U that has one, as a search of
+    that U alone would raise it."""
     lo, hi = window
     pad_lo, pad = (tol_root * max(1.0, abs(v)) for v in window)
     order = np.lexsort((located, owner))
@@ -425,34 +424,32 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
             break
     bad = bad[residuals[bad] > tol_residual]
 
-    error = None
     big = np.flatnonzero(sizes > 2)
     if big.size and (not bad.size or owner[starts[big[0]]] <= ks[bad[0]]):
         j = big[0]
-        failed = owner[starts[j]]
-        error = NumericalError(
+        raise NumericalError(
             f"{sizes[j]} coincident eigenphase crossings near x = "
             f"{found[starts[j]]:.6g}; multiplicity of a 2x2 unitary cannot exceed 2"
         )
-    elif bad.size:
+    if bad.size:
         j = bad[0]
-        failed = ks[j]
-        error = NumericalError(
+        raise NumericalError(
             f"root at x = {xs[j]:.12g} failed residual verification: "
             f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}, the least over it and its "
-            f"1- and 2-ulp neighbours"
+            f"1- and 2-ulp neighbours; no double within 2 ulps of it meets the tolerance, "
+            f"so the root lies beyond double precision in this energy variable; use a "
+            f"larger tol_residual (--tol-residual)"
         )
     for column in (xs, mults, residuals):
         column.flags.writeable = False
     ends = np.cumsum(np.bincount(ks, minlength=len(us))).tolist()
-    slices = [
+    return [
         SpectrumSlice._from_columns(
             (lo, hi), xs[start:end], mults[start:end], residuals[start:end],
             int(evaluated[k]), kernel.theory,
         )
         for k, (start, end) in enumerate(zip([0] + ends[:-1], ends))
     ]
-    return (slices, None) if error is None else (slices[:failed], error)
 
 
 def _levels(xs, chart, kernel):
@@ -479,48 +476,56 @@ def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None
     from the roots of ``s`` (found for a U of the same invariant triple)
     instead of searched for, or None where that fails.
 
-    One ``polar`` call reads the tracks of every U at lo, at x_i -+ w_i/2
+    One ``polar`` call reads the tracks of every U (once per distinct
+    :func:`_charts` row, all a track sees of U) at lo, at x_i -+ w_i/2
     around each root x_i of ``s`` (w_i = tol_root * max(1, |x_i|),
     clamped into the window) and at the window's top end.  A U is
     certified when its own count over (lo, top] is the sum of the
     multiplicities m_i, its two tracks cross m_i times in total inside
-    each bracket, and neither track crosses there more than once.  One
-    secant step between the bracket's ends locates each crossing, which
-    then goes through :func:`collect_spectra` like those of a search.
-    A certified slice reports the 2 + 2N energies of the call (N roots);
-    a U that is not certified, or fails verification, or follows one
-    that fails, gets None.
+    each bracket, and neither track crosses there more than once.  Its
+    roots are then those of ``s``: each x_i is the centre of a bracket of
+    width tol_root * max(1, |x_i|) that its own tracks certified, which
+    is what a search locates a root to, and m_i is its own crossing
+    count.  Only the residuals are its own: one ``spectral_values`` call
+    evaluates |F| at the roots of ``s`` for every certified U.  A
+    certified slice reports the 2 + 2N energies of the call (N roots); a
+    U that is not certified, or has a root over tol_residual, gets None.
     """
+    if not us:
+        return []
     lo, hi = s.window
     top = _top_end(hi, tol_root, kernel.special_points())
     w = 0.5 * tol_root * np.maximum(1.0, np.abs(s.x))
     xl, xr = np.maximum(s.x - w, lo), np.minimum(s.x + w, top)
     xs = np.concatenate([[lo], np.column_stack([xl, xr]).ravel(), [top]])
+    out = [None] * len(us)
     if not np.all(xs[:-1] <= xs[1:]):  # brackets that overlap count nothing
-        return [None] * len(us)
-    tracks, level, counts = _levels(xs, _charts(us), kernel)
-    inside = counts[:, 1::2]  # [U, root, track]
+        return out
+    # U with equal chart rows have equal tracks, and an orbit has only a
+    # few rows (told apart by the rounding of m_perp^2): each is read once
+    rows = {}
+    row_of = [rows.setdefault(row, len(rows)) for row in map(tuple, _charts(us).tolist())]
+    tracks, level, counts = _levels(xs, np.array(list(rows)), kernel)
+    inside = counts[:, 1::2]  # [row, root, track]
     target = TAU * level[:, 2:-1:2]
     gl, gr = tracks[:, 1:-1:2] - target, tracks[:, 2:-1:2] - target
-    crossing = inside == 1
     certified = (
         (counts.sum(axis=(1, 2)) == s.multiplicity.sum())
         & np.all(inside[..., 0] + inside[..., 1] == s.multiplicity, axis=1)
-        & np.all((inside == 0) | (crossing & (gl > 0.0) & (gr <= 0.0)), axis=(1, 2))
+        & np.all((inside == 0) | ((inside == 1) & (gl > 0.0) & (gr <= 0.0)), axis=(1, 2))
     )
-    crossing &= certified[:, None, None]
-    owner, root, _ = np.nonzero(crossing)
-    gl, gr = gl[crossing], gr[crossing]
-    located = xl[root] + (xr[root] - xl[root]) * (gl / (gl - gr))
-    located = _snap_to_special_points(located, xl[root], xr[root], kernel.special_points())
-    kept = np.flatnonzero(certified)
-    slices, _ = collect_spectra(
-        [us[k] for k in kept], located, np.searchsorted(kept, owner), (lo, hi), tol_root,
-        kernel, tol_residual, np.full(kept.size, xs.size),
-    )
-    out = [None] * len(us)
-    for k, slice_ in zip(kept, slices):
-        out[k] = slice_
+    kept = np.flatnonzero(certified[row_of])
+    if not kept.size:
+        return out
+    per_u = invariant_triple(np.array([us[k].matrix for k in kept], dtype=complex))
+    triples = InvariantTriple(per_u.det_u[:, None], per_u.tr_u[:, None], per_u.tr_u_sx[:, None])
+    residuals = np.abs(kernel.spectral_values(s.x, triples))  # [U, root]
+    residuals.flags.writeable = False
+    for k, residual in zip(kept, residuals):
+        if np.all(residual <= tol_residual):
+            out[k] = SpectrumSlice._from_columns(
+                s.window, s.x, s.multiplicity, residual, xs.size, kernel.theory
+            )
     return out
 
 
@@ -552,6 +557,8 @@ def find_spectra(
     """
     us = list(us)
     lo, hi = _validate(window, tol_root, tol_residual)
+    if not us:
+        return []
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
     xs = np.linspace(lo, top, _SAMPLES + 1)  # ends exactly lo and top
@@ -587,12 +594,7 @@ def find_spectra(
     )
     located = _snap_to_special_points(located, xl, xr, kernel.special_points())
     evaluated = xs.size + np.bincount(owner, weights=evals, minlength=len(us))
-    slices, error = collect_spectra(
-        us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated
-    )
-    if error is not None:
-        raise error
-    return slices
+    return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 
 
 def find_spectrum(

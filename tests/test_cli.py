@@ -172,6 +172,26 @@ def test_exit_code_numerical_failure(capsys):
     assert "Traceback" not in err
 
 
+def test_a_residual_failure_names_its_cause(capsys):
+    # Dirac near mu = 5e6, U 8 of rng 1: one root is beyond double
+    # precision at the default tolerance.  Exit 4 names the cause and the
+    # remedy, and the remedy exits 0
+    rng = np.random.default_rng(1)
+    u = [ring_spectra.random_unitary_bc(rng) for _ in range(9)][8]
+    spec = f"u2:eta={u.eta!r},m0={u.m0!r}," + ",".join(
+        f"m{i + 1}={float(m)!r}" for i, m in enumerate(u.m)
+    )
+    argv = ["spectrum", "--theory", "dirac", "--mu0", "1", "--bc", spec,
+            "--window", "5e6", "5000100"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: root at x = 5000024.30343 failed residual verification: ")
+    assert "beyond double precision" in err and "(--tol-residual)" in err
+    code, out, err = run_cli(capsys, argv + ["--tol-residual", "2e-9"])
+    assert code == 0 and err == ""
+    assert all(row["residual"] < 2e-9 for row in json.loads(out)["eigenvalues"])
+
+
 def test_exit_code_root_count_over_cap(capsys):
     # (0, 1e6] holds 318 roots and is searched; a Dirac window holding
     # 636618 is refused at once, before its brackets are allocated

@@ -774,6 +774,25 @@ def test_batch_fails_like_a_single_search():
     assert str(batch.value) == str(single.value)
 
 
+def test_a_residual_failure_names_its_cause():
+    # Dirac near mu = 5e6: U 8 of rng 1 has a root where no double within
+    # 2 ulps meets the contract.  The message keeps its prefix, says the
+    # root is beyond double precision, and names the remedy, which works
+    rng = np.random.default_rng(1)
+    u8 = [bc.random_unitary_bc(rng) for _ in range(9)][8]
+    kernel, window = DiracKernel(1.0), (5e6, 5e6 + 100.0)
+    with pytest.raises(NumericalError) as err:
+        find_spectrum(u8, window, kernel)
+    message = str(err.value)
+    assert message.startswith("root at x = 5000024.30343 failed residual verification: |F| = ")
+    assert "> 1.0e-09" in message
+    assert "no double within 2 ulps of it meets the tolerance" in message
+    assert "beyond double precision in this energy variable" in message
+    assert "larger tol_residual (--tol-residual)" in message
+    s = find_spectrum(u8, window, kernel, tol_residual=2e-9)
+    assert len(s.roots) > 0 and np.all(s.residual < 2e-9)
+
+
 def test_a_failing_root_takes_its_best_neighbouring_double():
     # near mu = 3e6 the search stops about an ulp from some roots, on a
     # double whose |F| misses the contract while a neighbour meets it: 3
@@ -1141,35 +1160,104 @@ orbit_bcs = st.one_of(
 @given(case=orbit_cases(), u=orbit_bcs, n_lambda=st.integers(1, 6))
 def test_orbit_matches_independent_searches(case, u, n_lambda):
     # each member certified from the lambda = 0 member's roots has the
-    # spectrum its own search finds, and meets the residual contract
+    # spectrum its own search finds, and meets the residual contract; a
+    # certified member reports the searched roots and multiplicities bit
+    # for bit, with residuals of its own
     kernel, window = case
     entries = iso.orbit_spectra(u, window, kernel, n_lambda=n_lambda)
     members = [member for _, member, _ in entries]
-    for (_, member, got), want in zip(entries, find_spectra(members, window, kernel)):
+    first = entries[0][2]
+    certified = roots._certify(first, members[1:], kernel, 1e-12, 1e-9)
+    for (_, member, got), want, cert in zip(
+        entries, find_spectra(members, window, kernel), [None, *certified]
+    ):
         assert got.window == want.window
         assert got.multiplicity.tolist() == want.multiplicity.tolist()
         assert np.all(np.abs(got.x - want.x) <= 1e-12 * np.maximum(1.0, np.abs(want.x)))
         assert np.all((got.x > window[0]) & (got.x <= window[1]))
         assert np.all(got.residual < 1e-9)
         assert np.all(np.abs(kernel.spectral_values(got.x, member)) < 1e-9)
+        if cert is not None:
+            assert got == cert
+            assert got.x.tolist() == first.x.tolist()
+            assert got.multiplicity.tolist() == first.multiplicity.tolist()
+            assert np.array_equal(got.residual, np.abs(kernel.spectral_values(got.x, member)))
 
 
 def test_orbit_is_one_search_then_one_certification():
     # the lambda = 0 member is searched; then one polar call at lo, the
     # two ends of each root's bracket and the top end, and one
-    # spectral_values call, certify all 16 members.  The energies
-    # evaluated are pinned at the count measured when certification came
-    # in (an independent search of every member evaluated 9004): a silent
-    # fall back to searching fails here
+    # spectral_values call at the N searched roots, certify the other 15
+    # members.  The energies evaluated are pinned at the count measured
+    # when certification came in (an independent search of every member
+    # evaluated 9004): a silent fall back to searching fails here
     rng = np.random.default_rng(101)
     u = bc.random_unitary_bc(rng)
     proxy = CountingKernel(DiracKernel(1.0))
     entries = iso.orbit_spectra(u, (-200.0, 200.0), proxy, n_lambda=16)
     n = len(entries[0][2].roots)
     search = [name for name, _ in proxy.calls].index("spectral_values") + 1
-    assert proxy.calls[search:] == [("polar", 2 + 2 * n), ("spectral_values", 16 * n)]
-    assert all(s.grid_points == 2 + 2 * n for _, _, s in entries)
+    assert proxy.calls[search:] == [("polar", 2 + 2 * n), ("spectral_values", n)]
+    assert all(s.grid_points == 2 + 2 * n for _, _, s in entries[1:])
     assert sum(size for name, size in proxy.calls if name == "polar") <= 879
+
+
+@pytest.mark.parametrize("n_lambda", [1, 6])
+def test_the_searched_member_keeps_its_search(n_lambda):
+    # the lambda = 0 member's slice is its own search's, bit for bit and
+    # grid_points included; an orbit of one member makes no certification
+    # call, only the calls of that search
+    rng = np.random.default_rng(73)
+    u = bc.random_unitary_bc(rng)
+    kernel, window = DiracKernel(1.0), (-10.0, 10.0)
+    orbit, search = CountingKernel(kernel), CountingKernel(kernel)
+    entries = iso.orbit_spectra(u, window, orbit, n_lambda=n_lambda)
+    want = find_spectrum(u, window, search)
+    got = entries[0][2]
+    assert got == want
+    assert [r.x.hex() for r in got.roots] == [r.x.hex() for r in want.roots]
+    assert [r.residual.hex() for r in got.roots] == [r.residual.hex() for r in want.roots]
+    if n_lambda == 1:
+        assert orbit.calls == search.calls
+    else:
+        assert len(orbit.calls) == len(search.calls) + 2
+
+
+class InflatingKernel(CountingKernel):
+    """Reports F = 1, far over any residual tolerance, in row ``row`` of
+    a spectral_values call over one row of invariant triples per U (a
+    certification's), and the kernel's own values everywhere else."""
+
+    def __init__(self, kernel, row):
+        super().__init__(kernel)
+        self.row = row
+
+    def spectral_values(self, x, u):
+        f = super().spectral_values(x, u)
+        if isinstance(u, bc.InvariantTriple) and np.ndim(u.det_u) == 2:
+            f[self.row] = 1.0
+        return f
+
+
+def test_a_member_over_the_residual_tolerance_is_searched_alone():
+    # member 3's residuals fail: it is searched, and every other member
+    # keeps the slice its certification gives
+    rng = np.random.default_rng(101)
+    u = bc.random_unitary_bc(rng)
+    kernel, window = DiracKernel(1.0), (-40.0, 40.0)
+    proxy = InflatingKernel(kernel, row=2)
+    entries = iso.orbit_spectra(u, window, proxy, n_lambda=6)
+    members = [member for _, member, _ in entries]
+    certified = roots._certify(entries[0][2], members[1:], kernel, 1e-12, 1e-9)
+    assert None not in certified
+    # one search of member 0, its certification, one search of member 3
+    assert [name for name, _ in proxy.calls].count("spectral_values") == 3
+    got = [s for _, _, s in entries]
+    assert got[0] == find_spectrum(members[0], window, kernel)
+    assert got[3] == find_spectrum(members[3], window, kernel)
+    assert got[3].grid_points != certified[2].grid_points
+    for k in (1, 2, 4, 5):
+        assert got[k] == certified[k - 1]
 
 
 def test_a_root_on_a_special_point_falls_back_to_the_search():
@@ -1262,6 +1350,10 @@ def test_batch_order_does_not_matter(kernel, window):
 
 def test_batch_of_none_is_empty():
     assert find_spectra([], (0.0, 50.0), SchrodKernel()) == []
+    # and evaluates nothing: no samples, no verification
+    proxy = CountingKernel(DiracKernel(1.0))
+    assert find_spectra([], (-10.0, 10.0), proxy) == []
+    assert proxy.calls == []
 
 
 ADDITIVITY_CASES = [
