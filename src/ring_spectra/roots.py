@@ -354,17 +354,6 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     return located, lower, xr_out, evals_out
 
 
-def _snap_to_special_points(x, xl, xr, specials) -> np.ndarray:
-    """Roots whose final bracket meets a special point's snap band are
-    reported at the special point: the kernel evaluates that whole band
-    as the point itself, so a crossing there is a crossing at it."""
-    x = x.copy()
-    for s in specials:
-        band = snap_band(s)
-        x[(xl <= s + band) & (xr >= s - band)] = s
-    return x
-
-
 def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, evaluated):
     """Cluster the located crossings of every U into roots (multiplicity
     at most 2), keep those in the half-open window, verify all of them
@@ -437,8 +426,8 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
             f"root at x = {xs[j]:.12g} failed residual verification: "
             f"|F| = {residuals[j]:.3e} > {tol_residual:.1e}, the least over it and its "
             f"1- and 2-ulp neighbours; no double within 2 ulps of it meets the tolerance, "
-            f"so the root lies beyond double precision in this energy variable; use a "
-            f"larger tol_residual (--tol-residual)"
+            f"so at this tolerance the root lies beyond double precision in this energy "
+            f"variable; use a larger tol_residual (--tol-residual)"
         )
     for column in (xs, mults, residuals):
         column.flags.writeable = False
@@ -592,7 +581,11 @@ def find_spectra(
     located, xl, xr, evals = _refine(
         kernel, consts, xs[interval], xs[interval + 1], gl, gr, tol_root, tol_residual
     )
-    located = _snap_to_special_points(located, xl, xr, kernel.special_points())
+    # a root whose final bracket meets a special point's snap band is
+    # reported at the point: the kernel evaluates that band as the point
+    for special in kernel.special_points():
+        band = snap_band(special)
+        located[(xl <= special + band) & (xr >= special - band)] = special
     evaluated = xs.size + np.bincount(owner, weights=evals, minlength=len(us))
     return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 
