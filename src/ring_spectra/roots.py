@@ -79,6 +79,7 @@ either one is kept.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import FrozenInstanceError
 from functools import cached_property
@@ -207,7 +208,7 @@ def _validate(window, tol_root, tol_residual) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
-    if not np.isfinite(lo) or not np.isfinite(hi):
+    if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("window must be finite")
     if not (0 < tol_root < np.inf and 0 < tol_residual < np.inf):
         raise ValueError("tolerances must be positive and finite")
@@ -280,62 +281,72 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     residual contract, or until the rounded midpoint xl + (xr - xl) / 2
     is no longer strictly between the ends, which happens exactly when
     no double lies strictly between them (a steep crossing far from the
-    origin cannot be localized further).  The state holds the active
-    brackets only, with each one's original index: a bracket that
-    retires has its final ends, their values and its evaluation count
-    written back at that index, and the state is compressed, so every
-    round works on whole arrays.  Whatever is still active after
-    _MAX_ROUNDS rounds is written back as it stands.  The better end is
+    origin cannot be localized further).  A bracket that retires has its
+    final ends, their values and its evaluation count (the round it
+    retired in) written out in that round.  The polar call covers the
+    active rows of the state alone, and the state is compacted once
+    half of its rows have retired.  Whatever is still active after
+    _MAX_ROUNDS rounds is written out as it stands.  The better end is
     what gets returned: it is the point the stop rule certified.
     Returns (x, lower end, upper end, evaluations per bracket).
     """
     n = len(xl)
-    xl_out, xr_out, gl_out, gr_out = (np.empty(n) for _ in range(4))
-    evals_out = np.empty(n, dtype=int)
-    live = np.arange(n)
+    ends = np.empty((4, n))  # the final xl, xr, gl, gr of each bracket
+    evals = np.full(n, _MAX_ROUNDS)
+    live = np.arange(n)  # the bracket of each row of the state
     xl, xr = np.array(xl, dtype=float), np.array(xr, dtype=float)
     gl, gr = np.array(gl, dtype=float), np.array(gr, dtype=float)
     fl, fr = gl.copy(), gr.copy()  # the end values the secant is drawn through
     e = xr - xl  # the step before last
     # the last step, signed by the end it replaced (+ left, - right); the
-    # better end counts as the last one replaced before the first step
-    d = np.where(np.abs(gr) <= np.abs(gl), -e, e)
-    evals = np.zeros(n, dtype=int)
+    # better end (|gr| <= |gl|, that is gl + gr >= 0 as gl > 0 >= gr)
+    # counts as the last one replaced before the first step
+    d = np.where(gl + gr >= 0.0, -e, e)
     phase_tol = 0.125 * tol_residual
+    on, n_on = np.ones(n, dtype=bool), n  # the active rows, and how many
+    *track, goal = consts
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_MAX_ROUNDS):
+        for r in range(_MAX_ROUNDS):
             width = xr - xl
             mid = xl + 0.5 * width
-            right = np.abs(gr) <= np.abs(gl)  # the better end
+            right = gl + gr >= 0.0  # the better end
             best, g_best = np.where(right, xr, xl), np.where(right, gr, gl)
-            scale = np.maximum(1.0, np.abs(mid))
-            active = (
+            tol_x = tol_root * np.maximum(1.0, np.abs(mid))
+            active = on & (
                 (g_best != 0.0)
                 & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
-                & ((width > tol_root * scale) | (np.abs(g_best) > phase_tol))
+                & ((width > tol_x) | (np.abs(g_best) > phase_tol))
             )
-            if not active.all():
-                done = ~active
+            count = np.count_nonzero(active)
+            if count < n_on:
+                done = on ^ active
                 k = live[done]
-                xl_out[k], xr_out[k], gl_out[k], gr_out[k] = xl[done], xr[done], gl[done], gr[done]
-                evals_out[k] = evals[done]
-                live, xl, xr, gl, gr, fl, fr, d, e, evals, width, mid, best, scale = (
-                    arr[active]
-                    for arr in (live, xl, xr, gl, gr, fl, fr, d, e, evals, width, mid, best, scale)
-                )
-                consts = consts[:, active]
-            if not live.size:
+                ends[:, k] = xl[done], xr[done], gl[done], gr[done]
+                evals[k] = r
+                n_on, on = count, active
+                if 0 < 2 * n_on <= live.size:  # half the rows have retired
+                    live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x, on = (
+                        arr[active]
+                        for arr in (live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x, on)
+                    )
+                    consts = consts[:, active]
+                    *track, goal = consts
+                else:
+                    *track, goal = consts[:, on]
+            if not n_on:
                 break
             # a quarter of the width that meets both the width tolerance
             # and, at the secant slope, the phase tolerance
-            tol1 = 0.25 * np.fmin(tol_root * scale, phase_tol * width / (gl - gr))
+            tol1 = 0.25 * np.fmin(tol_x, phase_tol * width / (gl - gr))
             x = xl + width * (fl / (fl - fr))
             x = np.where(np.abs(x - best) < 0.5 * e, x, mid)
             x = np.minimum(np.maximum(x, xl + tol1), xr - tol1)
             x = np.where((xl < x) & (x < xr), x, mid)
-            *track, goal = consts
-            g = _tracks(*kernel.polar(x), *track) - goal
-            evals += 1
+            if n_on < live.size:  # retired rows take their left end's value
+                g = gl.copy()
+                g[on] = _tracks(*kernel.polar(x[on]), *track) - goal
+            else:
+                g = _tracks(*kernel.polar(x), *track) - goal
             left = g > 0.0
             # the end kept twice in a row: Anderson-Bjorck scaling of its value
             m = 1.0 - g / np.where(left, gl, gr)
@@ -345,13 +356,12 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             d = np.copysign(step, g)
             xl, gl, fl = np.where(left, x, xl), np.where(left, g, gl), np.where(left, g, fl * m)
             xr, gr, fr = np.where(left, xr, x), np.where(left, gr, g), np.where(left, fr * m, g)
-    xl_out[live], xr_out[live], gl_out[live], gr_out[live] = xl, xr, gl, gr
-    evals_out[live] = evals
-    right = np.abs(gr_out) <= np.abs(gl_out)
-    located = np.where(right, xr_out, xl_out)
-    exact = gr_out == 0.0
-    lower = np.where(exact, xr_out, xl_out)
-    return located, lower, xr_out, evals_out
+        else:  # still active after the last round: written out as they stand
+            ends[:, live[on]] = xl[on], xr[on], gl[on], gr[on]
+    xl, xr, gl, gr = ends
+    located = np.where(gl + gr >= 0.0, xr, xl)
+    lower = np.where(gr == 0.0, xr, xl)
+    return located, lower, xr, evals
 
 
 def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, evaluated):
@@ -378,20 +388,23 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     pad_lo, pad = (tol_root * max(1.0, abs(v)) for v in window)
     order = np.lexsort((located, owner))
     found, owner = located[order], owner[order]
-    # a cluster starts at each new U and wherever neighbours lie apart
-    apart = (np.diff(owner) != 0) | (
-        np.diff(found) > SEPARATION_FACTOR * np.maximum(1.0, np.abs(found[:-1]))
-    )
-    starts = np.flatnonzero(np.concatenate([[found.size > 0], apart]))
-    sizes = np.diff(np.append(starts, found.size))
+    # a cluster starts at each U's first crossing and wherever neighbours
+    # lie apart; edge[j] marks crossing j as a start, edge[-1] is the end
+    edge = np.empty(found.size + 1, dtype=bool)
+    edge[1:-1] = found[1:] - found[:-1] > SEPARATION_FACTOR * np.maximum(1.0, np.abs(found[:-1]))
+    per_u = np.arange(len(us) + 1)
+    edge[owner.searchsorted(per_u)] = True
+    edges = np.flatnonzero(edge)
+    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
     xs = np.add.reduceat(found, starts) / sizes if found.size else found
     xs = np.where((xs > hi) & (xs - hi <= pad), hi, xs)
     inside = (xs > lo + pad_lo) & (xs <= hi)
     xs, mults, ks = xs[inside], sizes[inside], owner[starts][inside]
-    per_u = invariant_triple(np.array([u.matrix for u in us], dtype=complex).reshape(-1, 2, 2))
+    bounds = ks.searchsorted(per_u).tolist()  # each U's run of roots
+    triple = invariant_triple(np.array([u.matrix for u in us], dtype=complex).reshape(-1, 2, 2))
 
     def residuals_at(x, k):
-        triples = InvariantTriple(per_u.det_u[k], per_u.tr_u[k], per_u.tr_u_sx[k])
+        triples = InvariantTriple(triple.det_u[k], triple.tr_u[k], triple.tr_u_sx[k])
         return np.abs(kernel.spectral_values(x, triples))
 
     residuals = residuals_at(xs, ks)
@@ -431,13 +444,12 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
         )
     for column in (xs, mults, residuals):
         column.flags.writeable = False
-    ends = np.cumsum(np.bincount(ks, minlength=len(us))).tolist()
     return [
         SpectrumSlice._from_columns(
             (lo, hi), xs[start:end], mults[start:end], residuals[start:end],
             int(evaluated[k]), kernel.theory,
         )
-        for k, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+        for k, (start, end) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 
@@ -550,7 +562,8 @@ def find_spectra(
         return []
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
-    xs = np.linspace(lo, top, _SAMPLES + 1)  # ends exactly lo and top
+    xs = np.arange(_SAMPLES + 1.0) * ((top - lo) / _SAMPLES) + lo  # as np.linspace makes it
+    xs[-1] = top
     # by keyword: the call evaluates no energy, and proxies that count
     # evaluations by the size of the first argument must not count it
     turns = kernel.turning_points(lo=lo, hi=top, limit=MAX_ROOTS)
@@ -569,15 +582,14 @@ def find_spectra(
 
     n = counts.astype(int).ravel()
     row = np.repeat(np.arange(n.size), n)  # flat (U, interval, track) index per bracket
-    step = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
-    owner, rest = np.divmod(row, 2 * (xs.size - 1))
-    interval, track = np.divmod(rest, 2)
+    step = np.arange(row.size) - (np.cumsum(n) - n)[row]
+    owner, interval, track = np.unravel_index(row, counts.shape)
     left = row + 2 * owner  # flat index of each bracket's left end in tracks
     target = TAU * (level.ravel()[left + 2] + step)
     gl, gr = (tracks.ravel()[left + end] - target for end in (0, 2))
     # the sample arrays grow with the turning points: free them before refining
     del turns, tracks, level, counts, n, row, step, left
-    consts = np.vstack([chart[owner].T, _SIGNS[track], target])
+    consts = np.concatenate((chart.T[:, owner], [_SIGNS[track], target]))
     located, xl, xr, evals = _refine(
         kernel, consts, xs[interval], xs[interval + 1], gl, gr, tol_root, tol_residual
     )
