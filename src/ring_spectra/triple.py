@@ -335,20 +335,20 @@ class RepKernel:
 
         if np.any(wave):
             m = mu[wave]
-            with np.errstate(invalid="ignore"):
-                k = np.where(
-                    np.abs(m) > mu0,
-                    np.sqrt(np.maximum(m * m - mu0 * mu0, 0.0)) + 0j,
-                    1j * np.sqrt(np.maximum(mu0 * mu0 - m * m, 0.0)),
-                )
-            r = k / (m + mu0)
+            # the plane waves e^{+-ikx} (1, +-k / (m + mu0)) turn parallel as
+            # k -> 0 at the gap edges; their sum and difference, (C, i (m -
+            # mu0) S) and (i (m + mu0) S, C) with C = cos kx and S = sin(kx)
+            # / k, stay independent there (k^2 = (m - mu0)(m + mu0))
+            k2 = (m - mu0) * (m + mu0)
+            k = np.where(k2 > 0.0, np.sqrt(np.abs(k2)) + 0j, 1j * np.sqrt(np.abs(k2)))
             scale = np.exp(-0.5 * np.abs(k.imag))
-            el = np.exp(-0.5j * k) * scale  # e^{i k x} at x = -1/2
-            er = np.exp(+0.5j * k) * scale
-            out[0][wave] = np.column_stack([el, r * el])
-            out[1][wave] = np.column_stack([er, r * er])
-            out[2][wave] = np.column_stack([er, -r * er])
-            out[3][wave] = np.column_stack([el, -r * el])
+            c = np.cos(0.5 * k) * scale  # C at x = +-1/2
+            s = np.sin(0.5 * k) / k * scale  # S at x = +1/2, and -S at x = -1/2
+            lower, upper = 1j * (m - mu0) * s, 1j * (m + mu0) * s
+            out[0][wave] = np.column_stack([c, -lower])
+            out[1][wave] = np.column_stack([c, lower])
+            out[2][wave] = np.column_stack([-upper, c])
+            out[3][wave] = np.column_stack([upper, c])
 
         if np.any(plus):
             npts = int(np.count_nonzero(plus))
