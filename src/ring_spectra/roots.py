@@ -28,8 +28,10 @@ Both tracks never increase with energy (the Herglotz/Krein
 monotonicity of the eigenphases), so the multiples of 2 pi a track
 passes between the window ends are exactly its crossings: the tracks
 at the two ends alone certify the root count.  The one kernel call
-that reads the ends samples the tracks at _SAMPLES + 1 evenly spaced
-energies across the window and at the kernel's turning points, so each
+that reads the ends samples the tracks at S + 1 evenly spaced
+energies across the window, S = max(64, 256 // (number of U)) so a
+search of few U starts from narrow brackets and the call does not grow
+with the batch, and at the kernel's turning points, so each
 crossing starts in the sample interval it lies in, and is refined there
 on its own track by a two-point step that keeps the crossing between
 its ends, down to adjacent doubles at most.  The turning points are
@@ -100,10 +102,10 @@ DEFAULT_TOL_RESIDUAL = 1e-9
 MAX_ROOTS = 2**17
 
 _MAX_ROUNDS = 200
-#: sample intervals of the ends call, each crossing starting in its own;
-#: more samples save refinement rounds but add points to the ends call,
-#: where every U of the batch is evaluated at every sample
-_SAMPLES = 64
+#: sample intervals of the ends call per U, at least _SAMPLES and
+#: _BATCH_SAMPLES over the batch: more samples save refinement rounds but
+#: add points to the ends call, where every U is evaluated at every sample
+_SAMPLES, _BATCH_SAMPLES = 64, 256
 
 
 class NumericalError(RuntimeError):
@@ -140,8 +142,9 @@ class SpectrumSlice:
     theory are.
 
     ``grid_points`` is the number of energies the search evaluated for
-    this U: the samples across the window (_SAMPLES + 1 evenly spaced
-    energies merged with the kernel's turning points) plus every
+    this U: the samples across the window (S + 1 evenly spaced energies,
+    S = max(64, 256 // the number of U searched together), merged with
+    the kernel's turning points) plus every
     refinement step of its brackets (the grid size, for the grid
     oracle; 2 + 2N, the window ends and the ends of its N brackets, for
     a slice certified from another U's roots).
@@ -539,22 +542,23 @@ def find_spectra(
 ) -> list[SpectrumSlice]:
     """All zeros of F_U in the half-open window (lo, hi], for each U.
 
-    The tracks of every U are evaluated at _SAMPLES + 1 evenly spaced
-    energies from lo to the top end, merged with the kernel's turning
-    points (one kernel call); since they never increase, the multiples
-    of 2 pi they cross between the two ends are the exact root count,
-    and each crossing becomes its own bracket over the one sample
-    interval it lies in.  The count per interval is read off the running
-    minimum of the tracks, so it is never negative and the counts add up
-    to the certificate of the two ends.  A U whose count exceeds
-    MAX_ROOTS, or is not finite, is refused before any bracket is
-    allocated; a window with more than MAX_ROOTS spots to turn at gets
-    no turning points, so none is built for it either.  The brackets of
-    all U are refined together (:func:`_refine`) to |dx| < tol_root * max(1, |x|), or to adjacent
-    doubles.  Per U, crossings closer than the separation tolerance
-    merge into a multiplicity-2 root, and the roots of every U are
-    verified against |F_U| < tol_residual in one kernel call.  Slices
-    follow ``us``, which may be any iterable.
+    The tracks of every U are evaluated at S + 1 evenly spaced energies
+    from lo to the top end, S = max(64, 256 // len(us)), merged with the
+    kernel's turning points (one kernel call); since they never
+    increase, the multiples of 2 pi they cross between the two ends are
+    the exact root count, and each crossing becomes its own bracket over
+    the one sample interval it lies in.  The count per interval is read
+    off the running minimum of the tracks, so it is never negative and
+    the counts add up to the certificate of the two ends.  A U whose
+    count exceeds MAX_ROOTS, or is not finite, is refused before any
+    bracket is allocated; a window with more than MAX_ROOTS spots to
+    turn at gets no turning points, so none is built for it either.  The
+    brackets of all U are refined together (:func:`_refine`) to |dx| <
+    tol_root * max(1, |x|), or to adjacent doubles.  Per U, crossings
+    closer than the separation tolerance merge into a multiplicity-2
+    root, and the roots of every U are verified against |F_U| <
+    tol_residual in one kernel call.  Slices follow ``us``, which may be
+    any iterable.
     """
     us = list(us)
     lo, hi = _validate(window, tol_root, tol_residual)
@@ -562,7 +566,8 @@ def find_spectra(
         return []
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
-    xs = np.arange(_SAMPLES + 1.0) * ((top - lo) / _SAMPLES) + lo  # as np.linspace makes it
+    samples = max(_SAMPLES, _BATCH_SAMPLES // len(us))
+    xs = np.arange(samples + 1.0) * ((top - lo) / samples) + lo  # as np.linspace makes it
     xs[-1] = top
     # by keyword: the call evaluates no energy, and proxies that count
     # evaluations by the size of the first argument must not count it
