@@ -142,7 +142,7 @@ def _closed_form(p, n, mu0: float):
     """
     band = snap_band(mu0)
     zero = np.minimum(np.abs(p), np.abs(n)) < band
-    if zero.any():
+    if np.count_nonzero(zero):
         plus = np.abs(p) < band  # at mu0 = 0 both bands are mu = 0: plus
         p = np.where(plus, 0.0, np.where(zero, -2.0 * mu0, p))
         n = np.where(plus, 2.0 * mu0, np.where(zero, 0.0, n))
@@ -156,11 +156,12 @@ def _closed_form(p, n, mu0: float):
     # S = sin K / K or tanh kappa / kappa, and 1 / 1 at zero wavenumber
     big_s = (sin_rho + np.tanh(kap) + zero) / (rho + kap + zero)
     big_c = np.cos(rho)
-    em = np.exp(-kap)
-    sigma = 2.0 * em / (1.0 + em * em)  # sech kappa, and 1 where kappa = 0
+    # sech kappa, and 1 where kappa = 0; cosh overflows past kappa = 710,
+    # where sech is below the smallest normal double anyway
+    sigma = 1.0 / np.cosh(np.minimum(kap, 710.0))
     mu_s = mu * big_s
     pole = mu_s * mu_s + big_c * big_c < 0.25  # |D|^2 < 1/4
-    if pole.any():
+    if np.count_nonzero(pole):
         raise SpectralPoleError(mu[pole])
     y = (mu - rho) * big_s
     h = 0.5 * np.pi - rho - np.arctan2(y * big_c, 1.0 + y * sin_rho)
@@ -246,7 +247,7 @@ def _core(mu, mu0: float):
     """The real core over an array of energies mu."""
     if mu0 < 0:
         raise ValueError("mu0 must be non-negative")
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    mu = np.array(mu, dtype=float, ndmin=1)
     return _closed_form(mu - mu0, mu + mu0, mu0)
 
 

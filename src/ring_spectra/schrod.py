@@ -44,7 +44,7 @@ from .dirac import _closed_form, _coefficients, _in_window, _turn_spots, _turns
 
 def _core(e):
     """The relativistic real core at (p, n) = (e, 1)."""
-    return _closed_form(np.atleast_1d(np.asarray(e, dtype=float)), 1.0, 0.5)
+    return _closed_form(np.array(e, dtype=float, ndmin=1), 1.0, 0.5)
 
 
 def coefficient_arrays(e):
