@@ -231,6 +231,41 @@ def conjugate_orbit(u: UnitaryBC, lam: float) -> UnitaryBC:
     return UnitaryBC(_chart_matrix(u.eta, u.m0, m), u.eta, u.m0, m)
 
 
+def _orbit_members(u: UnitaryBC, lams) -> list[UnitaryBC]:
+    """``conjugate_orbit(u, lam)`` for every lam in ``lams``, bit for bit,
+    from one vectorized turn of U's chart.  UnitaryBC's three invariant
+    checks run once over all members, to the same 1e-12 (as `not x <
+    tol`, so that NaN fails them), and the first member that fails one
+    raises as its construction would; each member is then stored as
+    built, with no check of its own."""
+    c, s = np.array([(math.cos(2.0 * lam), math.sin(2.0 * lam)) for lam in lams]).reshape(-1, 2).T
+    m0, (m1, m2, m3) = u.m0, u.m.tolist()
+    m = np.empty((c.size, 3))
+    m[:, 0], m[:, 1], m[:, 2] = m1, c * m2 + s * m3, c * m3 - s * m2
+    n2, n3 = m[:, 1], m[:, 2]
+    entries = np.stack([m0 + 1j * n3, n2 + 1j * m1, -n2 + 1j * m1, m0 - 1j * n3])
+    mat = np.exp(1j * u.eta) * entries  # as _chart_matrix forms it
+    sq = np.abs(mat) ** 2
+    off = np.abs(np.conj(mat[0]) * mat[1] + np.conj(mat[2]) * mat[3])  # W^H W - I, entry by entry
+    res = np.sqrt((sq[0] + sq[2] - 1.0) ** 2 + (sq[1] + sq[3] - 1.0) ** 2 + 2.0 * off * off)
+    norm = np.abs(m0 * m0 + m1 * m1 + n2 * n2 + n3 * n3 - 1.0)
+    gap = np.sqrt(np.sum(np.abs(mat - cmath.exp(1j * u.eta) * entries) ** 2, axis=0))
+    failed = np.flatnonzero(~((res < 1e-12) & (norm < 1e-12) & (gap < 1e-12)))
+    if failed.size:
+        k = failed[0]
+        if not res[k] < 1e-12:
+            raise NonUnitaryError(res[k], 1e-12)
+        if not norm[k] < 1e-12:
+            raise BCConstraintError("(m0, m) is not a unit 4-vector")
+        raise BCConstraintError("matrix does not match its (eta, m0, m) chart")
+    mat = mat.T.reshape(-1, 2, 2)
+    mat.flags.writeable = m.flags.writeable = False
+    members = [object.__new__(UnitaryBC) for _ in range(c.size)]
+    for member, matrix, mvec in zip(members, mat, m):
+        vars(member).update(matrix=matrix, eta=u.eta, m0=u.m0, m=mvec)
+    return members
+
+
 def is_parity_symmetric(u: UnitaryBC, tol: float = 1e-10) -> bool:
     """Whether U commutes with sx, i.e. is a fixed point of the orbit.
 

@@ -1,5 +1,7 @@
 """Tests for the boundary-condition space and its text format."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ring_spectra.bc import (
     BCConstraintError,
     BCParseError,
     UnitaryBC,
+    _orbit_members,
     conjugate_orbit,
     from_matrix,
     invariant_triple,
@@ -164,6 +167,31 @@ def test_conjugate_orbit_turns_the_chart():
         assert (v.eta, v.m0, v.m[0]) == (u.eta, u.m0, u.m[0])
         g = np.cos(lam) * I2 + 1j * np.sin(lam) * SX
         assert np.max(np.abs(v.matrix - g @ u.matrix @ g.conj().T)) < 1e-15
+
+
+def test_orbit_members_are_the_conjugates_bit_for_bit():
+    # one vectorized turn of the chart and one check over all members give
+    # each member as conjugate_orbit builds and checks it, to the last bit,
+    # and a lambda that breaks a member raises as its construction does
+    rng = np.random.default_rng(16)
+    lams = [k * np.pi / 16 for k in range(16)] + list(rng.uniform(0.0, np.pi, 4))
+    us = [random_unitary_bc(rng) for _ in range(100)]
+    us += [named_family("dpp", 0.0), named_family("parity", eta=0.4, theta=2.2)]
+    for u in us:
+        for got, lam in zip(_orbit_members(u, lams), lams, strict=True):
+            want = conjugate_orbit(u, lam)
+            assert got.matrix.dtype == want.matrix.dtype and got.m.dtype == want.m.dtype
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.m.tobytes() == want.m.tobytes()
+            assert (got.eta, got.m0) == (want.eta, want.m0)
+            assert not got.matrix.flags.writeable and not got.m.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        got.eta = 0.0
+    with pytest.raises(NonUnitaryError) as batch:
+        _orbit_members(u, [0.1, np.nan])
+    with pytest.raises(NonUnitaryError) as single:
+        conjugate_orbit(u, np.nan)
+    assert str(batch.value) == str(single.value)
 
 
 def test_parity_family_is_orbit_fixed_point():
