@@ -1,5 +1,6 @@
 """Tests for eigenphase tracks and spectrum extraction."""
 
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -1130,6 +1131,62 @@ def test_convergence_cost_is_pinned():
     assert spent[0] <= 1457
     assert spent[1] <= 6447
     assert spent[2] <= 8222
+
+
+def sweep_bcs(seed: int, n: int) -> list:
+    """The benchmark's sweep recipe: three random U in four, and one dpp,
+    every other one of those at alpha in {0, pi} (doubly degenerate
+    levels)."""
+    rng, out = np.random.default_rng(seed), []
+    for i in range(n):
+        if i % 4 != 3:
+            out.append(bc.random_unitary_bc(rng))
+        elif (i // 4) % 2 == 0:
+            out.append(bc.named_family("dpp", float(np.pi * ((i // 8) % 2))))
+        else:
+            out.append(bc.named_family("dpp", float(rng.uniform(0.0, 2.0 * np.pi))))
+    return out
+
+
+def test_polar_calls_per_search_are_pinned():
+    # the polar calls of searches of one U each (the ends call and one per
+    # refinement round), at the count measured when a search alone went to
+    # 256 sample intervals: 5.34 per search on the sweep recipe (6.29 with
+    # 64 intervals) and 7.5 on Schroedinger (0, 1e4] (8.0)
+    rng = np.random.default_rng(101)
+    for kernel, window, us, pinned in (
+        (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 683),
+        (SchrodKernel(), (0.0, 1e4), [bc.random_unitary_bc(rng) for _ in range(8)], 60),
+    ):
+        proxy = CountingKernel(kernel)
+        for u in us:
+            find_spectrum(u, window, proxy)
+        assert sum(name == "polar" for name, _ in proxy.calls) <= pinned
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    case=st.sampled_from(BATCH_CASES[:3] + BATCH_CASES[5:]),
+    us=st.lists(batch_bcs, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_refine_is_batch_invariant(case, us, data):
+    # a bracket's (x, lower, upper, evaluations) are the same bits whether
+    # it is refined alone, with any other brackets, or in the full batch,
+    # where the others retire at other rounds and the state is compacted
+    # at other times
+    kernel, window = case
+    with refine_spy() as calls, contextlib.suppress(NumericalError):
+        find_spectra(us, window, kernel)
+    (args, _), = calls
+    _, consts, xl, xr, gl, gr, *tols = args
+    batch = roots._refine(*args)  # the search snaps its copy onto the special points
+    assume(np.unique(batch[3]).size > 1)
+    picks = data.draw(st.lists(st.integers(0, len(xl) - 1), min_size=1, max_size=6, unique=True))
+    for rows in ([picks[0]], picks):
+        alone = roots._refine(kernel, consts[:, rows], xl[rows], xr[rows], gl[rows], gr[rows], *tols)
+        for got, want in zip(alone, batch, strict=True):
+            assert got.tobytes() == want[rows].tobytes()
 
 
 #: the mass-mode condition: F_U vanishes at mu = mu0 = 1, on a special point
