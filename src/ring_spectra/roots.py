@@ -24,59 +24,53 @@ sees U only through (eta, m0, m1, m_perp^2), which is the invariant
 triple (det U, tr U, tr(U sx)) in other coordinates.  Every kernel
 hands out h already lifted, continuous in x in closed form, so t_pm
 are continuous tracks at any single x, with no grid and no unwrapping.
-Both tracks never increase with energy (the Herglotz/Krein
-monotonicity of the eigenphases), so the multiples of 2 pi a track
-passes between the window ends are exactly its crossings: the tracks
-at the two ends alone certify the root count.  The one kernel call
-that reads the ends samples the tracks at S + 1 evenly spaced
-energies across the window, S = max(64, 256 // (number of U)) so a
-search of few U starts from narrow brackets and the call does not grow
-with the batch, and at the kernel's turning points, so each
-crossing starts in the sample interval it lies in, and is refined there
-on its own track by a two-point step that keeps the crossing between
-its ends, down to adjacent doubles at most.  The turning points are
-where the tracks turn steeply: where |u| / v can exceed 1 the tracks
-are staircases that take almost all of a level's 2 pi near each zero
-of u, and the kernel names those spots, with the points on either side
-where |u| / v is 1 and 3, so no refinement round is spent finding the
-step.  |w| comes straight from (u, v), so the phases stay accurate to
-machine precision through degeneracies and double roots are located as
-sharply as simple ones.  Two crossings
-closer than the separation tolerance merge into one root of
-multiplicity 2, which is the maximum for 2x2 unitaries; a larger
-cluster raises, since it would mean the dimension count failed.
+Both tracks never increase with energy (the Herglotz/Krein monotonicity
+of the eigenphases), so the multiples of 2 pi a track passes between the
+window ends are exactly its crossings: the tracks at the two ends alone
+certify the root count.  The one kernel call that reads the ends samples
+the tracks at S + 1 evenly spaced energies, S = max(64, 256 // (number
+of U)), so one U starts from narrow brackets and a batch's call does not
+grow, and at the kernel's turning points; each crossing starts in the
+sample interval it lies in, and is refined there on its own track by a
+two-point step that keeps it between its ends, down to adjacent doubles
+at most.  The turning points are where the tracks turn steeply: where
+|u| / v can exceed 1 the tracks are staircases that take almost all of a
+level's 2 pi near each zero of u, and the kernel names those spots, with
+the points on either side where |u| / v is 1 and 3, so no refinement
+round is spent finding the step.  |w| comes straight from (u, v), so the
+phases stay accurate to machine precision through degeneracies and
+double roots are located as sharply as simple ones.  Two crossings
+closer than the separation tolerance merge into one root of multiplicity
+2, the maximum for 2x2 unitaries; a larger cluster raises, since it
+would mean the dimension count failed.
 
 A kernel is anything with ``theory``, ``special_points()``,
 ``turning_points(lo, hi, limit)``, ``polar(x) -> (h, u, v)`` and
 ``spectral_values(x, u)``; the search calls nothing else, and never
 builds a 2x2 matrix per point.  ``turning_points`` returns energies
 strictly inside (lo, hi) and outside the snap bands, sorted and
-distinct, that do not depend on U (none at all where the tracks do not
-turn steeply, or past ``limit`` spots, so a window over MAX_ROOTS is
-refused before they are built).  The kernels evaluate a small band
+distinct, that do not depend on U (none where the tracks do not turn
+steeply, or past ``limit`` spots).  The kernels evaluate a small band
 around each special point as the point itself
 (:func:`ring_spectra.dirac.snap_band`), so a root whose final bracket
-meets that band is reported at the special point, and the count at the
-window's top end is read past any band that holds it.
+meets that band is reported at the point, and the count at the window's
+top end is read past any band that holds it.
 
 (h, u, v) do not depend on U, so the one search, :func:`find_spectra`,
 runs a batch of boundary conditions on one kernel call per refinement
 round, and verifies the roots of every U in one more;
-:func:`find_spectrum` is that search for a single U.  Memory grows
-with the number of roots, not with the window.  U that share one
-invariant triple (a conjugation orbit) share one spectrum, so once one
-of them is searched, :func:`_certify` checks its roots for the others
-on their own tracks in one kernel call, and reports them with each U's
-own residuals from one verification call.
-The reference grid
-search it replaced, and the complex eigenphase route it used, live on
-as oracles (:mod:`ring_spectra.oracles`).
+:func:`find_spectrum` is that search for a single U.  Memory grows with
+the number of roots, not with the window.  U that share one invariant
+triple (a conjugation orbit) share one spectrum, so once one of them is
+searched, :func:`_certify` checks its roots for the others on their own
+tracks in one kernel call, with each U's own residuals from one more.
+The reference grid search it replaced, and the complex eigenphase route
+it used, live on as oracles (:mod:`ring_spectra.oracles`).
 
 Everything here is pure-function over value inputs; concurrent searches
-on shared read-only kernels are safe.  A :class:`SpectrumSlice` holds its
-roots as read-only arrays and builds its ``roots`` records on first
-access; two threads that race on that access build equal tuples, and
-either one is kept.
+on shared read-only kernels are safe.  A :class:`SpectrumSlice` holds
+its roots as read-only arrays and builds its ``roots`` records on first
+access; threads that race on that access build equal tuples.
 """
 
 from __future__ import annotations
@@ -144,10 +138,10 @@ class SpectrumSlice:
     ``grid_points`` is the number of energies the search evaluated for
     this U: the samples across the window (S + 1 evenly spaced energies,
     S = max(64, 256 // the number of U searched together), merged with
-    the kernel's turning points) plus every
-    refinement step of its brackets (the grid size, for the grid
-    oracle; 2 + 2N, the window ends and the ends of its N brackets, for
-    a slice certified from another U's roots).
+    the kernel's turning points) plus every refinement step of its
+    brackets (the grid size, for the grid oracle; 2 + 2N, the window
+    ends and the ends of its N brackets, for a slice certified from
+    another U's roots).
     """
 
     window: tuple[float, float]
@@ -266,44 +260,38 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     arguments (eta, m0, m1, m_perp^2, sign) and target make its column
     of ``consts``.  Each round makes one ``polar`` call at one point per
     active bracket and evaluates each bracket's own track alone; the new
-    point replaces the end of its own sign, so the two ends always
-    straddle the crossing and no swap or sign test is needed.  The step
-    is Anderson-Bjorck false position: the secant through the two ends,
-    with the value at an end kept twice in a row scaled down by 1 -
-    g(new) / g(replaced) (by 1/2 if that is not positive).  Brent's
-    safeguard stays: a step from the better end that is not shorter
-    than half the step before last becomes a bisection.  Every point
-    lies at least a quarter of the width the stop rule asks for inside
-    both ends, so a one-sided approach still closes the bracket, and
-    falls back to the midpoint where that would leave the open bracket.
-    Superlinear on smooth tracks; at the kinks where two tracks touch
-    (double roots) it falls back to bisection steps.
+    point replaces the end of its own sign, so the ends always straddle
+    the crossing.  The step is Anderson-Bjorck false position: the
+    secant through the two ends, with the value at an end kept twice in
+    a row scaled down by 1 - g(new) / g(replaced) (by 1/2 if that is not
+    positive).  Brent's safeguard stays: a step from the better end not
+    shorter than half the step before last becomes a bisection.  Every
+    point lies at least a quarter of the width the stop rule asks for
+    inside both ends, or at the midpoint where that would leave the
+    open bracket.  Superlinear on smooth tracks; at the kinks where two
+    tracks touch (double roots) it falls back to bisection steps.
 
     Brackets stay active until the width tolerance holds *and* the
     better end's phase is small enough that |F| ~ |phase| clears the
     residual contract, or until the rounded midpoint xl + (xr - xl) / 2
-    is no longer strictly between the ends, which happens exactly when
-    no double lies strictly between them (a steep crossing far from the
-    origin cannot be localized further).  A bracket that retires has its
-    final ends, their values and its evaluation count (the round it
-    retired in) written out in that round.  The polar call covers the
-    active rows of the state alone, and the state is compacted once
-    half of its rows have retired.  Whatever is still active after
-    _MAX_ROUNDS rounds is written out as it stands.  The better end is
-    what gets returned: it is the point the stop rule certified.
-    Returns (x, lower end, upper end, evaluations per bracket).
+    is no longer strictly between the ends: exactly when no double lies
+    between them.  A bracket that retires has its final ends, their
+    values and its evaluation count (the round it retired in) written
+    out in that round; the polar call covers the active rows of the
+    state alone, and the state is compacted once half of its rows have
+    retired.  What is still active after _MAX_ROUNDS rounds is written
+    out as it stands.  Returns (the better end, which the stop rule
+    certified, lower end, upper end, evaluations per bracket).
     """
     n = len(xl)
     ends = np.empty((4, n))  # the final xl, xr, gl, gr of each bracket
     evals = np.full(n, _MAX_ROUNDS)
     live = np.arange(n)  # the bracket of each row of the state
-    xl, xr = np.array(xl, dtype=float), np.array(xr, dtype=float)
-    gl, gr = np.array(gl, dtype=float), np.array(gr, dtype=float)
+    xl, xr, gl, gr = (np.array(a, dtype=float) for a in (xl, xr, gl, gr))
     fl, fr = gl.copy(), gr.copy()  # the end values the secant is drawn through
     e = xr - xl  # the step before last
-    # the last step, signed by the end it replaced (+ left, - right); the
-    # better end (|gr| <= |gl|, that is gl + gr >= 0 as gl > 0 >= gr)
-    # counts as the last one replaced before the first step
+    # the last step, signed by the end it replaced (+ left, - right); before
+    # the first, the better end (gl + gr >= 0: |gr| <= |gl| as gl > 0 >= gr)
     d = np.where(gl + gr >= 0.0, -e, e)
     phase_tol = 0.125 * tol_residual
     on, n_on = np.ones(n, dtype=bool), n  # the active rows, and how many
@@ -373,18 +361,16 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     against |F_U| < tol_residual in one kernel call, and wrap each U's
     roots in a slice reporting ``evaluated[k]`` energies.  Only if a root
     fails, one more call per U with failing roots, in order, evaluates
-    the 1- and 2-ulp neighbours of those roots (those in the window),
-    and each takes its neighbour of least |F| where that is smaller; the
-    calls stop at the first U with a root that still fails, so their
-    memory follows one U's roots.  The roots of all U are made read-only
-    columns once, and each slice holds views of its own run of them: no
-    per-root Python object is built.
+    their 1- and 2-ulp neighbours in the window, and each root takes its
+    neighbour of least |F| where that is smaller, up to the first U with
+    a root that still fails.  The roots of all U are made read-only
+    columns once, and each slice holds views of its own run of them.
 
     ``owner[j]`` is the index in ``us`` of crossing j.  A root is only
     located to tol_root * max(1, |x|), so one that close to an end
     counts as sitting on it: within that distance above lo it is left
-    out, within it above hi it is reported at hi.  Adjacent windows
-    therefore split the roots between them exactly.  A failure raises
+    out, within it above hi it is reported at hi, so adjacent windows
+    split the roots between them exactly.  A failure raises
     :class:`NumericalError` for the first U that has one, as a search of
     that U alone would raise it."""
     lo, hi = window
@@ -481,17 +467,15 @@ def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None
     instead of searched for, or None where that fails.
 
     One ``polar`` call reads the tracks of every U (once per distinct
-    :func:`_charts` row, all a track sees of U) at lo, at x_i -+ w_i/2
-    around each root x_i of ``s`` (w_i = tol_root * max(1, |x_i|),
-    clamped into the window) and at the window's top end.  A U is
-    certified when its own count over (lo, top] is the sum of the
-    multiplicities m_i, its two tracks cross m_i times in total inside
-    each bracket, and neither track crosses there more than once.  Its
-    roots are then those of ``s``: each x_i is the centre of a bracket of
-    width tol_root * max(1, |x_i|) that its own tracks certified, which
-    is what a search locates a root to, and m_i is its own crossing
-    count.  Only the residuals are its own: one ``spectral_values`` call
-    evaluates |F| at the roots of ``s`` for every certified U.  A
+    :func:`_charts` row) at lo, at x_i -+ w_i/2 around each root x_i of
+    ``s`` (w_i = tol_root * max(1, |x_i|), clamped into the window) and
+    at the window's top end.  A U is certified when its own count over
+    (lo, top] is the sum of the multiplicities m_i, its two tracks cross
+    m_i times in total inside each bracket, and neither track crosses
+    there more than once.  Its roots are then those of ``s``: each x_i
+    is the centre of a bracket of a search's width that its own tracks
+    certified, and m_i is its own crossing count.  Only the residuals are
+    its own, from one ``spectral_values`` call for every certified U.  A
     certified slice reports the 2 + 2N energies of the call (N roots); a
     U that is not certified, or has a root over tol_residual, gets None.
     """
@@ -576,8 +560,7 @@ def find_spectra(
         xs = np.sort(np.concatenate([xs, turns]))
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
     tracks, level, counts = _levels(xs, chart, kernel)
-    totals = counts.sum(axis=(1, 2))
-    for k, total in enumerate(totals):
+    for k, total in enumerate(counts.sum(axis=(1, 2))):
         if not total <= MAX_ROOTS:
             count = f"{total:.0f} roots" if np.isfinite(total) else "no finite root count"
             raise NumericalError(
