@@ -290,8 +290,8 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     xl, xr, gl, gr = (np.array(a, dtype=float) for a in (xl, xr, gl, gr))
     fl, fr = gl.copy(), gr.copy()  # the end values the secant is drawn through
     e = xr - xl  # the step before last
-    # the last step, signed by the end it replaced (+ left, - right); before
-    # the first, the better end (gl + gr >= 0: |gr| <= |gl| as gl > 0 >= gr)
+    # the last step, signed by the end it replaced (+ left, - right); the better
+    # end (gl + gr >= 0, i.e. |gr| <= |gl|) counts as replaced before the first
     d = np.where(gl + gr >= 0.0, -e, e)
     phase_tol = 0.125 * tol_residual
     on, n_on = np.ones(n, dtype=bool), n  # the active rows, and how many
