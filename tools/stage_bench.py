@@ -180,8 +180,8 @@ def main(argv=None) -> int:
         p.error("--runs must be at least 9")
     sides = [Side(load_base(args.base)), Side(ring_spectra)]
     report = {
-        "description": "stage times of small searches, base tree against this tree, "
-                       "one process, alternating runs (tools/stage_bench.py)",
+        "description": "stage times of small searches, base tree against this tree, in "
+                       "one process, each input run back to back on both (tools/stage_bench.py)",
         "machine": {"cpus": len(os.sched_getaffinity(0)), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": np.__version__},
         "runs": args.runs,
