@@ -888,7 +888,7 @@ def sample_count(n_us: int) -> int:
     return max(roots._SAMPLES, roots._BATCH_SAMPLES // n_us)
 
 
-@pytest.mark.parametrize("n_us, n_samples", [(1, 257), (16, 65), (64, 65)])
+@pytest.mark.parametrize("n_us, n_samples", [(1, 257), (16, 65), (64, 65)], ids=["1", "16", "64"])
 def test_search_protocol_counts(n_us, n_samples):
     # the samples across the window take one polar call, each refinement
     # round one more over the brackets still active, and the roots of
@@ -1178,7 +1178,7 @@ def test_refine_is_batch_invariant(case, us, data):
     kernel, window = case
     with refine_spy() as calls, contextlib.suppress(NumericalError):
         find_spectra(us, window, kernel)
-    (args, _), = calls
+    ((args, _),) = calls
     _, consts, xl, xr, gl, gr, *tols = args
     batch = roots._refine(*args)  # the search snaps its copy onto the special points
     assume(np.unique(batch[3]).size > 1)
