@@ -277,10 +277,9 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     is no longer strictly between the ends: exactly when no double lies
     between them.  A bracket that retires has its final ends, their
     values and its evaluation count (the round it retired in) written
-    out in that round; the polar call covers the active rows of the
-    state alone, and the state is compacted once half of its rows have
-    retired.  What is still active after _MAX_ROUNDS rounds is written
-    out as it stands.  Returns (the better end, which the stop rule
+    out in that round, and the state keeps the active rows alone.  What
+    is still active after _MAX_ROUNDS rounds is written out as it
+    stands.  Returns (the better end, which the stop rule
     certified, lower end, upper end, evaluations per bracket).
     """
     n = len(xl)
@@ -294,7 +293,6 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     # end (gl + gr >= 0, i.e. |gr| <= |gl|) counts as replaced before the first
     d = np.where(gl + gr >= 0.0, -e, e)
     phase_tol = 0.125 * tol_residual
-    on, n_on = np.ones(n, dtype=bool), n  # the active rows, and how many
     *track, goal = consts
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(_MAX_ROUNDS):
@@ -303,28 +301,23 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             right = gl + gr >= 0.0  # the better end
             best, g_best = np.where(right, xr, xl), np.where(right, gr, gl)
             tol_x = tol_root * np.maximum(1.0, np.abs(mid))
-            active = on & (
+            active = (
                 (g_best != 0.0)
                 & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
                 & ((width > tol_x) | (np.abs(g_best) > phase_tol))
             )
-            count = np.count_nonzero(active)
-            if count < n_on:
-                done = on ^ active
+            if np.count_nonzero(active) < live.size:
+                done = ~active
                 k = live[done]
                 ends[:, k] = xl[done], xr[done], gl[done], gr[done]
                 evals[k] = r
-                n_on, on = count, active
-                if 0 < 2 * n_on <= live.size:  # half the rows have retired
-                    live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x, on = (
-                        arr[active]
-                        for arr in (live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x, on)
-                    )
-                    consts = consts[:, active]
-                    *track, goal = consts
-                else:
-                    *track, goal = consts[:, on]
-            if not n_on:
+                live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x = (
+                    arr[active]
+                    for arr in (live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x)
+                )
+                consts = consts[:, active]
+                *track, goal = consts
+            if not live.size:
                 break
             # a quarter of the width that meets both the width tolerance
             # and, at the secant slope, the phase tolerance
@@ -333,11 +326,7 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             x = np.where(np.abs(x - best) < 0.5 * e, x, mid)
             x = np.minimum(np.maximum(x, xl + tol1), xr - tol1)
             x = np.where((xl < x) & (x < xr), x, mid)
-            if n_on < live.size:  # retired rows take their left end's value
-                g = gl.copy()
-                g[on] = _tracks(*kernel.polar(x[on]), *track) - goal
-            else:
-                g = _tracks(*kernel.polar(x), *track) - goal
+            g = _tracks(*kernel.polar(x), *track) - goal
             left = g > 0.0
             # the end kept twice in a row: Anderson-Bjorck scaling of its value
             m = 1.0 - g / np.where(left, gl, gr)
@@ -348,7 +337,7 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             xl, gl, fl = np.where(left, x, xl), np.where(left, g, gl), np.where(left, g, fl * m)
             xr, gr, fr = np.where(left, xr, x), np.where(left, gr, g), np.where(left, fr * m, g)
         else:  # still active after the last round: written out as they stand
-            ends[:, live[on]] = xl[on], xr[on], gl[on], gr[on]
+            ends[:, live] = xl, xr, gl, gr
     xl, xr, gl, gr = ends
     located = np.where(gl + gr >= 0.0, xr, xl)
     lower = np.where(gr == 0.0, xr, xl)
@@ -551,8 +540,7 @@ def find_spectra(
     top = _top_end(hi, tol_root, kernel.special_points())
     chart = _charts(us)
     samples = max(_SAMPLES, _BATCH_SAMPLES // len(us))
-    xs = np.arange(samples + 1.0) * ((top - lo) / samples) + lo  # as np.linspace makes it
-    xs[-1] = top
+    xs = np.linspace(lo, top, samples + 1)  # ends exactly lo and top
     # by keyword: the call evaluates no energy, and proxies that count
     # evaluations by the size of the first argument must not count it
     turns = kernel.turning_points(lo=lo, hi=top, limit=MAX_ROOTS)
