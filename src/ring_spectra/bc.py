@@ -51,21 +51,8 @@ class UnitaryBC:
         mvec.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "m", mvec)
-        # on Python scalars, and as `not x < tol`, so that NaN fails every check
         (a, b), (c, d) = mat.tolist()
-        eta, m0 = float(self.eta), float(self.m0)
-        m1, m2, m3 = mvec.tolist()
-        off = a.conjugate() * b + c.conjugate() * d  # W^H W - I, entry by entry
-        res = math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1.0, abs(b) ** 2 + abs(d) ** 2 - 1.0,
-                         abs(off), abs(off))
-        if not res < 1e-12:
-            raise NonUnitaryError(res, 1e-12)
-        if not abs(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 - 1.0) < 1e-12:
-            raise BCConstraintError("(m0, m) is not a unit 4-vector")
-        z = cmath.exp(1j * eta)  # NaN, not an error, at an infinite eta
-        chart = (z * complex(m0, m3), z * complex(m2, m1), z * complex(-m2, m1), z * complex(m0, -m3))
-        if not math.hypot(*(abs(x - y) for x, y in zip((a, b, c, d), chart))) < 1e-12:
-            raise BCConstraintError("matrix does not match its (eta, m0, m) chart")
+        _check_chart(a, b, c, d, float(self.eta), float(self.m0), *mvec.tolist())
 
     def __repr__(self) -> str:  # compact, chart-first
         return (
@@ -82,6 +69,29 @@ class InvariantTriple:
     det_u: complex
     tr_u: complex
     tr_u_sx: complex
+
+
+def _check_chart(a, b, c, d, eta, m0, m1, m2, m3) -> None:
+    """UnitaryBC's three invariants for W = [[a, b], [c, d]] and its chart
+    (eta, m0, m1, m2, m3), each to 1e-12 and as `not x < tol`, so that NaN
+    fails them.  Takes Python scalars (one U) or aligned arrays, one
+    member per entry, sharing eta; the first failing member raises."""
+    off = abs(a.conjugate() * b + c.conjugate() * d)  # W^H W - I, entry by entry
+    res = ((abs(a) ** 2 + abs(c) ** 2 - 1.0) ** 2 + (abs(b) ** 2 + abs(d) ** 2 - 1.0) ** 2
+           + 2.0 * off * off) ** 0.5
+    norm = abs(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 - 1.0)
+    z, i1, i3 = cmath.exp(1j * eta), 1j * m1, 1j * m3  # z is NaN, not an error, at an infinite eta
+    gap = (abs(a - z * (m0 + i3)) ** 2 + abs(b - z * (m2 + i1)) ** 2
+           + abs(c - z * (i1 - m2)) ** 2 + abs(d - z * (m0 - i3)) ** 2) ** 0.5
+    if np.all((res < 1e-12) & (norm < 1e-12) & (gap < 1e-12)):
+        return
+    for r, n, g in np.broadcast(res, norm, gap):
+        if not r < 1e-12:
+            raise NonUnitaryError(r, 1e-12)
+        if not n < 1e-12:
+            raise BCConstraintError("(m0, m) is not a unit 4-vector")
+        if not g < 1e-12:
+            raise BCConstraintError("matrix does not match its (eta, m0, m) chart")
 
 
 def _chart_matrix(eta: float, m0: float, m: np.ndarray) -> np.ndarray:
@@ -225,44 +235,28 @@ def conjugate_orbit(u: UnitaryBC, lam: float) -> UnitaryBC:
     m2' = c m2 + s m3 and m3' = c m3 - s m2, with c = cos 2 lam and
     s = sin 2 lam; the matrix is built from that chart.
     """
-    c, s = math.cos(2.0 * lam), math.sin(2.0 * lam)
-    m1, m2, m3 = u.m.tolist()
-    m = [m1, c * m2 + s * m3, c * m3 - s * m2]
-    return UnitaryBC(_chart_matrix(u.eta, u.m0, m), u.eta, u.m0, m)
+    return _orbit_members(u, [lam])[0]
 
 
 def _orbit_members(u: UnitaryBC, lams) -> list[UnitaryBC]:
-    """``conjugate_orbit(u, lam)`` for every lam in ``lams``, bit for bit,
-    from one vectorized turn of U's chart.  UnitaryBC's three invariant
-    checks run once over all members, to the same 1e-12 (as `not x <
-    tol`, so that NaN fails them), and the first member that fails one
-    raises as its construction would; each member is then stored as
-    built, with no check of its own."""
+    """``conjugate_orbit(u, lam)`` for every lam in ``lams``: one
+    vectorized turn of U's chart and one run of UnitaryBC's invariant
+    checks over all members (the first failing member raises as its
+    construction would); each member is then stored as built, with no
+    check of its own."""
     c, s = np.array([(math.cos(2.0 * lam), math.sin(2.0 * lam)) for lam in lams]).reshape(-1, 2).T
-    m0, (m1, m2, m3) = u.m0, u.m.tolist()
-    m = np.empty((c.size, 3))
-    m[:, 0], m[:, 1], m[:, 2] = m1, c * m2 + s * m3, c * m3 - s * m2
-    n2, n3 = m[:, 1], m[:, 2]
-    entries = np.stack([m0 + 1j * n3, n2 + 1j * m1, -n2 + 1j * m1, m0 - 1j * n3])
-    mat = np.exp(1j * u.eta) * entries  # as _chart_matrix forms it
-    sq = np.abs(mat) ** 2
-    off = np.abs(np.conj(mat[0]) * mat[1] + np.conj(mat[2]) * mat[3])  # W^H W - I, entry by entry
-    res = np.sqrt((sq[0] + sq[2] - 1.0) ** 2 + (sq[1] + sq[3] - 1.0) ** 2 + 2.0 * off * off)
-    norm = np.abs(m0 * m0 + m1 * m1 + n2 * n2 + n3 * n3 - 1.0)
-    gap = np.sqrt(np.sum(np.abs(mat - cmath.exp(1j * u.eta) * entries) ** 2, axis=0))
-    failed = np.flatnonzero(~((res < 1e-12) & (norm < 1e-12) & (gap < 1e-12)))
-    if failed.size:
-        k = failed[0]
-        if not res[k] < 1e-12:
-            raise NonUnitaryError(res[k], 1e-12)
-        if not norm[k] < 1e-12:
-            raise BCConstraintError("(m0, m) is not a unit 4-vector")
-        raise BCConstraintError("matrix does not match its (eta, m0, m) chart")
-    mat = mat.T.reshape(-1, 2, 2)
+    m1, m2, m3 = u.m.tolist()
+    m = np.array([np.full(c.size, m1), c * m2 + s * m3, c * m3 - s * m2])
+    chart = _chart_matrix(u.eta, u.m0, m)  # (2, 2, members)
+    _check_chart(*chart.reshape(4, -1), u.eta, u.m0, *m)
+    mat, m = np.ascontiguousarray(chart.transpose(2, 0, 1)), np.ascontiguousarray(m.T)
     mat.flags.writeable = m.flags.writeable = False
-    members = [object.__new__(UnitaryBC) for _ in range(c.size)]
-    for member, matrix, mvec in zip(members, mat, m):
-        vars(member).update(matrix=matrix, eta=u.eta, m0=u.m0, m=mvec)
+    members = []
+    for matrix, mvec in zip(mat, m):
+        member = object.__new__(UnitaryBC)  # frozen: fields set as dataclasses' __init__ sets them
+        for name, value in (("matrix", matrix), ("eta", u.eta), ("m0", u.m0), ("m", mvec)):
+            object.__setattr__(member, name, value)
+        members.append(member)
     return members
 
 
