@@ -295,7 +295,12 @@ class RepKernel:
     B = Q_-^H B' Q_+, which must come out as a I + b sx; the
     coefficients then go through the same protocol as the closed-form
     kernels, with the polar form (h, u, v) derived from them, so spectra
-    are searched with the standard U.  The route
+    are searched with the standard U.  The basis solutions are the
+    columns of the standard-representation propagator, built from
+    C = cos kx and S = sin(kx)/k, the functions the closed form is also
+    written in (any basis that stays regular at the gap edges, k = 0,
+    is this one up to a constant change of basis).  The rest of the
+    route -- transport, projection, inversion and the phases back --
     shares no formula with the closed-form coefficients, which is the
     point.  In-gap basis columns are rescaled by e^{-kappa/2} (B is
     invariant under column scaling) so the assembly stays finite.  Only
