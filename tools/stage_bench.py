@@ -8,8 +8,11 @@ Run from the root of a checkout, with a copy of the base commit's tree:
 
 Both libraries are loaded into one process (the base under another
 package name).  Inputs are the benchmark's seed-101 inputs of all three
-workloads (``perfbench/workloads.py``) and batches of 16, 64 and 256
-random U (``default_rng(101)``) through ``find_spectra``.  Per side it
+workloads (``perfbench/workloads.py``) and batches of 2, 3, 4, 16, 64
+and 256 random U (``default_rng(101)``) through ``find_spectra``: the
+small ones are the sizes the library's own batches take (an orbit's
+members that fail certification, the four-U orbit of ``ring-spectra
+verify``, the README's three-U example).  Per side it
 records:
 
 - per-stage wall time per op: the ends call (``roots._levels``, on
@@ -200,7 +203,7 @@ def main(argv=None) -> int:
         }
         print(name, report["workloads"][name]["ratio_total"], flush=True)
     for theory, window in (("dirac", (-10.0, 10.0)), ("schrod", (0.0, 1e4))):
-        for size in (16, 64, 256):
+        for size in (2, 3, 4, 16, 64, 256):
             base, change = measure(
                 sides, lambda side, s=size: batch_ops(side, theory, window, s), args.runs)
             key = f"{theory} {window} x{size}"
