@@ -235,18 +235,25 @@ def conjugate_orbit(u: UnitaryBC, lam: float) -> UnitaryBC:
     m2' = c m2 + s m3 and m3' = c m3 - s m2, with c = cos 2 lam and
     s = sin 2 lam; the matrix is built from that chart.
     """
-    return _orbit_members(u, [lam])[0]
+    m = _turned_chart(u, math.cos(2.0 * lam), math.sin(2.0 * lam))
+    return UnitaryBC(_chart_matrix(u.eta, u.m0, m), u.eta, u.m0, m)
+
+
+def _turned_chart(u: UnitaryBC, c, s):
+    """U's (m1, m2, m3) turned as :func:`conjugate_orbit` turns them, for
+    c = cos 2 lam and s = sin 2 lam as floats or as arrays over many lam."""
+    m1, m2, m3 = u.m.tolist()
+    return m1, c * m2 + s * m3, c * m3 - s * m2
 
 
 def _orbit_members(u: UnitaryBC, lams) -> list[UnitaryBC]:
-    """``conjugate_orbit(u, lam)`` for every lam in ``lams``: one
-    vectorized turn of U's chart and one run of UnitaryBC's invariant
+    """``conjugate_orbit(u, lam)`` for every lam in ``lams``, bit for bit:
+    one vectorized turn of U's chart and one run of UnitaryBC's invariant
     checks over all members (the first failing member raises as its
     construction would); each member is then stored as built, with no
     check of its own."""
     c, s = np.array([(math.cos(2.0 * lam), math.sin(2.0 * lam)) for lam in lams]).reshape(-1, 2).T
-    m1, m2, m3 = u.m.tolist()
-    m = np.array([np.full(c.size, m1), c * m2 + s * m3, c * m3 - s * m2])
+    m = np.array(np.broadcast_arrays(*_turned_chart(u, c, s)))  # (3, members)
     chart = _chart_matrix(u.eta, u.m0, m)  # (2, 2, members)
     _check_chart(*chart.reshape(4, -1), u.eta, u.m0, *m)
     mat, m = np.ascontiguousarray(chart.transpose(2, 0, 1)), np.ascontiguousarray(m.T)
