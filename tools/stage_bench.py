@@ -26,8 +26,10 @@ records:
 
 Times are the median over ``--runs`` runs (at least 9) of one pass over
 the inputs, in which base and change run each input back to back and
-alternate which goes first.  The timers wrap module functions, which
-adds about a microsecond per stage call to both sides.
+alternate which goes first; ``ratio`` is the change's time over the
+base's within each pass, as median and quartiles over the passes.  The
+timers wrap module functions, which adds about a microsecond per stage
+call to both sides.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ def batch_ops(side, theory, window, size):
 
 def measure(sides, make_ops, runs):
     """Median per-op stage times (us), polar calls and tracemalloc peak
-    for each side, over ``runs`` passes.  Within a pass the two sides run
-    each input back to back, alternating which goes first, so that drift
-    of the machine hits both alike."""
+    for each side, over ``runs`` passes, and the median and quartiles of
+    the second side's time over the first's within a pass.  Within a
+    pass the two sides run each input back to back, alternating which
+    goes first, so that drift of the machine hits both alike."""
     ops = [make_ops(side) for side in sides]
     for side_ops in ops:
         for op in side_ops:
@@ -163,7 +166,9 @@ def measure(sides, make_ops, runs):
             "polar_calls_per_op": round(med["polar"] / n, 3),
             "tracemalloc_peak_kib": round(peak / 1024, 1),
         })
-    return out
+    ratios = [b["total"] / a["total"] for a, b in zip(*samples)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return out, {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
 def refine_round_us(side_result, other_calls):
@@ -188,32 +193,30 @@ def main(argv=None) -> int:
         "machine": {"cpus": len(os.sched_getaffinity(0)), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": np.__version__},
         "runs": args.runs,
-        "statistic": "median over runs of one pass over the inputs, per op",
+        "statistic": "median over runs of one pass over the inputs, per op; ratio: "
+                     "change over base within each pass, median and quartiles",
         "workloads": {},
         "batches": {},
     }
     for name, w in WORKLOADS.items():
-        base, change = measure(sides, lambda side, w=w: workload_ops(side, w), args.runs)
+        (base, change), ratio = measure(sides, lambda side, w=w: workload_ops(side, w), args.runs)
         # an orbit op is one search (one ends call) and one certification call
         for res in (base, change):
             res["refine_us_per_round"] = refine_round_us(res, 2 if w.n_lambda else 1)
         report["workloads"][name] = {
             "inputs": f"perfbench {name}, seed 101", "base": base, "change": change,
-            "ratio_total": round(change["us_per_op"]["total"] / base["us_per_op"]["total"], 3),
+            "ratio": ratio,
         }
-        print(name, report["workloads"][name]["ratio_total"], flush=True)
+        print(name, ratio, flush=True)
     for theory, window in (("dirac", (-10.0, 10.0)), ("schrod", (0.0, 1e4))):
         for size in (2, 3, 4, 16, 64, 256):
-            base, change = measure(
+            (base, change), ratio = measure(
                 sides, lambda side, s=size: batch_ops(side, theory, window, s), args.runs)
             key = f"{theory} {window} x{size}"
             for res in (base, change):
                 res["refine_us_per_round"] = refine_round_us(res, 1)
-            report["batches"][key] = {
-                "base": base, "change": change,
-                "ratio_total": round(change["us_per_op"]["total"] / base["us_per_op"]["total"], 3),
-            }
-            print(key, report["batches"][key]["ratio_total"], flush=True)
+            report["batches"][key] = {"base": base, "change": change, "ratio": ratio}
+            print(key, ratio, flush=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
