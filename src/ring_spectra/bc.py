@@ -83,7 +83,8 @@ def _check_chart(a, b, c, d, eta, m0, m1, m2, m3) -> None:
     z, i1, i3 = cmath.exp(1j * eta), 1j * m1, 1j * m3  # z is NaN, not an error, at an infinite eta
     gap = (abs(a - z * (m0 + i3)) ** 2 + abs(b - z * (m2 + i1)) ** 2
            + abs(c - z * (i1 - m2)) ** 2 + abs(d - z * (m0 - i3)) ** 2) ** 0.5
-    if np.all((res < 1e-12) & (norm < 1e-12) & (gap < 1e-12)):
+    ok = (res < 1e-12) & (norm < 1e-12) & (gap < 1e-12)
+    if ok is True or np.all(ok):  # a Python bool for one U, an array for a batch
         return
     for r, n, g in np.broadcast(res, norm, gap):
         if not r < 1e-12:
