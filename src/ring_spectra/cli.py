@@ -263,7 +263,10 @@ def cmd_orbit(args) -> int:
     u = parse_bc(args.bc)
     mu0, window, cfg = _resolve_units(args)
     kernel = _make_kernel(args.theory, mu0)
-    entries = orbit_spectra(u, window, kernel, n_lambda=args.lambdas)
+    entries = orbit_spectra(
+        u, window, kernel, n_lambda=args.lambdas,
+        tol_root=args.tol_root, tol_residual=args.tol_residual,
+    )
     base = entries[0][2]
     all_equal = True
     max_gap = 0.0

@@ -22,8 +22,9 @@ the denominator becomes D = mu S - i C and
 with (S, C, sigma) = (sin K / K, cos K, 1) where p n > 0 (above the gap
 when p > 0, below it when n < 0) and (tanh kappa / kappa, 1,
 sech kappa) where p n < 0 (inside the gap), so nothing overflows.
-Both tend to (1, 1, 1) at zero wavenumber, p = 0 or n = 0, so the
-points mu = +-mu0 are the same form with D = +-mu0 - i.  |D| >= 1
+Both tend to (1, 1, 1) at zero wavenumber, p = 0 or n = 0, and stay
+accurate as K -> 0, so the points mu = +-mu0 are the same form with
+D = +-mu0 - i, taken as that limit where K^2 = 0 exactly.  |D| >= 1
 everywhere, so the form has no pole (a guard raises
 :class:`SpectralPoleError` should (mu S)^2 + C^2 < 1/4 ever come
 out).  With rho = sign(mu) K where p n > 0 and rho = 0 elsewhere,
@@ -49,8 +50,6 @@ gap edges) the eigenphase tracks turn steeply near each zero of sin K;
 :func:`_turns` names those spots on (p, n), once for both kernels, and
 the search samples them (``turning_points``).  The non-relativistic
 kernel is the same form at p = e, n = 1 (:mod:`ring_spectra.schrod`).
-An energy in the snap band of a zero-wavenumber point is evaluated as
-that point itself; the band is decided in one place, :func:`snap_band`.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, spectral_function
-
-#: an energy closer than SNAP_TOL * max(1, |s|) to a zero-wavenumber
-#: point s is evaluated as s itself (:func:`snap_band`)
-SNAP_TOL = 1e-12
-
 
 class SpectralPoleError(ArithmeticError):
     """The kernel's denominator broke down (never expected: |D| >= 1 in
@@ -114,39 +108,20 @@ class PhysicalConfig:
         return e * self.hbar**2 / (2.0 * self.mass * self.L**2)
 
 
-def snap_band(at: float) -> float:
-    """Half-width of the snap band of the special point ``at``: an
-    energy less than this far from it is evaluated as the point itself.
-
-    The one snap rule.  The closed form, the representation kernel, the
-    oracles' zero-wavenumber tests and the root search (which reports a
-    root whose bracket meets the band at the point, and reads its count
-    past any band that holds the window's top end) all take the band
-    from here.
-    """
-    return SNAP_TOL * max(1.0, abs(at))
-
-
-def _closed_form(p, n, mu0: float):
+def _closed_form(p, n):
     """The real core (h, u, v, mu S, C) at p = mu - mu0 and n = mu + mu0
     (module docstring): B = e^{ih} (u I - i v sx) / |D| with
     D = mu S - i C.
 
-    ``mu0`` is the rest energy at the zero-wavenumber points: an energy
-    in the snap band of p = 0 or n = 0 is evaluated at (p, n) = (0,
-    2 mu0) or (-2 mu0, 0) exactly, so the whole band returns the
-    point's own values bit for bit.  All regimes run through the same
-    array expressions, selected by the sign of K^2 = p n, so a call
-    costs the same few dozen real array operations whatever its
-    energies.
+    All regimes run through the same array expressions, selected by the
+    sign of K^2 = p n, so a call costs the same few dozen real array
+    operations whatever its energies.  The one special case is K^2 = 0
+    exactly (also where p n underflows), where (S, C, sigma) take their
+    limit (1, 1, 1); any nonzero K^2, however small, is evaluated as it
+    is.
     """
-    band = snap_band(mu0)
-    zero = np.minimum(np.abs(p), np.abs(n)) < band
-    if np.count_nonzero(zero):
-        plus = np.abs(p) < band  # at mu0 = 0 both bands are mu = 0: plus
-        p = np.where(plus, 0.0, np.where(zero, -2.0 * mu0, p))
-        n = np.where(plus, 2.0 * mu0, np.where(zero, 0.0, n))
     k2 = p * n
+    zero = k2 == 0.0
     r = np.sqrt(np.abs(k2))
     mu = 0.5 * (p + n)
     osc = k2 > 0
@@ -194,26 +169,25 @@ def _turn_spots(k_lo: float, k_hi: float) -> tuple[int, int]:
     return first, max(0, math.ceil(k_hi / np.pi) + 1 - first)
 
 
-def _in_window(x, lo: float, hi: float, specials) -> np.ndarray:
-    """x sorted, without exact repeats, strictly inside (lo, hi) and
-    outside the snap band of every special point."""
+def _in_window(x, lo: float, hi: float) -> np.ndarray:
+    """x sorted, without exact repeats, strictly inside (lo, hi)."""
     x = np.sort(x)
     keep = (lo < x) & (x < hi) & np.append(True, x[1:] != x[:-1])
-    for s in specials:
-        keep &= np.abs(x - s) >= snap_band(s)
     return x[keep]
 
 
 def turning_points(lo: float, hi: float, mu0: float, limit: int) -> np.ndarray:
     """The energies in (lo, hi) around which the Dirac tracks at rest
-    energy mu0 turn (:func:`_turns`), sorted and distinct, outside the
-    snap bands of +-mu0; they do not depend on U.
+    energy mu0 turn (:func:`_turns`), sorted and distinct; they do not
+    depend on U.
 
     n - p = 2 mu0, so the peak ratio mu0 / K exceeds 1 only at K < mu0,
     near the gap edges, on both oscillatory branches mu = +-sqrt(K^2 +
-    mu0^2); as K >= pi there, the set is empty for mu0 <= pi.  A window
-    with more than ``limit`` zeros K = m pi to turn at gets none, so
-    nothing is allocated for it.
+    mu0^2); as K >= pi there, the set is empty for mu0 <= pi.  Every
+    point has K >= pi / 2, so none lies on an edge (past mu0 ~ 1e8,
+    hypot may round one onto +-mu0, where it is an ordinary sample).  A
+    window with more than ``limit`` zeros K = m pi to turn at gets none,
+    so nothing is allocated for it.
     """
     if mu0 <= np.pi:
         return np.empty(0)
@@ -233,7 +207,7 @@ def turning_points(lo: float, hi: float, mu0: float, limit: int) -> np.ndarray:
         k = np.pi * np.arange(first, first + count)
         mu = np.hypot(k, mu0)
         parts.append(sign * np.hypot(_turns(k, mu - mu0, mu + mu0), mu0))
-    return _in_window(np.concatenate(parts), lo, hi, (-mu0, mu0))
+    return _in_window(np.concatenate(parts), lo, hi)
 
 
 def _coefficients(h, u, v, mu_s, big_c):
@@ -248,7 +222,7 @@ def _core(mu, mu0: float):
     if mu0 < 0:
         raise ValueError("mu0 must be non-negative")
     mu = np.array(mu, dtype=float, ndmin=1)
-    return _closed_form(mu - mu0, mu + mu0, mu0)
+    return _closed_form(mu - mu0, mu + mu0)
 
 
 def coefficient_arrays(mu, mu0: float):
@@ -279,11 +253,12 @@ class DiracKernel:
     """Relativistic kernel bound to a fixed dimensionless mass.
 
     The kernel protocol the root search uses: ``theory``,
-    ``special_points()``, ``turning_points(lo, hi, limit)`` (the
-    energies it samples besides its evenly spaced ones,
-    :func:`turning_points`), ``polar(mu) -> (h, u, v)`` and
-    ``spectral_values``, which evaluates F_U from
-    ``coefficients(mu) -> (a, b, c, h)``.
+    ``turning_points(lo, hi, limit)`` (the energies it samples besides
+    its evenly spaced ones, :func:`turning_points`), ``polar(mu) -> (h,
+    u, v)`` and ``spectral_values``, which evaluates F_U from
+    ``coefficients(mu) -> (a, b, c, h)``.  ``special_points()``, the
+    zero-wavenumber points, is for the grid oracle, which refines its
+    grid there.
     """
 
     theory = "dirac"

@@ -87,6 +87,8 @@ def orbit_spectra(
     window: tuple[float, float],
     kernel,
     n_lambda: int = 16,
+    tol_root: float = DEFAULT_TOL_ROOT,
+    tol_residual: float = DEFAULT_TOL_RESIDUAL,
 ) -> list[tuple[float, UnitaryBC, SpectrumSlice]]:
     """Spectra across the conjugation orbit, lambda = k pi / n_lambda.
 
@@ -100,19 +102,21 @@ def orbit_spectra(
     the window, each crossing bracketed to tol_root * max(1, |x|) by its
     own tracks, and its own residual checked.  A certified member
     reports the searched roots and multiplicities bit for bit, with its
-    own residuals.  The members that fail certification (a root on a
-    special point, say, or a residual over the tolerance) are searched
-    in one batch, which rescues or raises as a search of each would.
-    Results come back in lambda order.
+    own residuals.  The members that fail certification (a residual
+    over the tolerance, say) are searched in one batch, which rescues or
+    raises as a search of each would.  The tolerances are those of
+    :func:`~ring_spectra.roots.find_spectra`, for the searches and the
+    certification alike.  Results come back in lambda order.
     """
     if n_lambda < 1:
         raise ValueError("need at least one orbit sample")
     lams = [k * np.pi / n_lambda for k in range(n_lambda)]
     bcs = _orbit_members(u, lams)
-    (first,) = find_spectra(bcs[:1], window, kernel)
-    slices = [first, *_certify(first, bcs[1:], kernel, DEFAULT_TOL_ROOT, DEFAULT_TOL_RESIDUAL)]
+    (first,) = find_spectra(bcs[:1], window, kernel, tol_root, tol_residual)
+    slices = [first, *_certify(first, bcs[1:], kernel, tol_root, tol_residual)]
     failed = [k for k, s in enumerate(slices) if s is None]
     if failed:
-        for k, s in zip(failed, find_spectra([bcs[k] for k in failed], window, kernel)):
+        retry = find_spectra([bcs[k] for k in failed], window, kernel, tol_root, tol_residual)
+        for k, s in zip(failed, retry):
             slices[k] = s
     return list(zip(lams, bcs, slices))

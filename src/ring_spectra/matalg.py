@@ -3,8 +3,7 @@
 Everything downstream (boundary conditions, spectral kernels, oracles)
 manipulates 2x2 unitaries, so the few primitives that must behave
 identically everywhere live here: the Pauli matrices, determinant and
-trace, the unitarity check, the determinant-of-difference identity and
-Pauli decomposition.
+trace, the unitarity check and Pauli decomposition.
 """
 
 from __future__ import annotations
@@ -53,18 +52,6 @@ def require_unitary(w: np.ndarray, tol: float = 1e-10) -> None:
     res = unitarity_residual(w)
     if not res < tol:
         raise NonUnitaryError(res, tol)
-
-
-def det2x2_difference(m: np.ndarray, n: np.ndarray) -> complex:
-    """det(M - N) evaluated through det/trace invariants only.
-
-    Uses det(M - N) = det(M) + det(N) + tr(MN) - tr(M) tr(N), valid for
-    any pair of 2x2 matrices.  A direct cofactor evaluation of M - N
-    must agree; tests enforce this.
-    """
-    m = np.asarray(m, dtype=complex)
-    n = np.asarray(n, dtype=complex)
-    return complex(det2(m) + det2(n) + tr2(m @ n) - tr2(m) * tr2(n))
 
 
 def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:

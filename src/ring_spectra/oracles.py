@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dirac import snap_band
 from .matalg import I2, SX, TAU
 from .roots import (
     DEFAULT_TOL_RESIDUAL,
@@ -33,6 +32,21 @@ from .roots import (
 
 #: grid nodes per 2 pi of the reference search
 DEFAULT_DENSITY = 1024
+#: an energy closer than SNAP_TOL * max(1, |s|) to a zero-wavenumber
+#: point s takes the solution basis of s itself (:func:`snap_band`)
+SNAP_TOL = 1e-12
+
+
+def snap_band(at: float) -> float:
+    """Half-width of the snap band of the zero-wavenumber point ``at``.
+
+    The plane-wave bases of the oracles (:func:`wavenumber`,
+    :func:`schrod_boundary_map`, ``triple.RepKernel``) degenerate at
+    K = 0, so an energy less than this far from the point takes the
+    point's own polynomial basis.  The kernels need no such band: their
+    closed form is accurate right down to K = 0.
+    """
+    return SNAP_TOL * max(1.0, abs(at))
 
 
 def boundary_matrix(a, b) -> np.ndarray:
@@ -304,7 +318,7 @@ def grid_spectra(
     lo, hi = _validate(window, tol_root, tol_residual)
     if density < 64:
         raise ValueError("grid density must be at least 64 per 2*pi")
-    top = _top_end(hi, tol_root, kernel.special_points())
+    top = _top_end(hi, tol_root)
     nodes = int(np.ceil((top - lo) / TAU * density)) + 1
     grid = _build_grid(lo, top, nodes, kernel.special_points())
     a, b, c, _ = kernel.coefficients(grid)

@@ -44,17 +44,14 @@ closer than the separation tolerance merge into one root of multiplicity
 2, the maximum for 2x2 unitaries; a larger cluster raises, since it
 would mean the dimension count failed.
 
-A kernel is anything with ``theory``, ``special_points()``,
-``turning_points(lo, hi, limit)``, ``polar(x) -> (h, u, v)`` and
-``spectral_values(x, u)``; the search calls nothing else, and never
-builds a 2x2 matrix per point.  ``turning_points`` returns energies
-strictly inside (lo, hi) and outside the snap bands, sorted and
-distinct, that do not depend on U (none where the tracks do not turn
-steeply, or past ``limit`` spots).  The kernels evaluate a small band
-around each special point as the point itself
-(:func:`ring_spectra.dirac.snap_band`), so a root whose final bracket
-meets that band is reported at the point, and the count at the window's
-top end is read past any band that holds it.
+A kernel is anything with ``theory``, ``turning_points(lo, hi,
+limit)``, ``polar(x) -> (h, u, v)`` and ``spectral_values(x, u)``; the
+search calls nothing else, and never builds a 2x2 matrix per point.
+``turning_points`` returns energies strictly inside (lo, hi), sorted
+and distinct, that do not depend on U (none where the tracks do not
+turn steeply, or past ``limit`` spots).  The kernels evaluate every
+energy as itself, up to and on the zero-wavenumber points, so a root
+there is found, counted and placed like any other.
 
 (h, u, v) do not depend on U, so the one search, :func:`find_spectra`,
 runs a batch of boundary conditions on one kernel call per refinement
@@ -85,7 +82,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, invariant_triple
-from .dirac import snap_band
 from .matalg import TAU
 
 #: roots closer than SEPARATION_FACTOR * max(1, |x|) merge (multiplicity 2)
@@ -212,22 +208,11 @@ def _validate(window, tol_root, tol_residual) -> tuple[float, float]:
     return lo, hi
 
 
-def _top_end(hi: float, tol_root: float, specials) -> float:
-    """Where the tracks are read for the window's top end.
-
-    hi is padded by the root tolerance: a zero sitting exactly at hi (up
-    to fp fuzz) belongs to the half-open window and must be counted.
-    Should that land in a special point's snap band, the kernel would
-    evaluate it as the point itself, where a crossing sits on its target
-    only up to rounding; the end then moves past the band, so a root at
-    the point is counted whichever way that rounding goes.
-    """
-    top = hi + tol_root * max(1.0, abs(hi))
-    for s in specials:
-        band = snap_band(s)
-        if abs(top - s) < band:
-            top = s + 2.0 * band
-    return top
+def _top_end(hi: float, tol_root: float) -> float:
+    """Where the tracks are read for the window's top end: hi padded by
+    the root tolerance, since a zero sitting exactly at hi (up to fp
+    fuzz) belongs to the half-open window and must be counted."""
+    return hi + tol_root * max(1.0, abs(hi))
 
 
 #: the sign of the spread on track t_+ and on track t_-
@@ -471,7 +456,7 @@ def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None
     if not us:
         return []
     lo, hi = s.window
-    top = _top_end(hi, tol_root, kernel.special_points())
+    top = _top_end(hi, tol_root)
     w = 0.5 * tol_root * np.maximum(1.0, np.abs(s.x))
     xl, xr = np.maximum(s.x - w, lo), np.minimum(s.x + w, top)
     xs = np.concatenate([[lo], np.column_stack([xl, xr]).ravel(), [top]])
@@ -537,7 +522,7 @@ def find_spectra(
     lo, hi = _validate(window, tol_root, tol_residual)
     if not us:
         return []
-    top = _top_end(hi, tol_root, kernel.special_points())
+    top = _top_end(hi, tol_root)
     chart = _charts(us)
     samples = max(_SAMPLES, _BATCH_SAMPLES // len(us))
     xs = np.linspace(lo, top, samples + 1)  # ends exactly lo and top
@@ -566,14 +551,9 @@ def find_spectra(
     # the sample arrays grow with the turning points: free them before refining
     del turns, tracks, level, counts, n, row, step, left
     consts = np.concatenate((chart.T[:, owner], [_SIGNS[track], target]))
-    located, xl, xr, evals = _refine(
+    located, _, _, evals = _refine(
         kernel, consts, xs[interval], xs[interval + 1], gl, gr, tol_root, tol_residual
     )
-    # a root whose final bracket meets a special point's snap band is
-    # reported at the point: the kernel evaluates that band as the point
-    for special in kernel.special_points():
-        band = snap_band(special)
-        located[(xl <= special + band) & (xr >= special - band)] = special
     evaluated = xs.size + np.bincount(owner, weights=evals, minlength=len(us))
     return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 

@@ -26,10 +26,11 @@ So this module evaluates :func:`ring_spectra.dirac._closed_form` at
 above 1 near every zero q = m pi of sin q, so the tracks are
 staircases from e ~ 6 on.  The regimes follow: e > 0 is oscillatory,
 e < 0 is the evanescent (in-gap) form, and e = 0 is the
-zero-wavenumber point at rest energy 1/2, where the polynomial-basis
-(1, x/L) limit is a = -1/(1 - 2i), b = 2i/(1 - 2i),
-c = (1 + 2i)/(1 - 2i) and h = atan 2.  The lifted half phase h of c is continuous and never
-increases.
+zero-wavenumber point at rest energy 1/2, the one energy taken as the
+closed form's limit (any other e, however small, is evaluated as it
+is): there the polynomial-basis (1, x/L) limit is a = -1/(1 - 2i),
+b = 2i/(1 - 2i), c = (1 + 2i)/(1 - 2i) and h = atan 2.  The lifted
+half phase h of c is continuous and never increases.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .dirac import _closed_form, _coefficients, _in_window, _turn_spots, _turns
 
 def _core(e):
     """The relativistic real core at (p, n) = (e, 1)."""
-    return _closed_form(np.array(e, dtype=float, ndmin=1), 1.0, 0.5)
+    return _closed_form(np.array(e, dtype=float, ndmin=1), 1.0)
 
 
 def coefficient_arrays(e):
@@ -75,17 +76,17 @@ class SchrodKernel:
 
     def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
         """The energies in (lo, hi) around which the tracks turn, sorted
-        and distinct, outside the snap band of e = 0; they do not depend
-        on U.  At (p, n) = (q^2, 1) the peak ratio (q^2 - 1) / (2 q)
-        exceeds 1 at every zero q = m pi of sin q
-        (:func:`ring_spectra.dirac._turns`).  A window with more than
-        ``limit`` such zeros gets none, so nothing is allocated for it.
+        and distinct; they do not depend on U.  At (p, n) = (q^2, 1) the
+        peak ratio (q^2 - 1) / (2 q) exceeds 1 at every zero q = m pi of
+        sin q (:func:`ring_spectra.dirac._turns`), and all lie at
+        q >= pi / 2, away from e = 0.  A window with more than ``limit``
+        such zeros gets none, so nothing is allocated for it.
         """
         first, count = _turn_spots(math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0)))
         if count > limit:
             return np.empty(0)
         q = np.pi * np.arange(first, first + count)
-        return _in_window(_turns(q, q * q, 1.0) ** 2, lo, hi, self.special_points())
+        return _in_window(_turns(q, q * q, 1.0) ** 2, lo, hi)
 
     def special_points(self) -> tuple[float, ...]:
         return (0.0,)

@@ -25,8 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, from_matrix, spectral_function
-from .dirac import coefficient_arrays, snap_band, turning_points
+from .dirac import coefficient_arrays, turning_points
 from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
+from .oracles import snap_band
 
 _REP_TOL = 1e-12
 #: RepKernel's transfer matrix, back in the standard basis, must be

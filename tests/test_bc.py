@@ -1,5 +1,6 @@
 """Tests for the boundary-condition space and its text format."""
 
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -9,6 +10,7 @@ from ring_spectra.bc import (
     BCConstraintError,
     BCParseError,
     UnitaryBC,
+    _chart_matrix,
     _orbit_members,
     conjugate_orbit,
     from_matrix,
@@ -171,16 +173,19 @@ def test_conjugate_orbit_turns_the_chart():
 
 def test_orbit_members_are_the_conjugates_bit_for_bit():
     # the chart turned and checked on arrays, once over all members, gives
-    # each member as conjugate_orbit turns and checks it on Python floats,
-    # to the last bit, and a lambda that breaks a member raises as its
-    # construction does
+    # each member as the checked constructor builds it from the chart
+    # turned on Python floats, to the last bit, and a lambda that breaks a
+    # member raises as its construction does
     rng = np.random.default_rng(16)
     lams = [k * np.pi / 16 for k in range(16)] + list(rng.uniform(0.0, np.pi, 4))
     us = [random_unitary_bc(rng) for _ in range(100)]
     us += [named_family("dpp", 0.0), named_family("parity", eta=0.4, theta=2.2)]
     for u in us:
         for got, lam in zip(_orbit_members(u, lams), lams, strict=True):
-            want = conjugate_orbit(u, lam)
+            c, s = math.cos(2.0 * lam), math.sin(2.0 * lam)
+            m1, m2, m3 = u.m.tolist()
+            m = (m1, c * m2 + s * m3, c * m3 - s * m2)
+            want = UnitaryBC(_chart_matrix(u.eta, u.m0, m), u.eta, u.m0, m)
             assert got.matrix.dtype == want.matrix.dtype and got.m.dtype == want.m.dtype
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert got.m.tobytes() == want.m.tobytes()
@@ -192,7 +197,8 @@ def test_orbit_members_are_the_conjugates_bit_for_bit():
     with pytest.raises(NonUnitaryError) as batch:
         _orbit_members(u, [0.1, np.nan])
     with pytest.raises(NonUnitaryError) as single:
-        conjugate_orbit(u, np.nan)
+        UnitaryBC(_chart_matrix(u.eta, u.m0, (u.m[0], np.nan, np.nan)), u.eta, u.m0,
+                  (u.m[0], np.nan, np.nan))
     assert str(batch.value) == str(single.value)
 
 

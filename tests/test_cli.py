@@ -14,6 +14,7 @@ import pytest
 
 import ring_spectra
 from ring_spectra.cli import main
+from ring_spectra.roots import _certify
 
 
 def run_cli(capsys, argv):
@@ -69,7 +70,7 @@ def test_spectrum_single_mass_mode(capsys):
     payload = json.loads(out)
     assert len(payload["eigenvalues"]) == 1
     row = payload["eigenvalues"][0]
-    # localization is limited by the mass-mode snap width (1e-12)
+    # localized to the root tolerance (1e-12)
     assert row["value"] == pytest.approx(1.0, abs=3e-12)
     assert row["multiplicity"] == 1
 
@@ -190,6 +191,36 @@ def test_a_residual_failure_names_its_cause(capsys):
     code, out, err = run_cli(capsys, argv + ["--tol-residual", "2e-9"])
     assert code == 0 and err == ""
     assert all(row["residual"] < 2e-9 for row in json.loads(out)["eigenvalues"])
+
+
+def test_orbit_takes_the_tolerance_options(capsys):
+    # orbit passes --tol-root and --tol-residual on, as spectrum does: an
+    # unmeetable residual tolerance exits 4, and on the window where the
+    # default one fails (the case above) the remedy the error names works
+    argv = ["orbit", "--theory", "dirac", "--mu0", "1", "--window", "-5", "5",
+            "--bc", "u2:eta=0.3,m0=0.6,m1=0.0,m2=0.8,m3=0.0", "--lambdas", "2"]
+    code, out, err = run_cli(capsys, argv + ["--tol-residual", "1e-30"])
+    assert code == 4 and out == ""
+    assert "residual verification" in err
+    rng = np.random.default_rng(1)
+    u = [ring_spectra.random_unitary_bc(rng) for _ in range(9)][8]
+    spec = f"u2:eta={u.eta!r},m0={u.m0!r}," + ",".join(
+        f"m{i + 1}={float(m)!r}" for i, m in enumerate(u.m)
+    )
+    argv = ["orbit", "--theory", "dirac", "--mu0", "1", "--bc", spec,
+            "--window", "5e6", "5000100", "--lambdas", "4"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and out == ""
+    assert "residual verification" in err and "(--tol-residual)" in err
+    code, out, err = run_cli(capsys, argv + ["--tol-residual", "2e-9"])
+    assert code == 0 and err == ""
+    for entry in json.loads(out)["orbit"]:
+        assert all(row["residual"] < 2e-9 for row in entry["spectrum"]["eigenvalues"])
+    # and all three other members certify from the searched one at 2e-9
+    kernel, window = ring_spectra.DiracKernel(1.0), (5e6, 5000100.0)
+    entries = ring_spectra.orbit_spectra(u, window, kernel, n_lambda=4, tol_residual=2e-9)
+    members = [member for _, member, _ in entries]
+    assert None not in _certify(entries[0][2], members[1:], kernel, 1e-12, 2e-9)
 
 
 def test_exit_code_root_count_over_cap(capsys):

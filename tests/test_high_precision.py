@@ -107,42 +107,70 @@ def test_schrod_roots_are_true_zeros():
             assert abs(schrod_f_mp(e, u)) < 5e-10
 
 
-@pytest.mark.parametrize("mu", [-4.8, -1.0 + 1e-7, 0.3, 0.999, 2.5, 7.0])
-def test_dirac_kernel_matches_high_precision(mu):
+def _sinc(k):
+    """sin K / K in 50 digits, with its limit 1 at K = 0, where the
+    closed form's (a, b, c) are the limit of the generic formula."""
+    return mp.sin(k) / k if k else mp.mpf(1)
+
+
+def _near_edges(mu0):
+    """Energies at and around the gap edges +-mu0: mu0 itself, 1 ulp to
+    either side and a relative 1e-13 to either side, on both edges."""
+    near = [mu0, np.nextafter(mu0, np.inf), np.nextafter(mu0, 0.0),
+            mu0 * (1 + 1e-13), mu0 * (1 - 1e-13)]
+    return [(sign * mu, mu0) for mu in near for sign in (1.0, -1.0)]
+
+
+#: energies at the zero-wavenumber point and within 1e-13 of it, where
+#: the closed form must hold to the same digits as anywhere else
+ZERO_WAVENUMBER_MU = [point for mu0 in (1.0, 1e3, 2.6e6) for point in _near_edges(mu0)]
+ZERO_WAVENUMBER_E = [0.0, 1e-13, -1e-13, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize(
+    "mu,mu0",
+    [pytest.param(mu, 1.0, id=str(mu)) for mu in (-4.8, -1.0 + 1e-7, 0.3, 0.999, 2.5, 7.0)]
+    + ZERO_WAVENUMBER_MU,
+)
+def test_dirac_kernel_matches_high_precision(mu, mu0):
     # coefficients, not just roots: the double-precision kernel agrees
     # with 50-digit evaluation to ~1e-15 everywhere, including just
-    # inside the gap edge
+    # inside the gap edge and on it.  Divided by K, the formula is
+    # regular at K = 0: d / K = mu S - i cos K with S = sin K / K
     from ring_spectra.dirac import coefficient_arrays
 
-    mu0 = 1.0
     a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([mu]), mu0))
     mpmu, mpmu0 = mp.mpf(mu), mp.mpf(mu0)
     if abs(mpmu) >= mpmu0:
         k = mp.sqrt(mpmu**2 - mpmu0**2)
     else:
         k = mp.mpc(0, 1) * mp.sqrt(mpmu0**2 - mpmu**2)
-    d = mpmu * mp.sin(k) - mp.mpc(0, 1) * k * mp.cos(k)
-    a_mp = mpmu0 * mp.sin(k) / d
-    b_mp = -mp.mpc(0, 1) * k / d
-    c_mp = (mpmu * mp.sin(k) + mp.mpc(0, 1) * k * mp.cos(k)) / d
+    s = _sinc(k)
+    d = mpmu * s - mp.mpc(0, 1) * mp.cos(k)
+    a_mp = mpmu0 * s / d
+    b_mp = -mp.mpc(0, 1) / d
+    c_mp = (mpmu * s + mp.mpc(0, 1) * mp.cos(k)) / d
     assert abs(complex(a_mp) - a) < 1e-14
     assert abs(complex(b_mp) - b) < 1e-14
     assert abs(complex(c_mp) - c) < 1e-14
 
 
 @pytest.mark.parametrize(
-    "e", [-1e8, -1e4, -50.0, -2.0, -1.0, -1.0 + 1e-9, 1e-8, 0.5, 42.0, 333.0]
+    "e", [-1e8, -1e4, -50.0, -2.0, -1.0, -1.0 + 1e-9, 1e-8, 0.5, 42.0, 333.0] + ZERO_WAVENUMBER_E
 )
 def test_schrod_kernel_matches_high_precision(e):
+    # divided by q, D_S / q = (1 + e) S - 2 i cos q with S = sin q / q,
+    # regular at e = 0
     from ring_spectra.schrod import coefficient_arrays
 
     a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([e])))
     ee = mp.mpf(e)
     q = mp.sqrt(mp.mpc(ee))
-    d = (1 + ee) * mp.sin(q) - 2 * mp.mpc(0, 1) * q * mp.cos(q)
-    a_mp = (ee - 1) * mp.sin(q) / d
-    b_mp = 2 * mp.mpc(0, 1) * q / d
-    c_mp = ((1 + ee) * mp.sin(q) + 2 * mp.mpc(0, 1) * q * mp.cos(q)) / d
+    s = _sinc(q)
+    d = (1 + ee) * s - 2 * mp.mpc(0, 1) * mp.cos(q)
+    a_mp = (ee - 1) * s / d
+    b_mp = 2 * mp.mpc(0, 1) / d
+    c_mp = ((1 + ee) * s + 2 * mp.mpc(0, 1) * mp.cos(q)) / d
     assert abs(complex(a_mp) - a) < 1e-14
     assert abs(complex(b_mp) - b) < 1e-14
     assert abs(complex(c_mp) - c) < 1e-14
@@ -156,7 +184,8 @@ def _half_phase_gap(h, c_mp) -> float:
 @pytest.mark.parametrize(
     "mu,mu0",
     [(1e6, 0.0), (-1e6, 0.0), (1e6, 1.0), (-999999.5, 1.0), (1e6, 1e3), (-1e6, 1e3),
-     (1e3 * (1 + 1e-9), 1e3), (3e5, 1e6), (-999000.0, 1e6), (0.0, 1e6), (1e6 * (1 - 1e-9), 1e6)],
+     (1e3 * (1 + 1e-9), 1e3), (3e5, 1e6), (-999000.0, 1e6), (0.0, 1e6), (1e6 * (1 - 1e-9), 1e6)]
+    + ZERO_WAVENUMBER_MU,
 )
 def test_dirac_half_phase_matches_high_precision(mu, mu0):
     # the lifted half phase at extreme energies: e^{2ih} = c to a few ulp
@@ -173,13 +202,15 @@ def test_dirac_half_phase_matches_high_precision(mu, mu0):
     else:
         k = mp.mpc(0, 1) * mp.sqrt(mpmu0**2 - mpmu**2)
         low = 0.0  # pi/2 - atan(...)
-    d = mpmu * mp.sin(k) - mp.mpc(0, 1) * k * mp.cos(k)
-    c = (mpmu * mp.sin(k) + mp.mpc(0, 1) * k * mp.cos(k)) / d
+    d = mpmu * _sinc(k) - mp.mpc(0, 1) * mp.cos(k)
+    c = (mpmu * _sinc(k) + mp.mpc(0, 1) * mp.cos(k)) / d
     assert _half_phase_gap(h, c) < 1e-15
     assert low < h < low + mp.pi
 
 
-@pytest.mark.parametrize("e", [-1e10, -1e4, -1e-9, 1e-9, 0.5, 1e4, 12345.678, 1e8, 1e10])
+@pytest.mark.parametrize(
+    "e", [-1e10, -1e4, -1e-9, 1e-9, 0.5, 1e4, 12345.678, 1e8, 1e10] + ZERO_WAVENUMBER_E
+)
 def test_schrod_half_phase_matches_high_precision(e):
     from ring_spectra.schrod import coefficient_arrays
 
@@ -191,7 +222,7 @@ def test_schrod_half_phase_matches_high_precision(e):
     else:
         q = mp.mpc(0, 1) * mp.mpf(float(np.sqrt(-e)))
         low = 0.0  # pi - atan2(2 kappa, ...) with the atan2 in (0, pi)
-    d = (1 + ee) * mp.sin(q) - 2 * mp.mpc(0, 1) * q * mp.cos(q)
-    c = ((1 + ee) * mp.sin(q) + 2 * mp.mpc(0, 1) * q * mp.cos(q)) / d
+    d = (1 + ee) * _sinc(q) - 2 * mp.mpc(0, 1) * mp.cos(q)
+    c = ((1 + ee) * _sinc(q) + 2 * mp.mpc(0, 1) * mp.cos(q)) / d
     assert _half_phase_gap(h, c) < 1e-15
     assert low < h < low + mp.pi

@@ -42,6 +42,19 @@ def test_cli_import_adds_only_the_cli():
     assert loaded_after("import ring_spectra.cli") == ENGINE | {"ring_spectra.cli"}
 
 
+def test_the_engine_holds_no_snap_band():
+    # the kernels evaluate every energy as itself, up to and on the
+    # zero-wavenumber points; only the check-only oracles, whose bases
+    # degenerate there, keep a snap band
+    code = (
+        "import sys\nimport ring_spectra\n"
+        "print(' '.join(f'{name}.{attr}' for name, module in sorted(sys.modules.items())\n"
+        "    if name.startswith('ring_spectra')\n"
+        "    for attr in ('snap_band', 'SNAP_TOL') if hasattr(module, attr)))"
+    )
+    assert run_python(code).split() == []
+
+
 def test_public_names_resolve():
     assert len(ring_spectra.__all__) == 26
     assert all(hasattr(ring_spectra, name) for name in ring_spectra.__all__)

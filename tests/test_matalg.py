@@ -15,7 +15,6 @@ from ring_spectra.matalg import (
     SZ,
     NonUnitaryError,
     det2,
-    det2x2_difference,
     pauli_decompose,
     require_unitary,
 )
@@ -39,13 +38,8 @@ def random_unitaries(rng, n):
     return np.exp(1j * eta)[:, None, None] * out
 
 
-def test_det_difference_identical_matrices():
-    assert det2x2_difference(I2, I2) == 0
-
-
 def test_det_difference_pauli_example():
     # det(sx - sz) = det [[-1, 1], [1, 1]] = -2
-    assert det2x2_difference(SX, SZ) == pytest.approx(-2.0)
     assert det2(SX - SZ) == pytest.approx(-2.0)
 
 

@@ -13,9 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ring_spectra import bc, dirac, iso, roots, schrod
-from ring_spectra.dirac import DiracKernel, coefficient_arrays, snap_band
+from ring_spectra.dirac import DiracKernel, coefficient_arrays
 from ring_spectra.matalg import TAU
-from ring_spectra.oracles import boundary_matrix, grid_spectra
+from ring_spectra.oracles import boundary_matrix, grid_spectra, snap_band
 from ring_spectra.roots import (
     _SIGNS,
     MAX_ROOTS,
@@ -156,8 +156,9 @@ POLAR_KERNELS = [
 
 @st.composite
 def polar_points(draw):
-    """A kernel and one energy: on a gap edge, in or just past its snap
-    band, inside the gap, or anywhere with |x| up to 1e4."""
+    """A kernel and one energy: on a gap edge, within twice the oracles'
+    snap band of it (where the representation kernel changes basis),
+    inside the gap, or anywhere with |x| up to 1e4."""
     kernel = draw(st.sampled_from(POLAR_KERNELS))
     edge = draw(st.sampled_from(kernel.special_points()))
     where = draw(st.sampled_from(["edge", "band", "gap", "any"]))
@@ -215,7 +216,7 @@ def test_find_spectrum_quasi_periodic_window():
 
 def test_find_spectrum_mass_mode_in_window():
     # identity condition admits mu = +mu0; window (0.5, 1.5] catches exactly
-    # it, localized up to the mass-mode snap width (1e-12)
+    # it, localized to the root tolerance (1e-12)
     s = find_spectrum(bc.from_matrix(np.eye(2)), (0.5, 1.5), DiracKernel(1.0))
     assert len(s.roots) == 1
     assert s.roots[0].x == pytest.approx(1.0, abs=3e-12)
@@ -554,42 +555,28 @@ def test_overflowing_window_is_refused():
 
 
 def test_roots_in_a_snap_band_are_reported_at_the_special_point():
-    # the kernels evaluate a band of 1e-12 * max(1, mu0) around +-mu0 (and
-    # of 1e-12 around e = 0) as the point itself; a root whose bracket
-    # meets it comes back exactly there
-    s = find_spectrum(bc.named_family("dpp", 0.0), (-10.0, 10.0), DiracKernel(1.0))
-    assert -1.0 in s.values() and 1.0 in s.values()
-    s = find_spectrum(bc.named_family("pp", 0.0), (-10.0, 200.0), SchrodKernel())
-    assert s.roots[0].x == 0.0
+    # the kernels evaluate every energy as itself, up to and on +-mu0 and
+    # e = 0: a root there is found once, within the root tolerance of the
+    # point, as a simple root that meets the residual contract
+    def near(s, point):
+        tol = roots.DEFAULT_TOL_ROOT * max(1.0, abs(point))
+        return [r for r in s.roots if abs(r.x - point) <= tol]
+
+    for u, window, kernel, point in (
+        (bc.named_family("dpp", 0.0), (-10.0, 10.0), DiracKernel(1.0), -1.0),
+        (bc.named_family("dpp", 0.0), (-10.0, 10.0), DiracKernel(1.0), 1.0),
+        (bc.named_family("pp", 0.0), (-10.0, 200.0), SchrodKernel(), 0.0),
+    ):
+        (root,) = near(find_spectrum(u, window, kernel), point)
+        assert root.multiplicity == 1 and root.residual <= roots.DEFAULT_TOL_RESIDUAL
     # and as a window end it obeys the half-open rule: in at hi, out at lo
     u = bc.named_family("dpp", 0.0)
-    # (whichever way rounding puts the track at the point itself: the
-    # count is read past the band, so these hold for every mu0)
     for mu0 in (0.25, 1.0, 5.0, 7.0, 10.0, 20.0, 33.0, 1e3):
         kernel = DiracKernel(mu0)
         for sign in (1.0, -1.0):
             x = sign * mu0
-            assert x in find_spectrum(u, (x - 10.0, x), kernel).values()
+            assert len(near(find_spectrum(u, (x - 10.0, x), kernel), x)) == 1
             assert np.all(np.abs(find_spectrum(u, (x, x + 10.0), kernel).values() - x) > 1e-6)
-
-
-@pytest.mark.parametrize(
-    "kernel", [DiracKernel(0.0), DiracKernel(1.0), DiracKernel(20.0), SchrodKernel()], ids=repr
-)
-def test_snap_band_returns_the_special_point_values(kernel):
-    # every energy in a special point's snap band evaluates to that
-    # point's own (a, b, c, h) and (h, u, v), bit for bit, alone or in
-    # one array
-    for s in kernel.special_points():
-        band = snap_band(s)
-        xs = s + band * np.array([-0.99, -0.5, 0.5, 0.99])
-        assert np.all(np.abs(xs - s) < band) and np.all(xs != s)
-        for method in (kernel.coefficients, kernel.polar):
-            want = [v.tobytes() for v in method(np.array([s]))]
-            for x in xs:
-                assert [v.tobytes() for v in method(np.array([x]))] == want
-            for v, w in zip(method(xs), want):
-                assert all(v[i : i + 1].tobytes() == w for i in range(len(xs)))
 
 
 #: kernels whose lifted half phase is checked: Dirac through both gap
@@ -634,7 +621,7 @@ def test_tracks_never_increase(case, u):
 def turning_windows(draw):
     """A kernel and a window (lo, top) as the search hands it on:
     Dirac at mu0 up to 1e8, with an end near a gap edge or reaching
-    across both (at mu0 ~ 1e7 the first turns lie in the snap band of
+    across both (at mu0 ~ 1e7 the first turns lie within 1e-12 * mu0 of
     the edge), or Schroedinger from below e = 0 to 1e8."""
     if draw(st.booleans()):
         kernel = SchrodKernel()
@@ -646,7 +633,7 @@ def turning_windows(draw):
         scale = st.sampled_from([1.0, max(1.0, kernel.mu0)])
         lo = edge + draw(st.floats(-3.0, 3.0)) * draw(scale)
         hi = lo + draw(st.floats(1e-3, 4.0)) * draw(scale)
-    return kernel, (lo, roots._top_end(hi, roots.DEFAULT_TOL_ROOT, kernel.special_points()))
+    return kernel, (lo, roots._top_end(hi, roots.DEFAULT_TOL_ROOT))
 
 
 @PROPERTY
@@ -657,8 +644,6 @@ def test_turning_points_are_sorted_inside_and_off_the_snap_bands(case):
     assert turns.dtype == float and turns.ndim == 1
     assert np.all(np.diff(turns) > 0.0)
     assert np.all((lo < turns) & (turns < top))
-    for s in kernel.special_points():
-        assert np.all(np.abs(turns - s) >= snap_band(s))
     if kernel.theory == "dirac" and kernel.mu0 <= np.pi:
         assert turns.size == 0
 
@@ -705,7 +690,7 @@ def test_search_matches_grid_oracle(case, u, edge, frac):
     # a window end moved exactly onto one of the oracle's roots.  A root
     # at a special point is left out as an end: there the oracle's
     # unwrapped tracks sit within 1e-16 of the target on either side, and
-    # the snap test above fixes the answer instead
+    # the half-open test of such roots above fixes the answer instead
     kernel, (lo, hi) = case
     if edge != "none":
         specials = np.array(kernel.special_points())
@@ -863,9 +848,6 @@ class CountingKernel:
         self.calls = []
         self.samples = None
 
-    def special_points(self):
-        return self.kernel.special_points()
-
     def turning_points(self, lo, hi, limit):
         return self.kernel.turning_points(lo, hi, limit)
 
@@ -895,11 +877,15 @@ def test_search_protocol_counts(n_us, n_samples):
     # the samples across the window take one polar call, each refinement
     # round one more over the brackets still active, and the roots of
     # every U are verified in one spectral_values call; coefficients is
-    # never called.  A search alone samples 256 intervals, and a batch
-    # max(64, 256 // n_us) per U, so its ends call does not grow per U
+    # never called, and neither is special_points, which the proxy lacks.
+    # A search alone samples 256 intervals, and a batch max(64, 256 //
+    # n_us) per U, so its ends call does not grow per U
     rng = np.random.default_rng(61)
     us = [bc.random_unitary_bc(rng) for _ in range(n_us)]
     proxy = CountingKernel(DiracKernel(1.0))
+    assert not hasattr(proxy, "special_points")
+    iso.orbit_spectra(us[0], (-40.0, 40.0), proxy, n_lambda=n_us)
+    proxy.calls, proxy.samples = [], None
     slices = find_spectra(us, (-40.0, 40.0), proxy)
     names = [name for name, _ in proxy.calls]
     assert "coefficients" not in names
@@ -987,7 +973,7 @@ def test_each_crossing_starts_in_its_own_sample_interval(case, u):
     kernel, (lo, hi) = case
     proxy = CountingKernel(kernel)
     _, (_, _, xl, xr, gl, gr, tol_root, _), _ = refine_call([u], (lo, hi), proxy)
-    top = roots._top_end(hi, tol_root, kernel.special_points())
+    top = roots._top_end(hi, tol_root)
     ends = phases_at(kernel, np.array([lo, top]), u)
     certificate = np.maximum(np.ceil(ends[0] / TAU) - np.ceil(ends[1] / TAU), 0.0).sum()
     assert len(xl) == certificate
@@ -1038,9 +1024,6 @@ class StaircaseKernel:
 
     def __init__(self, offset):
         self.offset = offset
-
-    def special_points(self):
-        return ()
 
     def turning_points(self, lo, hi, limit):
         return np.empty(0)
@@ -1182,7 +1165,7 @@ def test_refine_is_batch_invariant(case, us, data):
         find_spectra(us, window, kernel)
     ((args, _),) = calls
     _, consts, xl, xr, gl, gr, *tols = args
-    batch = roots._refine(*args)  # the search snaps its copy onto the special points
+    batch = roots._refine(*args)
     assume(np.unique(batch[3]).size > 1)
     picks = data.draw(st.lists(st.integers(0, len(xl) - 1), min_size=1, max_size=6, unique=True))
     for rows in ([picks[0]], picks):
@@ -1328,17 +1311,20 @@ def test_a_member_over_the_residual_tolerance_is_searched_alone():
 
 
 def test_a_root_on_a_special_point_falls_back_to_the_search():
-    # both ends of the bracket around mu = mu0 lie in its snap band, where
-    # the tracks read as at the point itself: no member is certified, and
-    # the orbit is the search of its first member, then the batched search
-    # of the others (a batch of 5 or 6 samples as many intervals)
+    # the kernels evaluate mu = mu0 as any other energy, so every member's
+    # own tracks bracket the root there like any other: each member is
+    # certified, and no member falls back to the search
     kernel, window = DiracKernel(1.0), (-5.0, 5.0)
-    entries = iso.orbit_spectra(MASS_MODE, window, kernel, n_lambda=6)
+    proxy = CountingKernel(kernel)
+    entries = iso.orbit_spectra(MASS_MODE, window, proxy, n_lambda=6)
     members = [member for _, member, _ in entries]
-    assert 1.0 in entries[0][2].values()
-    assert roots._certify(entries[0][2], members, kernel, 1e-12, 1e-9) == [None] * 6
-    assert entries[0][2] == find_spectrum(members[0], window, kernel)
-    assert [s for _, _, s in entries[1:]] == find_spectra(members, window, kernel)[1:]
+    first = entries[0][2]
+    assert np.min(np.abs(first.x - 1.0)) <= 1e-12
+    certified = roots._certify(first, members[1:], kernel, 1e-12, 1e-9)
+    assert None not in certified
+    assert [s for _, _, s in entries[1:]] == certified
+    # the search of member 0 and the certification verify once each
+    assert [name for name, _ in proxy.calls].count("spectral_values") == 2
 
 
 def test_certify_refuses_a_condition_outside_the_orbit():
