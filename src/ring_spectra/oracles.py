@@ -40,11 +40,12 @@ SNAP_TOL = 1e-12
 def snap_band(at: float) -> float:
     """Half-width of the snap band of the zero-wavenumber point ``at``.
 
-    The plane-wave bases of the oracles (:func:`wavenumber`,
-    :func:`schrod_boundary_map`, ``triple.RepKernel``) degenerate at
-    K = 0, so an energy less than this far from the point takes the
-    point's own polynomial basis.  The kernels need no such band: their
-    closed form is accurate right down to K = 0.
+    The plane-wave bases of this module (:func:`wavenumber`,
+    :func:`build_Apm`, :func:`schrod_boundary_map`) degenerate at K = 0,
+    so an energy less than this far from the point takes the point's
+    own polynomial basis.  The kernels need no such band: their closed
+    form is accurate right down to K = 0, and ``triple.RepKernel``'s
+    propagator basis is regular there.
     """
     return SNAP_TOL * max(1.0, abs(at))
 

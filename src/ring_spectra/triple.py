@@ -24,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bc import InvariantTriple, UnitaryBC, from_matrix, spectral_function
-from .dirac import coefficient_arrays, turning_points
+from .bc import UnitaryBC, from_matrix
+from .dirac import DiracKernel, coefficient_arrays
 from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
-from .oracles import snap_band
 
 _REP_TOL = 1e-12
 #: RepKernel's transfer matrix, back in the standard basis, must be
@@ -285,7 +284,38 @@ def bc_in_rep(rep: CliffordRep, u: UnitaryBC) -> UnitaryBC:
     return from_matrix(qs[-1][:, None] * u.matrix * np.conj(qs[+1]))
 
 
-class RepKernel:
+#: Taylor degree of the scaled exponential; each scaled matrix has a
+#: 1-norm of at most 1, so the series' remainder is below 1e-17 (~1/19!)
+_TAYLOR_DEGREE = 18
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over batches of 2x2 matrices, as a sum of two outer
+    products (several times faster than matmul's loop over the batch)."""
+    return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) over a batch of 2x2 matrices (..., 2, 2), by scaling and
+    squaring a Taylor series.
+
+    Each matrix is divided by its own power of two 2^s, so its 1-norm is
+    at most 1, summed by Horner's rule to degree :data:`_TAYLOR_DEGREE`
+    and squared s times; a value therefore does not depend on the rest
+    of the batch.
+    """
+    _, s = np.frexp(np.max(np.sum(np.abs(m), axis=-2), axis=-1))
+    s = np.maximum(s, 0)
+    m = m * np.ldexp(1.0, -s)[..., None, None]
+    x = I2 + m / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        x = I2 + _mul(m, x) / k
+    for j in range(int(s.max(initial=0))):
+        x = np.where((s > j)[..., None, None], _mul(x, x), x)
+    return x
+
+
+class RepKernel(DiracKernel):
     """Relativistic kernel assembled in an arbitrary representation.
 
     Basis solutions of the eigenvalue equation are transported from the
@@ -296,107 +326,45 @@ class RepKernel:
     B = Q_-^H B' Q_+, which must come out as a I + b sx; the
     coefficients then go through the same protocol as the closed-form
     kernels, with the polar form (h, u, v) derived from them, so spectra
-    are searched with the standard U.  The basis solutions are the
-    columns of the standard-representation propagator, built from
-    C = cos kx and S = sin(kx)/k, the functions the closed form is also
-    written in (any basis that stays regular at the gap edges, k = 0,
-    is this one up to a constant change of basis).  The rest of the
-    route -- transport, projection, inversion and the phases back --
-    shares no formula with the closed-form coefficients, which is the
-    point.  In-gap basis columns are rescaled by e^{-kappa/2} (B is
-    invariant under column scaling) so the assembly stays finite.  Only
-    the branch of the half phase h is borrowed: h is the value of
-    arg(c)/2 + n pi nearest the closed-form lift.
+    are searched with the standard U.
+
+    The basis solutions are the columns of the propagator exp(x G) of
+    the standard-representation equation psi' = G psi, G = [[0, i (mu +
+    mu0)], [i (mu - mu0), 0]], at x = +-1/2, summed by :func:`_expm`:
+    one route at every energy, regular at the gap edges, with no
+    wavenumber and no trigonometric function.  The exponent is shifted
+    by -(kappa / 2) I, kappa = sqrt(max(0, mu0^2 - mu^2)), which scales
+    the in-gap columns by e^{-kappa/2} so they stay finite (B is
+    invariant under that scaling).  What this kernel shares with the
+    closed form is the branch of the half phase h, the value of
+    arg(c)/2 + n pi nearest the closed-form lift, and the energies a
+    search samples (``turning_points``, inherited with the rest of the
+    protocol from :class:`~ring_spectra.dirac.DiracKernel`).
     """
 
-    theory = "dirac"
-
     def __init__(self, rep: CliffordRep, mu0: float):
-        if mu0 < 0:
-            raise ValueError("mu0 must be non-negative")
+        super().__init__(mu0)
         self.rep = rep
-        self.mu0 = float(mu0)
         v = representation_transform(rep, DIRAC_REP)
-        # <e_g(s)| V^H Psi_D(s)> = <(V e_g(s))| Psi_D(s)>
-        self._w = {}
-        for side in (-0.5, +0.5):
-            ep, em = boundary_eigvecs(rep, side)
-            self._w[(+1, side)] = v @ ep
-            self._w[(-1, side)] = v @ em
+        # <e_g(s)| V^H Psi_D(s)> = <(V e_g(s))| Psi_D(s)>: row (g, side) of
+        # the conjugated projections, g = +1 then -1, side -1/2 then +1/2
+        ends = [boundary_eigvecs(rep, side) for side in (-0.5, +0.5)]
+        self._w = np.conj([[v @ e[g] for e in ends] for g in (0, 1)])
         self._q = _boundary_phases(rep)
-
-    def _basis_boundary_values(self, mu: np.ndarray):
-        """Standard-representation basis solutions at the endpoints.
-
-        Returns (psi1_l, psi1_r, psi2_l, psi2_r), each (n, 2).
-        """
-        mu0 = self.mu0
-        n = mu.shape[0]
-        out = [np.empty((n, 2), dtype=complex) for _ in range(4)]
-
-        band = snap_band(mu0)
-        plus = np.abs(mu - mu0) < band
-        minus = (np.abs(mu + mu0) < band) & ~plus
-        wave = ~(plus | minus)
-
-        if np.any(wave):
-            m = mu[wave]
-            # the plane waves e^{+-ikx} (1, +-k / (m + mu0)) turn parallel as
-            # k -> 0 at the gap edges; their sum and difference, (C, i (m -
-            # mu0) S) and (i (m + mu0) S, C) with C = cos kx and S = sin(kx)
-            # / k, stay independent there (k^2 = (m - mu0)(m + mu0))
-            k2 = (m - mu0) * (m + mu0)
-            k = np.where(k2 > 0.0, np.sqrt(np.abs(k2)) + 0j, 1j * np.sqrt(np.abs(k2)))
-            scale = np.exp(-0.5 * np.abs(k.imag))
-            c = np.cos(0.5 * k) * scale  # C at x = +-1/2
-            s = np.sin(0.5 * k) / k * scale  # S at x = +1/2, and -S at x = -1/2
-            lower, upper = 1j * (m - mu0) * s, 1j * (m + mu0) * s
-            out[0][wave] = np.column_stack([c, -lower])
-            out[1][wave] = np.column_stack([c, lower])
-            out[2][wave] = np.column_stack([-upper, c])
-            out[3][wave] = np.column_stack([upper, c])
-
-        if np.any(plus):
-            npts = int(np.count_nonzero(plus))
-            if mu0 > 0:
-                # basis (1, 0) and (x, -i/(2 mu0))
-                one = np.broadcast_to(np.array([1.0, 0.0], dtype=complex), (npts, 2))
-                chi = -0.5j / mu0
-                out[0][plus] = one
-                out[1][plus] = one
-                out[2][plus] = np.broadcast_to(np.array([-0.5, chi]), (npts, 2))
-                out[3][plus] = np.broadcast_to(np.array([+0.5, chi]), (npts, 2))
-            else:
-                # massless zero point: constant spinors
-                out[0][plus] = np.broadcast_to(np.array([1.0 + 0j, 0.0]), (npts, 2))
-                out[1][plus] = np.broadcast_to(np.array([1.0 + 0j, 0.0]), (npts, 2))
-                out[2][plus] = np.broadcast_to(np.array([0.0, 1.0 + 0j]), (npts, 2))
-                out[3][plus] = np.broadcast_to(np.array([0.0, 1.0 + 0j]), (npts, 2))
-        if np.any(minus):
-            npts = int(np.count_nonzero(minus))
-            # basis (0, 1) and (i/(2 mu0), x)
-            one = np.broadcast_to(np.array([0.0, 1.0 + 0j]), (npts, 2))
-            phi = 0.5j / mu0
-            out[0][minus] = one
-            out[1][minus] = one
-            out[2][minus] = np.broadcast_to(np.array([phi, -0.5]), (npts, 2))
-            out[3][minus] = np.broadcast_to(np.array([phi, +0.5]), (npts, 2))
-        return out
 
     def coefficients(self, mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        p1l, p1r, p2l, p2r = self._basis_boundary_values(mu)
-        a = {}
-        for g in (+1, -1):
-            wl = np.conj(self._w[(g, -0.5)])
-            wr = np.conj(self._w[(g, +0.5)])
-            mat = np.empty(mu.shape + (2, 2), dtype=complex)
-            mat[:, 0, 0] = p1l @ wl
-            mat[:, 0, 1] = p2l @ wl
-            mat[:, 1, 0] = p1r @ wr
-            mat[:, 1, 1] = p2r @ wr
-            a[g] = mat
-        b_rep = a[-1] @ np.linalg.inv(a[+1])
+        mu0 = self.mu0
+        kappa = np.sqrt(np.maximum(0.0, mu0 * mu0 - mu * mu))
+        # the exponents x G - (kappa / 2) I at x = -1/2 and +1/2, (2, n, 2, 2)
+        x = np.array([[-0.5], [0.5]])
+        gen = np.zeros((2,) + mu.shape + (2, 2), dtype=complex)
+        gen[..., 0, 0] = gen[..., 1, 1] = -0.5 * kappa
+        gen[..., 0, 1] = 1j * x * (mu + mu0)
+        gen[..., 1, 0] = 1j * x * (mu - mu0)
+        # A_g, row per endpoint: <w_g(side)| exp(side G)>
+        a_plus, a_minus = np.einsum("gri,rnij->gnrj", self._w, _expm(gen))
+        b_rep = a_minus @ np.linalg.inv(a_plus)
         bmat = np.conj(self._q[-1])[:, None] * b_rep * self._q[+1]
         off = np.maximum(
             np.abs(bmat[:, 0, 0] - bmat[:, 1, 1]), np.abs(bmat[:, 0, 1] - bmat[:, 1, 0])
@@ -407,7 +375,7 @@ class RepKernel:
             )
         c = det2(bmat)
         h = 0.5 * np.angle(c)
-        h += np.pi * np.round((coefficient_arrays(mu, self.mu0)[3] - h) / np.pi)
+        h += np.pi * np.round((coefficient_arrays(mu, mu0)[3] - h) / np.pi)
         return (
             0.5 * (bmat[:, 0, 0] + bmat[:, 1, 1]),
             0.5 * (bmat[:, 0, 1] + bmat[:, 1, 0]),
@@ -422,13 +390,5 @@ class RepKernel:
         turn = np.exp(-1j * h)
         return h, (a * turn).real, -(b * turn).imag
 
-    def spectral_values(self, mu, u: UnitaryBC | InvariantTriple) -> np.ndarray:
-        return spectral_function(*self.coefficients(mu)[:3], u)
-
-    def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
-        return turning_points(lo, hi, self.mu0, limit)
-
-    def special_points(self) -> tuple[float, ...]:
-        if self.mu0 > 0:
-            return (-self.mu0, self.mu0)
-        return (0.0,)
+    def __repr__(self) -> str:
+        return f"RepKernel(mu0={self.mu0:.6g})"

@@ -1,8 +1,12 @@
 """High-precision cross-check of reported spectra.
 
 The spectral functions are re-implemented here in 50-digit arithmetic
-(mpmath), straight from the defining formulas and sharing no code with
-the package.  |F| evaluated at a reported root measures the *true*
+(mpmath), sharing no code with the package, by two routes: the closed
+formulas for (a, b, c), divided by the wavenumber so they are regular
+at zero wavenumber, and the transfer matrix B = A_minus A_plus^{-1}
+built from the propagator exp(x G) of each theory's first-order system
+(``mp.expm``), which involves no wavenumber and no trigonometric
+function.  |F| evaluated at a reported root measures the *true*
 residual slope * (root error), so this catches both formula
 transcription slips and root-location drift that double-precision
 self-consistency checks could miss.
@@ -18,6 +22,7 @@ from ring_spectra.roots import find_spectrum
 from ring_spectra.schrod import SchrodKernel
 
 mp.mp.dps = 50
+I = mp.mpc(0, 1)
 
 
 def triple_mp(u):
@@ -28,30 +33,72 @@ def triple_mp(u):
     return det, tr, tr_sx
 
 
-def dirac_f_mp(mu, mu0, u):
-    mu = mp.mpf(mu)
-    mu0 = mp.mpf(mu0)
-    if abs(mu) >= mu0:
-        k = mp.sqrt(mu * mu - mu0 * mu0)
-    else:
-        k = mp.mpc(0, 1) * mp.sqrt(mu0 * mu0 - mu * mu)
-    d = mu * mp.sin(k) - mp.mpc(0, 1) * k * mp.cos(k)
-    a = mu0 * mp.sin(k) / d
-    b = -mp.mpc(0, 1) * k / d
-    c = (mu * mp.sin(k) + mp.mpc(0, 1) * k * mp.cos(k)) / d
+def f_mp(coefficients, u):
+    """F_U = det U - a tr U + b tr(U sx) + c."""
+    a, b, c = coefficients
     det, tr, tr_sx = triple_mp(u)
     return det - a * tr + b * tr_sx + c
 
 
-def schrod_f_mp(e, u):
+def _sinc(k):
+    """sin K / K in 50 digits, with its limit 1 at K = 0, where the
+    closed form's (a, b, c) are the limit of the generic formula."""
+    return mp.sin(k) / k if k else mp.mpf(1)
+
+
+def dirac_mp(mu, mu0):
+    """(a, b, c) from the closed formulas divided by K: with S = sin K / K,
+    d / K = mu S - i cos K."""
+    mu, mu0 = mp.mpf(mu), mp.mpf(mu0)
+    k = mp.sqrt(mp.mpc(mu * mu - mu0 * mu0))
+    s = _sinc(k)
+    d = mu * s - I * mp.cos(k)
+    return mu0 * s / d, -I / d, (mu * s + I * mp.cos(k)) / d
+
+
+def schrod_mp(e):
+    """(a, b, c) from the closed formulas divided by q: with S = sin q / q,
+    D_S / q = (1 + e) S - 2 i cos q."""
     e = mp.mpf(e)
     q = mp.sqrt(mp.mpc(e))
-    d = (1 + e) * mp.sin(q) - 2 * mp.mpc(0, 1) * q * mp.cos(q)
-    a = (e - 1) * mp.sin(q) / d
-    b = 2 * mp.mpc(0, 1) * q / d
-    c = ((1 + e) * mp.sin(q) + 2 * mp.mpc(0, 1) * q * mp.cos(q)) / d
-    det, tr, tr_sx = triple_mp(u)
-    return det - a * tr + b * tr_sx + c
+    s = _sinc(q)
+    d = (1 + e) * s - 2 * I * mp.cos(q)
+    return (e - 1) * s / d, 2 * I / d, ((1 + e) * s + 2 * I * mp.cos(q)) / d
+
+
+def transfer_mp(gen, plus, minus):
+    """(a, b, c) of B = A_minus A_plus^{-1} from the propagator exp(x gen).
+
+    The basis solutions are the columns of exp(x gen) at the ends
+    x = -1/2 and +1/2; row j of A_pm is the row vector plus[j] or
+    minus[j] (the boundary data at end j) times the propagator there.
+    """
+    ends = (mp.expm(-gen / 2), mp.expm(gen / 2))
+
+    def rows(vecs):
+        return mp.matrix(
+            [[sum(v[i] * end[i, j] for i in range(2)) for j in range(2)] for v, end in zip(vecs, ends)]
+        )
+
+    b = rows(minus) * rows(plus) ** -1
+    return (b[0, 0] + b[1, 1]) / 2, (b[0, 1] + b[1, 0]) / 2, mp.det(b)
+
+
+def dirac_expm_mp(mu, mu0):
+    """psi' = G psi with G = i sx (mu - mu0 sz); the boundary data are
+    the projections 2^{-1/2} (1, -+1) at x = -1/2 and (1, +-1) at
+    x = +1/2 (the common factor cancels in B)."""
+    mu, mu0 = mp.mpf(mu), mp.mpf(mu0)
+    gen = mp.matrix([[0, I * (mu + mu0)], [I * (mu - mu0), 0]])
+    return transfer_mp(gen, ((1, -1), (1, 1)), ((1, 1), (1, -1)))
+
+
+def schrod_expm_mp(e):
+    """(psi, psi')' = [[0, 1], [-e, 0]] (psi, psi'); the boundary data are
+    +-i psi + psi'_out, with the outward derivative psi'_out = -psi' at
+    x = -1/2 and +psi' at x = +1/2."""
+    gen = mp.matrix([[0, 1], [-mp.mpf(e), 0]])
+    return transfer_mp(gen, ((I, -1), (I, 1)), ((-I, -1), (-I, 1)))
 
 
 def test_dirac_roots_are_true_zeros():
@@ -63,12 +110,8 @@ def test_dirac_roots_are_true_zeros():
         s = find_spectrum(u, (-8.0, 8.0), kernel)
         assert len(s.roots) > 0
         for r in s.roots:
-            x = r.x
-            # the generic formula is 0/0 at the zero-wavenumber points;
-            # B is continuous there, so probe a hair away
-            if abs(abs(x) - mu0) < 1e-11:
-                x = np.sign(x) * (mu0 + 1e-25)
-            assert abs(dirac_f_mp(x, mu0, u)) < 5e-10
+            for abc in (dirac_mp(r.x, mu0), dirac_expm_mp(r.x, mu0)):
+                assert abs(f_mp(abc, u)) < 5e-10
 
 
 def test_dirac_in_gap_bound_states_are_true_zeros():
@@ -78,7 +121,8 @@ def test_dirac_in_gap_bound_states_are_true_zeros():
     s = find_spectrum(u, (-2.999, 2.999), kernel)
     assert len(s.roots) == 2  # two bound states strictly inside the gap
     for r in s.roots:
-        assert abs(dirac_f_mp(r.x, mu0, u)) < 5e-11
+        for abc in (dirac_mp(r.x, mu0), dirac_expm_mp(r.x, mu0)):
+            assert abs(f_mp(abc, u)) < 5e-11
 
 
 def test_dirac_gap_edge_roots_are_true_zeros():
@@ -92,8 +136,8 @@ def test_dirac_gap_edge_roots_are_true_zeros():
         s = find_spectrum(u, (mu0 - 1.0, mu0 + 100.0), kernel)
         assert len(s.roots) > 40
         for r in s.roots:
-            x = mu0 + 1e-25 if abs(r.x - mu0) < 1e-9 else r.x
-            assert abs(dirac_f_mp(x, mu0, u)) < 1e-9
+            for abc in (dirac_mp(r.x, mu0), dirac_expm_mp(r.x, mu0)):
+                assert abs(f_mp(abc, u)) < 1e-9
 
 
 def test_schrod_roots_are_true_zeros():
@@ -103,14 +147,8 @@ def test_schrod_roots_are_true_zeros():
         u = bc.random_unitary_bc(rng)
         s = find_spectrum(u, (-20.0, 80.0), kernel)
         for r in s.roots:
-            e = 1e-25 if abs(r.x) < 1e-11 else r.x
-            assert abs(schrod_f_mp(e, u)) < 5e-10
-
-
-def _sinc(k):
-    """sin K / K in 50 digits, with its limit 1 at K = 0, where the
-    closed form's (a, b, c) are the limit of the generic formula."""
-    return mp.sin(k) / k if k else mp.mpf(1)
+            for abc in (schrod_mp(r.x), schrod_expm_mp(r.x)):
+                assert abs(f_mp(abc, u)) < 5e-10
 
 
 def _near_edges(mu0):
@@ -127,6 +165,13 @@ ZERO_WAVENUMBER_MU = [point for mu0 in (1.0, 1e3, 2.6e6) for point in _near_edge
 ZERO_WAVENUMBER_E = [0.0, 1e-13, -1e-13, 5e-324, -5e-324]
 
 
+def assert_close(got, *references, tol=1e-14):
+    """Every double in ``got`` within ``tol`` of each 50-digit reference."""
+    for reference in references:
+        for value, exact in zip(got, reference):
+            assert abs(complex(exact) - value) < tol
+
+
 @pytest.mark.parametrize(
     "mu,mu0",
     [pytest.param(mu, 1.0, id=str(mu)) for mu in (-4.8, -1.0 + 1e-7, 0.3, 0.999, 2.5, 7.0)]
@@ -135,45 +180,21 @@ ZERO_WAVENUMBER_E = [0.0, 1e-13, -1e-13, 5e-324, -5e-324]
 def test_dirac_kernel_matches_high_precision(mu, mu0):
     # coefficients, not just roots: the double-precision kernel agrees
     # with 50-digit evaluation to ~1e-15 everywhere, including just
-    # inside the gap edge and on it.  Divided by K, the formula is
-    # regular at K = 0: d / K = mu S - i cos K with S = sin K / K
+    # inside the gap edge and on it, by both routes
     from ring_spectra.dirac import coefficient_arrays
 
     a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([mu]), mu0))
-    mpmu, mpmu0 = mp.mpf(mu), mp.mpf(mu0)
-    if abs(mpmu) >= mpmu0:
-        k = mp.sqrt(mpmu**2 - mpmu0**2)
-    else:
-        k = mp.mpc(0, 1) * mp.sqrt(mpmu0**2 - mpmu**2)
-    s = _sinc(k)
-    d = mpmu * s - mp.mpc(0, 1) * mp.cos(k)
-    a_mp = mpmu0 * s / d
-    b_mp = -mp.mpc(0, 1) / d
-    c_mp = (mpmu * s + mp.mpc(0, 1) * mp.cos(k)) / d
-    assert abs(complex(a_mp) - a) < 1e-14
-    assert abs(complex(b_mp) - b) < 1e-14
-    assert abs(complex(c_mp) - c) < 1e-14
+    assert_close((a, b, c), dirac_mp(mu, mu0), dirac_expm_mp(mu, mu0))
 
 
 @pytest.mark.parametrize(
     "e", [-1e8, -1e4, -50.0, -2.0, -1.0, -1.0 + 1e-9, 1e-8, 0.5, 42.0, 333.0] + ZERO_WAVENUMBER_E
 )
 def test_schrod_kernel_matches_high_precision(e):
-    # divided by q, D_S / q = (1 + e) S - 2 i cos q with S = sin q / q,
-    # regular at e = 0
     from ring_spectra.schrod import coefficient_arrays
 
     a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([e])))
-    ee = mp.mpf(e)
-    q = mp.sqrt(mp.mpc(ee))
-    s = _sinc(q)
-    d = (1 + ee) * s - 2 * mp.mpc(0, 1) * mp.cos(q)
-    a_mp = (ee - 1) * s / d
-    b_mp = 2 * mp.mpc(0, 1) / d
-    c_mp = ((1 + ee) * s + 2 * mp.mpc(0, 1) * mp.cos(q)) / d
-    assert abs(complex(a_mp) - a) < 1e-14
-    assert abs(complex(b_mp) - b) < 1e-14
-    assert abs(complex(c_mp) - c) < 1e-14
+    assert_close((a, b, c), schrod_mp(e), schrod_expm_mp(e))
 
 
 def _half_phase_gap(h, c_mp) -> float:
@@ -195,16 +216,13 @@ def test_dirac_half_phase_matches_high_precision(mu, mu0):
     from ring_spectra.dirac import coefficient_arrays
 
     h = float(coefficient_arrays(np.array([mu]), mu0)[3][0])
-    mpmu, mpmu0 = mp.mpf(mu), mp.mpf(mu0)
+    for c in (dirac_mp(mu, mu0)[2], dirac_expm_mp(mu, mu0)[2]):
+        assert _half_phase_gap(h, c) < 1e-15
     if abs(mu) > mu0:
-        k = mp.sqrt(mpmu**2 - mpmu0**2)
+        k = mp.sqrt(mp.mpf(mu) ** 2 - mp.mpf(mu0) ** 2)
         low = -k if mu > 0 else k  # pi/2 -+ (K + atan(...)) with |atan| < pi/2
     else:
-        k = mp.mpc(0, 1) * mp.sqrt(mpmu0**2 - mpmu**2)
         low = 0.0  # pi/2 - atan(...)
-    d = mpmu * _sinc(k) - mp.mpc(0, 1) * mp.cos(k)
-    c = (mpmu * _sinc(k) + mp.mpc(0, 1) * mp.cos(k)) / d
-    assert _half_phase_gap(h, c) < 1e-15
     assert low < h < low + mp.pi
 
 
@@ -215,14 +233,8 @@ def test_schrod_half_phase_matches_high_precision(e):
     from ring_spectra.schrod import coefficient_arrays
 
     h = float(coefficient_arrays(np.array([e]))[3][0])
-    ee = mp.mpf(e)
-    if e > 0:
-        q = mp.mpf(float(np.sqrt(e)))
-        low = -q  # pi/2 - q - atan(...)
-    else:
-        q = mp.mpc(0, 1) * mp.mpf(float(np.sqrt(-e)))
-        low = 0.0  # pi - atan2(2 kappa, ...) with the atan2 in (0, pi)
-    d = (1 + ee) * _sinc(q) - 2 * mp.mpc(0, 1) * mp.cos(q)
-    c = ((1 + ee) * _sinc(q) + 2 * mp.mpc(0, 1) * mp.cos(q)) / d
-    assert _half_phase_gap(h, c) < 1e-15
+    for c in (schrod_mp(e)[2], schrod_expm_mp(e)[2]):
+        assert _half_phase_gap(h, c) < 1e-15
+    low = -mp.mpf(float(np.sqrt(e))) if e > 0 else 0.0
+    # pi/2 - q - atan(...), or pi - atan2(2 kappa, ...) with the atan2 in (0, pi)
     assert low < h < low + mp.pi

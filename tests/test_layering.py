@@ -42,17 +42,27 @@ def test_cli_import_adds_only_the_cli():
     assert loaded_after("import ring_spectra.cli") == ENGINE | {"ring_spectra.cli"}
 
 
-def test_the_engine_holds_no_snap_band():
-    # the kernels evaluate every energy as itself, up to and on the
-    # zero-wavenumber points; only the check-only oracles, whose bases
-    # degenerate there, keep a snap band
+def holders_of_the_snap_band(statement: str) -> list[str]:
+    """module.attr for every loaded package module holding the snap band."""
     code = (
-        "import sys\nimport ring_spectra\n"
+        f"import sys\n{statement}\n"
         "print(' '.join(f'{name}.{attr}' for name, module in sorted(sys.modules.items())\n"
         "    if name.startswith('ring_spectra')\n"
         "    for attr in ('snap_band', 'SNAP_TOL') if hasattr(module, attr)))"
     )
-    assert run_python(code).split() == []
+    return run_python(code).split()
+
+
+def test_the_engine_holds_no_snap_band():
+    # the kernels evaluate every energy as itself, up to and on the
+    # zero-wavenumber points, and so does the representation kernel,
+    # whose basis is a propagator; only the check-only oracles, whose
+    # plane-wave bases degenerate there, keep a snap band
+    assert holders_of_the_snap_band("import ring_spectra") == []
+    assert holders_of_the_snap_band("import ring_spectra.triple\nimport ring_spectra.oracles") == [
+        "ring_spectra.oracles.snap_band",
+        "ring_spectra.oracles.SNAP_TOL",
+    ]
 
 
 def test_public_names_resolve():

@@ -157,8 +157,8 @@ POLAR_KERNELS = [
 @st.composite
 def polar_points(draw):
     """A kernel and one energy: on a gap edge, within twice the oracles'
-    snap band of it (where the representation kernel changes basis),
-    inside the gap, or anywhere with |x| up to 1e4."""
+    snap band of it (a relative 2e-12, where the wavenumber is all but
+    zero), inside the gap, or anywhere with |x| up to 1e4."""
     kernel = draw(st.sampled_from(POLAR_KERNELS))
     edge = draw(st.sampled_from(kernel.special_points()))
     where = draw(st.sampled_from(["edge", "band", "gap", "any"]))
@@ -188,16 +188,15 @@ def test_polar_form_reproduces_the_coefficients(point):
     # B = e^{ih} (u I - i v sx) / |D|: a = e^{ih} u / |D|, b = -i e^{ih} v / |D|,
     # c = e^{2ih} and u^2 + v^2 = |D|^2.  e^{ih} is only known to the
     # resolution of the double h, a few eps |h| (1.6e-12 at |x| = 1e4).
-    # The representation kernel's (a, b) come out of a matrix inversion
-    # that loses digits next to a gap edge (B is unitary only to 1.5e-11
-    # at 2e-12 outside the snap band of mu = -mu0), so its polar form is
-    # held to 1e-10
+    # The representation kernel's B comes out of its propagator unitary
+    # to a few eps at every energy, gap edges included, so it is held to
+    # the same bound
     kernel, x = point
     a, b, c, h_coef = kernel.coefficients(np.array([x]))
     h, u, v = kernel.polar(np.array([x]))
     d = denominator(kernel, np.array([x]))
     turn = np.exp(1j * h)
-    base = 1e-10 if isinstance(kernel, RepKernel) else 1e-12
+    base = 1e-12
     tol = base + 4.0 * np.finfo(float).eps * np.abs(h)
     assert h == h_coef
     assert np.abs(turn * u / d - a) <= tol
@@ -1310,7 +1309,7 @@ def test_a_member_over_the_residual_tolerance_is_searched_alone():
         assert got[k] == certified[k - 1]
 
 
-def test_a_root_on_a_special_point_falls_back_to_the_search():
+def test_a_root_on_a_special_point_is_certified():
     # the kernels evaluate mu = mu0 as any other energy, so every member's
     # own tracks bracket the root there like any other: each member is
     # certified, and no member falls back to the search

@@ -251,15 +251,40 @@ def test_bc_in_rep_relabels_the_same_boundary_data():
         assert np.linalg.norm(gm - bc_in_rep(rep, u).matrix @ gp) < 1e-12
 
 
+def coefficient_gap(kernel, mu) -> float:
+    """Largest distance of the kernel's (a, b, c) from the closed form's."""
+    got = kernel.coefficients(mu)[:3]
+    want = DiracKernel(kernel.mu0).coefficients(mu)[:3]
+    return max(float(np.max(np.abs(g - w))) for g, w in zip(got, want))
+
+
 def test_rep_kernel_matches_closed_form_in_dirac_rep():
     mu = np.linspace(-6.0, 6.0, 501)
-    rep_b = boundary_matrix(*RepKernel(DIRAC_REP, 1.0).coefficients(mu)[:2])
+    kern = RepKernel(DIRAC_REP, 1.0)
+    rep_b = boundary_matrix(*kern.coefficients(mu)[:2])
     direct_b = boundary_matrix(*DiracKernel(1.0).coefficients(mu)[:2])
     assert np.max(np.abs(rep_b - direct_b)) < 1e-11
+    assert isinstance(kern, DiracKernel) and repr(kern) == "RepKernel(mu0=1)"
+
+
+def test_rep_kernel_stays_finite_deep_in_the_gap():
+    # kappa = 2000 at mu = 0: the unscaled basis would overflow cosh(kappa / 2)
+    mu = np.array([0.0, 1500.0, -1999.0])
+    for rep in (DIRAC_REP, SY_SZ):
+        kern = RepKernel(rep, 2000.0)
+        assert np.all(np.isfinite(np.concatenate(kern.coefficients(mu))))
+        assert coefficient_gap(kern, mu) < 1e-14
 
 
 def test_rep_kernel_handles_mass_modes():
-    # grid containing +-mu0 exactly: polynomial basis takes over there
+    # at the gap edges +-mu0, 1 ulp to either side and a relative 1e-13
+    # to either side, the propagator basis is the same one route as
+    # anywhere else, and agrees with the closed form to 1e-14
+    for mu0 in (1.0, 1e3, 2.6e6):
+        near = np.array([mu0, np.nextafter(mu0, np.inf), np.nextafter(mu0, 0.0),
+                         mu0 * (1 + 1e-13), mu0 * (1 - 1e-13)])
+        for rep in (DIRAC_REP, SY_SZ):
+            assert coefficient_gap(RepKernel(rep, mu0), np.concatenate([near, -near])) < 1e-14
     kern = RepKernel(SY_SZ, 1.0)
     mats = boundary_matrix(*kern.coefficients(np.array([-1.0, 1.0]))[:2])
     gram = np.einsum("nki,nkj->nij", mats.conj(), mats)
