@@ -3,7 +3,7 @@
 Everything downstream (boundary conditions, spectral kernels, oracles)
 manipulates 2x2 unitaries, so the few primitives that must behave
 identically everywhere live here: the Pauli matrices, determinant and
-trace, the unitarity check and Pauli decomposition.
+trace, and the unitarity check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SX, SY, SZ)
 
 
 class NonUnitaryError(ValueError):
@@ -52,17 +51,3 @@ def require_unitary(w: np.ndarray, tol: float = 1e-10) -> None:
     res = unitarity_residual(w)
     if not res < tol:
         raise NonUnitaryError(res, tol)
-
-
-def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    """Coefficients (c0, c1, c2, c3) with M = c0 I + c1 sx + c2 sy + c3 sz.
-
-    Coefficients are complex in general; tr(s_j s_k) = 2 delta_jk makes
-    the expansion unique.
-    """
-    m = np.asarray(m, dtype=complex)
-    c0 = 0.5 * tr2(m)
-    c1 = 0.5 * (m[0, 1] + m[1, 0])
-    c2 = 0.5j * (m[0, 1] - m[1, 0])
-    c3 = 0.5 * (m[0, 0] - m[1, 1])
-    return complex(c0), complex(c1), complex(c2), complex(c3)

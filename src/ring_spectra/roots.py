@@ -249,12 +249,11 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     the crossing.  The step is Anderson-Bjorck false position: the
     secant through the two ends, with the value at an end kept twice in
     a row scaled down by 1 - g(new) / g(replaced) (by 1/2 if that is not
-    positive).  Brent's safeguard stays: a step from the better end not
-    shorter than half the step before last becomes a bisection.  Every
-    point lies at least a quarter of the width the stop rule asks for
-    inside both ends, or at the midpoint where that would leave the
-    open bracket.  Superlinear on smooth tracks; at the kinks where two
-    tracks touch (double roots) it falls back to bisection steps.
+    positive).  Every point lies at least a quarter of the width the
+    stop rule asks for inside both ends, or at the midpoint where that
+    would leave the open bracket.  Superlinear on smooth tracks; at the
+    kinks where two tracks touch (double roots) the scaling pulls the
+    next point toward an end kept twice, so neither end sticks.
 
     Brackets stay active until the width tolerance holds *and* the
     better end's phase is small enough that |F| ~ |phase| clears the
@@ -273,18 +272,16 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     live = np.arange(n)  # the bracket of each row of the state
     xl, xr, gl, gr = (np.array(a, dtype=float) for a in (xl, xr, gl, gr))
     fl, fr = gl.copy(), gr.copy()  # the end values the secant is drawn through
-    e = xr - xl  # the step before last
-    # the last step, signed by the end it replaced (+ left, - right); the better
-    # end (gl + gr >= 0, i.e. |gr| <= |gl|) counts as replaced before the first
-    d = np.where(gl + gr >= 0.0, -e, e)
+    # whether the last step replaced the left end; the better end (gl + gr
+    # >= 0, i.e. |gr| <= |gl|) counts as replaced before the first
+    d = gl + gr < 0.0
     phase_tol = 0.125 * tol_residual
     *track, goal = consts
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(_MAX_ROUNDS):
             width = xr - xl
             mid = xl + 0.5 * width
-            right = gl + gr >= 0.0  # the better end
-            best, g_best = np.where(right, xr, xl), np.where(right, gr, gl)
+            g_best = np.where(gl + gr >= 0.0, gr, gl)  # the better end's value
             tol_x = tol_root * np.maximum(1.0, np.abs(mid))
             active = (
                 (g_best != 0.0)
@@ -296,9 +293,8 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
                 k = live[done]
                 ends[:, k] = xl[done], xr[done], gl[done], gr[done]
                 evals[k] = r
-                live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x = (
-                    arr[active]
-                    for arr in (live, xl, xr, gl, gr, fl, fr, d, e, width, mid, best, tol_x)
+                live, xl, xr, gl, gr, fl, fr, d, width, mid, tol_x = (
+                    arr[active] for arr in (live, xl, xr, gl, gr, fl, fr, d, width, mid, tol_x)
                 )
                 consts = consts[:, active]
                 *track, goal = consts
@@ -308,17 +304,14 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             # and, at the secant slope, the phase tolerance
             tol1 = 0.25 * np.fmin(tol_x, phase_tol * width / (gl - gr))
             x = xl + width * (fl / (fl - fr))
-            x = np.where(np.abs(x - best) < 0.5 * e, x, mid)
             x = np.minimum(np.maximum(x, xl + tol1), xr - tol1)
             x = np.where((xl < x) & (x < xr), x, mid)
             g = _tracks(*kernel.polar(x), *track) - goal
             left = g > 0.0
             # the end kept twice in a row: Anderson-Bjorck scaling of its value
             m = 1.0 - g / np.where(left, gl, gr)
-            m = np.where((d > 0.0) == left, np.where(m > 0.0, m, 0.5), 1.0)
-            step = np.abs(x - best)
-            e = np.where(x == mid, step, np.abs(d))
-            d = np.copysign(step, g)
+            m = np.where(d == left, np.where(m > 0.0, m, 0.5), 1.0)
+            d = left
             xl, gl, fl = np.where(left, x, xl), np.where(left, g, gl), np.where(left, g, fl * m)
             xr, gr, fr = np.where(left, xr, x), np.where(left, gr, g), np.where(left, fr * m, g)
         else:  # still active after the last round: written out as they stand

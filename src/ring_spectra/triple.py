@@ -11,10 +11,10 @@ boundary form of the operator into a difference of C^2 inner products,
 (in units hbar = c = L = 1), which is what lets a unitary U label every
 self-adjoint extension through Gamma_- Psi = U Gamma_+ Psi.  Any two
 representations are unitarily equivalent; the change-of-basis matrix is
-built here in closed form from the induced rotation of the Pauli
-3-vectors, and a spectral kernel assembled entirely in a non-standard
-representation is provided to verify that spectra do not depend on the
-representation.
+built here in closed form from one frame per representation, the
+eigenvectors of alpha, and a spectral kernel assembled entirely in a
+non-standard representation is provided to verify that spectra do not
+depend on the representation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .bc import UnitaryBC, from_matrix
 from .dirac import DiracKernel, coefficient_arrays
-from .matalg import I2, PAULI, SX, SZ, det2, pauli_decompose
+from .matalg import I2, SX, SZ, det2
 
 _REP_TOL = 1e-12
 #: RepKernel's transfer matrix, back in the standard basis, must be
@@ -193,57 +193,22 @@ def boundary_form_check(
     return float(abs(lam / (-1j) - rhs))
 
 
-def _pauli_vector(m: np.ndarray, name: str) -> np.ndarray:
-    c0, c1, c2, c3 = pauli_decompose(m)
-    vec = np.array([c1, c2, c3])
-    if abs(c0) > 1e-12 or np.linalg.norm(vec.imag) > 1e-12:
-        raise ValueError(f"{name} is not a traceless real Pauli combination")
-    return vec.real
-
-
-def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, branch-robust."""
-    t = np.trace(r)
-    candidates = [t, r[0, 0] - r[1, 1] - r[2, 2], r[1, 1] - r[0, 0] - r[2, 2], r[2, 2] - r[0, 0] - r[1, 1]]
-    k = int(np.argmax(candidates))
-    if k == 0:
-        s = np.sqrt(1.0 + t) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif k == 1:
-        s = np.sqrt(1.0 + candidates[1]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif k == 2:
-        s = np.sqrt(1.0 + candidates[2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = np.sqrt(1.0 + candidates[3]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s])
-    return q / np.linalg.norm(q)
+def _frame(rep: CliffordRep) -> np.ndarray:
+    """Columns (e, beta e), e the +1 eigenvector of alpha: the unitary F
+    with alpha = F sz F^H and beta = F sx F^H."""
+    e = np.linalg.eigh(rep.alpha)[1][:, 1]
+    return np.column_stack([e, rep.beta @ e])
 
 
 def representation_transform(rep_from: CliffordRep, rep_to: CliffordRep) -> np.ndarray:
-    """The unitary V with V alpha V^H = alpha', V beta V^H = beta'.
+    """A unitary V with V alpha V^H = alpha', V beta V^H = beta'.
 
-    Both matrices of a representation are unit Pauli 3-vectors, so the
-    conjugation is the SU(2) lift of the rotation mapping (a, b, a x b)
-    to the target frame; the global phase is fixed by making the
-    largest-magnitude entry of V real positive.  No iterative solver is
-    involved; failure of the final verification is a defect.
+    In its frame (:func:`_frame`) every representation reads alpha = sz,
+    beta = sx, so V = F' F^H.  V is unique up to a global phase, which
+    every use here cancels.  No iterative solver is involved; failure of
+    the final verification is a defect.
     """
-    a = _pauli_vector(rep_from.alpha, "alpha")
-    b = _pauli_vector(rep_from.beta, "beta")
-    a2 = _pauli_vector(rep_to.alpha, "alpha")
-    b2 = _pauli_vector(rep_to.beta, "beta")
-    frame = np.column_stack([a, b, np.cross(a, b)])
-    frame2 = np.column_stack([a2, b2, np.cross(a2, b2)])
-    rot = frame2 @ frame.T
-
-    w, x, y, z = _quaternion_from_rotation(rot)
-    v = w * I2 - 1j * (x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
-    flat = np.argmax(np.abs(v))
-    entry = v.flat[flat]
-    v = v * (abs(entry) / entry)
-
+    v = _frame(rep_to) @ _frame(rep_from).conj().T
     for src, dst in ((rep_from.alpha, rep_to.alpha), (rep_from.beta, rep_to.beta)):
         if np.linalg.norm(v @ src @ v.conj().T - dst) > 1e-10:
             raise RuntimeError("representation transform failed verification")

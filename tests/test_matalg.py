@@ -15,7 +15,6 @@ from ring_spectra.matalg import (
     SZ,
     NonUnitaryError,
     det2,
-    pauli_decompose,
     require_unitary,
 )
 from ring_spectra.oracles import unitary_eigenphases
@@ -54,19 +53,6 @@ def test_det_difference_matches_cofactor_on_random_pairs():
     scale = np.abs(np.concatenate([m, n], axis=1)).max(axis=(1, 2))
     rel = np.abs(identity_side - cofactor_side) / scale
     assert rel.max() < 1e-12
-
-
-def test_pauli_decompose_basis_matrices():
-    assert pauli_decompose(SX) == (0, 1, 0, 0)
-    assert pauli_decompose(I2) == (1, 0, 0, 0)
-
-
-def test_pauli_roundtrip_random():
-    rng = np.random.default_rng(2)
-    for m in random_matrices(rng, 200):
-        c0, c1, c2, c3 = pauli_decompose(m)
-        rebuilt = c0 * I2 + c1 * SX + c2 * SY + c3 * SZ
-        assert np.max(np.abs(rebuilt - m)) < 1e-14
 
 
 def pair_gap(lam, ref):

@@ -246,6 +246,46 @@ def test_find_spectrum_schrod_periodic_multiplicities():
     assert got[2][0] == pytest.approx(16 * np.pi**2, abs=1e-9) and got[2][1] == 2
 
 
+@pytest.mark.parametrize("alpha", [0.0, np.pi])
+def test_high_energy_double_roots(alpha):
+    # pp and dpp at alpha in {0, pi}: every level k = 2 pi n + alpha, n >=
+    # 0, is doubly degenerate; far above the other tests' windows, the two
+    # crossings of each double must still come back as one root
+    cases = [
+        (SchrodKernel(), "pp", lo, lo + 40.0 * np.sqrt(lo), 3) for lo in (1e6, 1e7, 3e7, 1e8, 3e8)
+    ]
+    cases += [(DiracKernel(1.0), "dpp", lo, lo + 100.0, 16) for lo in (1e3, 1e5, 1e6, 3e6)]
+    for kernel, family, lo, hi, count in cases:
+        s = find_spectrum(bc.named_family(family, alpha), (lo, hi), kernel)
+        kmax = np.sqrt(hi) if family == "pp" else hi
+        k = 2.0 * np.pi * np.arange(int(kmax / (2.0 * np.pi)) + 2) + alpha
+        levels = k * k if family == "pp" else np.sqrt(k * k + 1.0)
+        levels = levels[(levels > lo) & (levels <= hi)]
+        assert len(levels) == count
+        assert list(s.multiplicity) == [2] * count, (family, lo)
+        assert s.values() == pytest.approx(levels, rel=1e-10)
+        assert np.all(s.residual < 1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: crossings cluster by distance, so levels closer "
+    "than SEPARATION_FACTOR * |x| merge into one double",
+)
+def test_close_simple_levels_are_not_merged():
+    # dpp:alpha=1e-7 splits each double of dpp:alpha=0 into two simple
+    # levels +-sqrt((2 pi n +- alpha)^2 + 1), 2e-7 apart; the search
+    # returns them as 6 doubles whose residuals all pass
+    alpha = 1e-7
+    s = find_spectrum(bc.named_family("dpp", alpha), (20.0, 60.0), DiracKernel(1.0))
+    k = 2.0 * np.pi * np.arange(-10, 11) + alpha
+    levels = np.sort(np.sqrt(k * k + 1.0))
+    levels = levels[(levels > 20.0) & (levels <= 60.0)]
+    assert len(levels) == 12
+    assert list(s.multiplicity) == [1] * 12
+    assert s.values() == pytest.approx(levels, rel=1e-12)
+
+
 def test_find_spectrum_massless_dirac():
     # massless periodic spinor conditions: mu = 2 pi n, the zero mode doubly so
     s = find_spectrum(bc.named_family("dpp", 0.0), (-7.0, 7.0), DiracKernel(0.0))
@@ -1099,22 +1139,30 @@ def test_midpoint_stop_rule_is_the_adjacent_doubles_test(ends):
 
 
 def test_convergence_cost_is_pinned():
-    # the energies evaluated for three fixed batches, at the count measured
+    # the energies evaluated for four fixed batches, at the count measured
     # when the sampled start and the two-point step came in (Dirac mu0 =
-    # 1) and when the turning points did (the other two): a change that
-    # quietly adds rounds fails here
-    spent = []
+    # 1), when the turning points did (the next two) and when the
+    # bisection safeguard went (the first turns of a gap edge, where
+    # brackets take the most evaluations): a change that quietly adds
+    # rounds fails here.  The most evaluations any one bracket takes is
+    # pinned too, so a few slow brackets cannot hide in the sum.
+    spent, slowest = [], []
     for kernel, window in (
         (DiracKernel(1.0), (-10.0, 10.0)),
         (SchrodKernel(), (0.0, 1e4)),
         (DiracKernel(100.0), (99.0, 200.0)),  # the gap edge
+        (DiracKernel(260.0), (259.0, 360.0)),  # its first turns, K ~ pi, 2 pi, 3 pi
     ):
         rng = np.random.default_rng(101)
         us = [bc.random_unitary_bc(rng) for _ in range(16)]
-        spent.append(sum(s.grid_points for s in find_spectra(us, window, kernel)))
+        slices, _, (*_, evals) = refine_call(us, window, kernel)
+        spent.append(sum(s.grid_points for s in slices))
+        slowest.append(int(evals.max()))
     assert spent[0] <= 1457
     assert spent[1] <= 6447
     assert spent[2] <= 8222
+    assert spent[3] <= 13781
+    assert all(a <= b for a, b in zip(slowest, (5, 9, 9, 28))), slowest
 
 
 def sweep_bcs(seed: int, n: int) -> list:

@@ -197,9 +197,6 @@ def test_representation_transform_sx_to_sy():
     v = representation_transform(DIRAC_REP, SY_SZ)
     assert np.linalg.norm(v @ SX @ v.conj().T - SY) < 1e-12
     assert np.linalg.norm(v @ SZ @ v.conj().T - SZ) < 1e-12
-    # phase-canonical: the largest entry is real positive
-    entry = v.flat[np.argmax(np.abs(v))]
-    assert entry.imag == pytest.approx(0.0, abs=1e-14) and entry.real > 0
 
 
 def test_representation_transform_random_pairs():
