@@ -73,26 +73,20 @@ class InvariantTriple:
 
 def _check_chart(a, b, c, d, eta, m0, m1, m2, m3) -> None:
     """UnitaryBC's three invariants for W = [[a, b], [c, d]] and its chart
-    (eta, m0, m1, m2, m3), each to 1e-12 and as `not x < tol`, so that NaN
-    fails them.  Takes Python scalars (one U) or aligned arrays, one
-    member per entry, sharing eta; the first failing member raises."""
+    (eta, m0, m1, m2, m3), all Python scalars, each to 1e-12 and as
+    `not x < tol`, so that NaN fails them."""
     off = abs(a.conjugate() * b + c.conjugate() * d)  # W^H W - I, entry by entry
     res = ((abs(a) ** 2 + abs(c) ** 2 - 1.0) ** 2 + (abs(b) ** 2 + abs(d) ** 2 - 1.0) ** 2
            + 2.0 * off * off) ** 0.5
-    norm = abs(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 - 1.0)
+    if not res < 1e-12:
+        raise NonUnitaryError(res, 1e-12)
+    if not abs(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 - 1.0) < 1e-12:
+        raise BCConstraintError("(m0, m) is not a unit 4-vector")
     z, i1, i3 = cmath.exp(1j * eta), 1j * m1, 1j * m3  # z is NaN, not an error, at an infinite eta
     gap = (abs(a - z * (m0 + i3)) ** 2 + abs(b - z * (m2 + i1)) ** 2
            + abs(c - z * (i1 - m2)) ** 2 + abs(d - z * (m0 - i3)) ** 2) ** 0.5
-    ok = (res < 1e-12) & (norm < 1e-12) & (gap < 1e-12)
-    if ok is True or np.all(ok):  # a Python bool for one U, an array for a batch
-        return
-    for r, n, g in np.broadcast(res, norm, gap):
-        if not r < 1e-12:
-            raise NonUnitaryError(r, 1e-12)
-        if not n < 1e-12:
-            raise BCConstraintError("(m0, m) is not a unit 4-vector")
-        if not g < 1e-12:
-            raise BCConstraintError("matrix does not match its (eta, m0, m) chart")
+    if not gap < 1e-12:
+        raise BCConstraintError("matrix does not match its (eta, m0, m) chart")
 
 
 def _chart_matrix(eta: float, m0: float, m: np.ndarray) -> np.ndarray:
@@ -234,32 +228,13 @@ def conjugate_orbit(u: UnitaryBC, lam: float) -> UnitaryBC:
     the whole orbit shares one spectrum.  In U's chart it keeps (eta,
     m0, m1) as they are and turns (m2, m3) by the angle 2 lam:
     m2' = c m2 + s m3 and m3' = c m3 - s m2, with c = cos 2 lam and
-    s = sin 2 lam; the matrix is built from that chart
-    (:func:`_orbit_members`).
+    s = sin 2 lam; the matrix is built from that chart and checked by
+    the constructor, as every orbit member in the package is.
     """
-    return _orbit_members(u, (lam,))[0]
-
-
-def _orbit_members(u: UnitaryBC, lams) -> list[UnitaryBC]:
-    """``conjugate_orbit(u, lam)`` for every lam in ``lams``: one
-    vectorized turn of U's chart and one run of UnitaryBC's invariant
-    checks over all members (the first failing member raises as its
-    construction would); each member is then stored as built, with no
-    check of its own."""
-    c, s = np.array([(math.cos(2.0 * lam), math.sin(2.0 * lam)) for lam in lams]).reshape(-1, 2).T
+    c, s = math.cos(2.0 * lam), math.sin(2.0 * lam)
     m1, m2, m3 = u.m.tolist()
-    m = np.array(np.broadcast_arrays(m1, c * m2 + s * m3, c * m3 - s * m2))  # (3, members)
-    chart = _chart_matrix(u.eta, u.m0, m)  # (2, 2, members)
-    _check_chart(*chart.reshape(4, -1), u.eta, u.m0, *m)
-    mat, m = np.ascontiguousarray(chart.transpose(2, 0, 1)), np.ascontiguousarray(m.T)
-    mat.flags.writeable = m.flags.writeable = False
-    members = []
-    for matrix, mvec in zip(mat, m):
-        member = object.__new__(UnitaryBC)  # frozen: fields set as dataclasses' __init__ sets them
-        for name, value in (("matrix", matrix), ("eta", u.eta), ("m0", u.m0), ("m", mvec)):
-            object.__setattr__(member, name, value)
-        members.append(member)
-    return members
+    m = (m1, c * m2 + s * m3, c * m3 - s * m2)
+    return UnitaryBC(_chart_matrix(u.eta, u.m0, m), u.eta, u.m0, m)
 
 
 def is_parity_symmetric(u: UnitaryBC, tol: float = 1e-10) -> bool:

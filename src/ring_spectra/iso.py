@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bc import InvariantTriple, UnitaryBC, _orbit_members, invariant_triple, is_parity_symmetric
+from .bc import InvariantTriple, UnitaryBC, conjugate_orbit, invariant_triple, is_parity_symmetric
 # find_spectrum stays importable from here: perfbench's traced run rebinds
 # iso.find_spectrum around its measured loop
 from .roots import (  # noqa: F401
@@ -52,7 +52,7 @@ def classify(u: UnitaryBC) -> IsoClassification:
     triple = invariant_triple(u)
     return IsoClassification(
         parity_symmetric=is_parity_symmetric(u),
-        orbit_samples=tuple(_orbit_members(u, ORBIT_LAMBDAS)),
+        orbit_samples=tuple(conjugate_orbit(u, lam) for lam in ORBIT_LAMBDAS),
         invariant_triple=triple,
         canonical_tag=_tag(triple),
     )
@@ -93,9 +93,9 @@ def orbit_spectra(
     """Spectra across the conjugation orbit, lambda = k pi / n_lambda.
 
     The orbit has period pi, and all its members share one invariant
-    triple, hence one spectrum.  The members are built, and checked, in
-    one batch (as :func:`~ring_spectra.bc.conjugate_orbit` builds each).
-    The lambda = 0 member is searched
+    triple, hence one spectrum.  Each member is
+    :func:`~ring_spectra.bc.conjugate_orbit` of U at its lambda.  The
+    lambda = 0 member is searched
     (:func:`~ring_spectra.roots.find_spectra`) and keeps its search's
     slice, and every other member is certified from its roots on its
     own tracks (:func:`~ring_spectra.roots._certify`): its own count over
@@ -111,7 +111,7 @@ def orbit_spectra(
     if n_lambda < 1:
         raise ValueError("need at least one orbit sample")
     lams = [k * np.pi / n_lambda for k in range(n_lambda)]
-    bcs = _orbit_members(u, lams)
+    bcs = [conjugate_orbit(u, lam) for lam in lams]
     (first,) = find_spectra(bcs[:1], window, kernel, tol_root, tol_residual)
     slices = [first, *_certify(first, bcs[1:], kernel, tol_root, tol_residual)]
     failed = [k for k, s in enumerate(slices) if s is None]

@@ -476,8 +476,9 @@ def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None
     triples = InvariantTriple(per_u.det_u[:, None], per_u.tr_u[:, None], per_u.tr_u_sx[:, None])
     residuals = np.abs(kernel.spectral_values(s.x, triples))  # [U, root]
     residuals.flags.writeable = False
-    for k, residual in zip(kept, residuals):
-        if np.all(residual <= tol_residual):
+    passed = (residuals <= tol_residual).all(axis=1).tolist()
+    for k, residual, ok in zip(kept, residuals, passed):
+        if ok:
             out[k] = SpectrumSlice._from_columns(
                 s.window, s.x, s.multiplicity, residual, xs.size, kernel.theory
             )

@@ -1,17 +1,17 @@
 """Tests for the boundary-condition space and its text format."""
 
-import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ring_spectra.bc import (
     BCConstraintError,
     BCParseError,
     UnitaryBC,
     _chart_matrix,
-    _orbit_members,
     conjugate_orbit,
     from_matrix,
     invariant_triple,
@@ -171,35 +171,37 @@ def test_conjugate_orbit_turns_the_chart():
         assert np.max(np.abs(v.matrix - g @ u.matrix @ g.conj().T)) < 1e-15
 
 
-def test_orbit_members_are_the_conjugates_bit_for_bit():
-    # the chart turned and checked on arrays, once over all members, gives
-    # each member as the checked constructor builds it from the chart
-    # turned on Python floats, to the last bit, and a lambda that breaks a
-    # member raises as its construction does
-    rng = np.random.default_rng(16)
-    lams = [k * np.pi / 16 for k in range(16)] + list(rng.uniform(0.0, np.pi, 4))
-    us = [random_unitary_bc(rng) for _ in range(100)]
-    us += [named_family("dpp", 0.0), named_family("parity", eta=0.4, theta=2.2)]
-    for u in us:
-        for got, lam in zip(_orbit_members(u, lams), lams, strict=True):
-            c, s = math.cos(2.0 * lam), math.sin(2.0 * lam)
-            m1, m2, m3 = u.m.tolist()
-            m = (m1, c * m2 + s * m3, c * m3 - s * m2)
-            want = UnitaryBC(_chart_matrix(u.eta, u.m0, m), u.eta, u.m0, m)
-            assert got.matrix.dtype == want.matrix.dtype and got.m.dtype == want.m.dtype
-            assert got.matrix.tobytes() == want.matrix.tobytes()
-            assert got.m.tobytes() == want.m.tobytes()
-            assert (got.eta, got.m0) == (want.eta, want.m0)
-            assert not got.matrix.flags.writeable and not got.m.flags.writeable
+def test_orbit_members_are_read_only_frozen_and_checked():
+    # every member comes out of the checked constructor: read-only arrays,
+    # frozen fields, and a lambda that breaks the chart raises as the
+    # constructor does
+    u = random_unitary_bc(np.random.default_rng(16))
+    v = conjugate_orbit(u, 0.3)
+    assert not v.matrix.flags.writeable and not v.m.flags.writeable
     with pytest.raises(FrozenInstanceError):
-        got.eta = 0.0
-    assert _orbit_members(u, []) == []
-    with pytest.raises(NonUnitaryError) as batch:
-        _orbit_members(u, [0.1, np.nan])
+        v.eta = 0.0
+    with pytest.raises(NonUnitaryError) as member:
+        conjugate_orbit(u, np.nan)
     with pytest.raises(NonUnitaryError) as single:
         UnitaryBC(_chart_matrix(u.eta, u.m0, (u.m[0], np.nan, np.nan)), u.eta, u.m0,
                   (u.m[0], np.nan, np.nan))
-    assert str(batch.value) == str(single.value)
+    assert str(member.value) == str(single.value)
+
+
+@settings(deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), a=st.floats(-np.pi, np.pi), b=st.floats(-np.pi, np.pi))
+def test_orbit_members_compose_as_a_u1_action_of_period_pi(seed, a, b):
+    # turning by a then by b keeps (eta, m0, m1) to the bit and lands on
+    # the turn by a + b, and a turn by pi is the identity, up to the
+    # rounding of a + b and of the cosines and sines (1.0e-15 worst over
+    # 20,000 random draws)
+    u = random_unitary_bc(np.random.default_rng(seed))
+    v = conjugate_orbit(conjugate_orbit(u, a), b)
+    assert (v.eta, v.m0, v.m[0]) == (u.eta, u.m0, u.m[0])
+    for got, want in ((v, conjugate_orbit(u, a + b)),
+                      (conjugate_orbit(u, a + np.pi), conjugate_orbit(u, a))):
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 4e-15
+        assert np.max(np.abs(got.m - want.m)) <= 4e-15
 
 
 def test_parity_family_is_orbit_fixed_point():

@@ -18,18 +18,24 @@ records:
 - per-stage wall time per op: the ends call (``roots._levels``, on
   ``orbit`` also the certification's track reading), the refinement
   (``roots._refine``), clustering and verification
-  (``roots.collect_spectra``) and the rest of the op, plus microseconds
-  per refinement round;
+  (``roots.collect_spectra``), on ``orbit`` the building of the orbit
+  members (whichever of ``_orbit_members`` and ``conjugate_orbit`` the
+  tree's ``iso`` calls) and the certification (``roots._certify`` less
+  its ``_levels`` call), and the rest of the op, plus microseconds per
+  refinement round;
 - ``polar`` calls per op (counted on the kernel; a one-U op is one search);
 - the ``tracemalloc`` peak of an op (the largest over the inputs, in a
   separate pass, since tracing slows everything).
 
 Times are the median over ``--runs`` runs (at least 9) of one pass over
 the inputs, in which base and change run each input back to back and
-alternate which goes first; ``ratio`` is the change's time over the
+alternate which goes first; ``other``, the rest of the op time, is taken
+in each run before the median.  ``ratio`` is the change's time over the
 base's within each pass, as median and quartiles over the passes.  The
 timers wrap module functions, which adds about a microsecond per stage
-call to both sides.
+call; a stage's time excludes the stages it calls.  A tree that builds
+an orbit member per call pays that microsecond once per member, one
+that builds them in one batch once per orbit.
 """
 
 from __future__ import annotations
@@ -53,8 +59,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import ring_spectra  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-STAGES = ("ends", "refine", "collect")
-_WRAPPED = {"ends": "_levels", "refine": "_refine", "collect": "collect_spectra"}
+STAGES = ("ends", "refine", "collect", "members", "certify")
+#: stage -> (module, the names it may have there; the first one present is wrapped)
+_WRAPPED = {
+    "ends": ("roots", ("_levels",)),
+    "refine": ("roots", ("_refine",)),
+    "collect": ("roots", ("collect_spectra",)),
+    "members": ("iso", ("_orbit_members", "conjugate_orbit")),
+    "certify": ("iso", ("_certify",)),
+}
 
 
 def load_base(src: Path):
@@ -77,17 +90,22 @@ class Side:
         self.lib = lib
         self.times = dict.fromkeys(STAGES, 0.0)
         self.polar = 0
-        roots = lib.roots
-        for stage, name in _WRAPPED.items():
-            setattr(roots, name, self._timed(stage, getattr(roots, name)))
+        self._nested = 0.0  # time of the timed calls inside the running one
+        for stage, (module, names) in _WRAPPED.items():
+            module = getattr(lib, module)
+            name = next(n for n in names if hasattr(module, n))
+            setattr(module, name, self._timed(stage, getattr(module, name)))
 
     def _timed(self, stage, fn):
         def timed(*args):
+            outer, self._nested = self._nested, 0.0
             t0 = time.perf_counter()
             try:
                 return fn(*args)
             finally:
-                self.times[stage] += time.perf_counter() - t0
+                dt = time.perf_counter() - t0
+                self.times[stage] += dt - self._nested
+                self._nested = outer + dt
         return timed
 
     def kernel(self, theory, mu0):
@@ -148,7 +166,9 @@ def measure(sides, make_ops, runs):
                 ops[i][j]()
                 totals[i] += time.perf_counter() - t0
         for i, side in enumerate(sides):
-            samples[i].append({"total": totals[i], **side.times, "polar": side.polar})
+            other = totals[i] - sum(side.times.values())
+            samples[i].append(
+                {"total": totals[i], **side.times, "other": other, "polar": side.polar})
     out = []
     for side_ops, runs_of in zip(ops, samples):
         n = len(side_ops)
@@ -159,8 +179,7 @@ def measure(sides, make_ops, runs):
             op()
             peak = max(peak, tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        stage_us = {k: 1e6 * med[k] / n for k in ("total", *STAGES)}
-        stage_us["other"] = stage_us["total"] - sum(stage_us[k] for k in STAGES)
+        stage_us = {k: 1e6 * med[k] / n for k in ("total", *STAGES, "other")}
         out.append({
             "us_per_op": {k: round(v, 1) for k, v in stage_us.items()},
             "polar_calls_per_op": round(med["polar"] / n, 3),
