@@ -250,7 +250,8 @@ def mass_mode_membership(
 
 
 class DiracKernel:
-    """Relativistic kernel bound to a fixed dimensionless mass.
+    """Relativistic kernel bound to a fixed dimensionless mass; ``mu0``
+    is read-only, so the kernel is a value for its whole lifetime.
 
     The kernel protocol the root search uses: ``theory``,
     ``turning_points(lo, hi, limit)`` (the energies it samples besides
@@ -266,7 +267,12 @@ class DiracKernel:
     def __init__(self, mu0: float):
         if not 0 <= mu0 < np.inf:
             raise ValueError("mu0 must be finite and non-negative")
-        self.mu0 = float(mu0)
+        self._mu0 = float(mu0)
+
+    @property
+    def mu0(self) -> float:
+        """The dimensionless rest energy, fixed for the kernel's lifetime."""
+        return self._mu0
 
     def coefficients(self, mu):
         return coefficient_arrays(mu, self.mu0)

@@ -30,8 +30,11 @@ window ends are exactly its crossings: the tracks at the two ends alone
 certify the root count.  The one kernel call that reads the ends samples
 the tracks at S + 1 evenly spaced energies, S = max(64, 256 // (number
 of U)), so one U starts from narrow brackets and a batch's call does not
-grow, and at the kernel's turning points; each crossing starts in the
-sample interval it lies in, and is refined there on its own track by a
+grow, and at the kernel's turning points.  Neither the samples nor the
+polar form there depend on U, so that stage is kept for the last kernel,
+window and S searched, and a search that repeats them, with any U, pays
+only for its own tracks (:func:`_sample_stage`).  Each crossing starts in
+the sample interval it lies in, and is refined there on its own track by a
 two-point step that keeps it between its ends, down to adjacent doubles
 at most.  The turning points are where the tracks turn steeply: where
 |u| / v can exceed 1 the tracks are staircases that take almost all of a
@@ -49,7 +52,11 @@ limit)``, ``polar(x) -> (h, u, v)`` and ``spectral_values(x, u)``; the
 search calls nothing else, and never builds a 2x2 matrix per point.
 ``turning_points`` returns energies strictly inside (lo, hi), sorted
 and distinct, that do not depend on U (none where the tracks do not
-turn steeply, or past ``limit`` spots).  The kernels evaluate every
+turn steeply, or past ``limit`` spots).  ``turning_points`` and
+``polar`` must be pure functions of their arguments for the kernel's
+lifetime: a search may be served samples and a polar form computed for
+the same kernel object earlier.  The kernels here are immutable values
+(``mu0`` and ``rep`` are read-only).  The kernels evaluate every
 energy as itself, up to and on the zero-wavenumber points, so a root
 there is found, counted and placed like any other.
 
@@ -57,22 +64,27 @@ there is found, counted and placed like any other.
 runs a batch of boundary conditions on one kernel call per refinement
 round, and verifies the roots of every U in one more;
 :func:`find_spectrum` is that search for a single U.  Memory grows with
-the number of roots, not with the window.  U that share one invariant
-triple (a conjugation orbit) share one spectrum, so once one of them is
-searched, :func:`_certify` checks its roots for the others on their own
-tracks in one kernel call, with each U's own residuals from one more.
+the number of roots, not with the window, plus the one sample stage
+kept: (S + 1 + turning points) x 4 doubles, a few KB for windows with
+few turning points and at most ~21 MB at MAX_ROOTS turning spots of 5
+points each.  U that share one invariant triple (a conjugation orbit)
+share one spectrum, so once one of them is searched, :func:`_certify`
+checks its roots for the others on their own tracks in one kernel call,
+with each U's own residuals from one more.
 The reference grid search it replaced, and the complex eigenphase route
 it used, live on as oracles (:mod:`ring_spectra.oracles`).
 
-Everything here is pure-function over value inputs; concurrent searches
-on shared read-only kernels are safe.  A :class:`SpectrumSlice` holds
-its roots as read-only arrays and builds its ``roots`` records on first
-access; threads that race on that access build equal tuples.
+Everything here is pure-function over value inputs but the sample stage
+kept, which is replaced whole; concurrent searches on shared kernels are
+safe.  A :class:`SpectrumSlice` holds its roots as read-only arrays and
+builds its ``roots`` records on first access; threads that race on that
+access build equal tuples.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import FrozenInstanceError
 from functools import cached_property
@@ -134,7 +146,9 @@ class SpectrumSlice:
     ``grid_points`` is the number of energies the search evaluated for
     this U: the samples across the window (S + 1 evenly spaced energies,
     S = max(64, 256 // the number of U searched together), merged with
-    the kernel's turning points) plus every refinement step of its
+    the kernel's turning points; they count also when an earlier search
+    on the same kernel, window and S evaluated them and this one was
+    served them) plus every refinement step of its
     brackets (the grid size, for the grid oracle; 2 + 2N, the window
     ends and the ends of its N brackets, for a slice certified from
     another U's roots).
@@ -409,10 +423,49 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
     ]
 
 
-def _levels(xs, chart, kernel):
-    """The tracks of every U at the sorted energies ``xs`` (one ``polar``
-    call), their levels and the crossings between neighbouring energies,
-    as (tracks, level, counts), each indexed [U, energy, track].
+#: the last sample stage served: (kernel, (lo, top, count) as bits, stage)
+_last_stage = (None, None, None)
+
+
+def _sample_stage(kernel, lo, top, count):
+    """The U-independent part of the ends call, as read-only arrays (xs,
+    h, u, v): ``count`` + 1 evenly spaced energies from lo to top, merged
+    with the kernel's turning points in (lo, top), and the kernel's polar
+    form there (one ``polar`` call).
+
+    The last stage is kept, with its kernel, and served again for the
+    same kernel object, lo, top and count (as bits, so -0.0 is not 0.0):
+    a kernel's ``turning_points`` and ``polar`` are pure functions of
+    their arguments, so the stage is what a new call would compute.  The
+    slot holds the kernel itself, so no other object can take its
+    identity, and is replaced by one assignment, so threads that race on
+    it may each compute a stage but never read half of one.
+    """
+    global _last_stage
+    key = struct.pack("ddq", lo, top, count)
+    held, held_key, stage = _last_stage
+    if held is kernel and held_key == key:
+        return stage
+    xs = np.linspace(lo, top, count + 1)  # ends exactly lo and top
+    # by keyword: the call evaluates no energy, and proxies that count
+    # evaluations by the size of the first argument must not count it
+    turns = kernel.turning_points(lo=lo, hi=top, limit=MAX_ROOTS)
+    if turns.size:
+        xs = np.sort(np.concatenate([xs, turns]))
+        xs = xs[np.append(True, xs[1:] != xs[:-1])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        stage = (xs, *kernel.polar(xs))
+    for part in stage:
+        part.flags.writeable = False
+    _last_stage = (kernel, key, stage)
+    return stage
+
+
+def _levels(polar, chart):
+    """The tracks of every U from the kernel's polar form (h, u, v) at
+    sorted energies, their levels and the crossings between neighbouring
+    energies, as (tracks, level, counts), each indexed [U, energy,
+    track].
 
     The multiples 2 pi n with t(x_j+1) <= 2 pi n < t(x_j) are a track's
     crossings in (x_j, x_j+1], counts[:, j].  The levels ceil(t / 2 pi)
@@ -421,7 +474,7 @@ def _levels(xs, chart, kernel):
     the two ends.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        h, u, v = (part[:, None] for part in kernel.polar(xs))
+        h, u, v = (part[:, None] for part in polar)
         tracks = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
         level = np.ceil(tracks / TAU)
         level = np.maximum(np.minimum.accumulate(level, axis=1), level[:, -1:])
@@ -460,7 +513,9 @@ def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None
     # few rows (told apart by the rounding of m_perp^2): each is read once
     rows = {}
     row_of = [rows.setdefault(row, len(rows)) for row in map(tuple, _charts(us).tolist())]
-    tracks, level, counts = _levels(xs, np.array(list(rows)), kernel)
+    with np.errstate(invalid="ignore", over="ignore"):
+        polar = kernel.polar(xs)
+    tracks, level, counts = _levels(polar, np.array(list(rows)))
     inside = counts[:, 1::2]  # [row, root, track]
     target = TAU * level[:, 2:-1:2]
     gl, gr = tracks[:, 1:-1:2] - target, tracks[:, 2:-1:2] - target
@@ -496,10 +551,12 @@ def find_spectra(
 
     The tracks of every U are evaluated at S + 1 evenly spaced energies
     from lo to the top end, S = max(64, 256 // len(us)), merged with the
-    kernel's turning points (one kernel call); since they never
-    increase, the multiples of 2 pi they cross between the two ends are
-    the exact root count, and each crossing becomes its own bracket over
-    the one sample interval it lies in.  The count per interval is read
+    kernel's turning points (one kernel call, which the next search on
+    the same kernel object, lo, top end and S does not repeat:
+    :func:`_sample_stage`); since they never increase, the multiples of
+    2 pi they cross between the two ends are the exact root count, and
+    each crossing becomes its own bracket over the one sample interval
+    it lies in.  The count per interval is read
     off the running minimum of the tracks, so it is never negative and
     the counts add up to the certificate of the two ends.  A U whose
     count exceeds MAX_ROOTS, or is not finite, is refused before any
@@ -518,15 +575,8 @@ def find_spectra(
         return []
     top = _top_end(hi, tol_root)
     chart = _charts(us)
-    samples = max(_SAMPLES, _BATCH_SAMPLES // len(us))
-    xs = np.linspace(lo, top, samples + 1)  # ends exactly lo and top
-    # by keyword: the call evaluates no energy, and proxies that count
-    # evaluations by the size of the first argument must not count it
-    turns = kernel.turning_points(lo=lo, hi=top, limit=MAX_ROOTS)
-    if turns.size:
-        xs = np.sort(np.concatenate([xs, turns]))
-        xs = xs[np.append(True, xs[1:] != xs[:-1])]
-    tracks, level, counts = _levels(xs, chart, kernel)
+    xs, *polar = _sample_stage(kernel, lo, top, max(_SAMPLES, _BATCH_SAMPLES // len(us)))
+    tracks, level, counts = _levels(polar, chart)
     for k, total in enumerate(counts.sum(axis=(1, 2))):
         if not total <= MAX_ROOTS:
             count = f"{total:.0f} roots" if np.isfinite(total) else "no finite root count"
@@ -542,8 +592,8 @@ def find_spectra(
     left = row + 2 * owner  # flat index of each bracket's left end in tracks
     target = TAU * (level.ravel()[left + 2] + step)
     gl, gr = (tracks.ravel()[left + end] - target for end in (0, 2))
-    # the sample arrays grow with the turning points: free them before refining
-    del turns, tracks, level, counts, n, row, step, left
+    # the track arrays grow with the turning points: free them before refining
+    del tracks, level, counts, n, row, step, left
     consts = np.concatenate((chart.T[:, owner], [_SIGNS[track], target]))
     located, _, _, evals = _refine(
         kernel, consts, xs[interval], xs[interval + 1], gl, gr, tol_root, tol_residual

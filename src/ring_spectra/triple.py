@@ -309,13 +309,18 @@ class RepKernel(DiracKernel):
 
     def __init__(self, rep: CliffordRep, mu0: float):
         super().__init__(mu0)
-        self.rep = rep
+        self._rep = rep
         v = representation_transform(rep, DIRAC_REP)
         # <e_g(s)| V^H Psi_D(s)> = <(V e_g(s))| Psi_D(s)>: row (g, side) of
         # the conjugated projections, g = +1 then -1, side -1/2 then +1/2
         ends = [boundary_eigvecs(rep, side) for side in (-0.5, +0.5)]
         self._w = np.conj([[v @ e[g] for e in ends] for g in (0, 1)])
         self._q = _boundary_phases(rep)
+
+    @property
+    def rep(self) -> CliffordRep:
+        """The representation the kernel is assembled in, fixed for its lifetime."""
+        return self._rep
 
     def coefficients(self, mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))

@@ -921,11 +921,19 @@ def test_search_protocol_counts(n_us, n_samples):
     # n_us) per U, so its ends call does not grow per U
     rng = np.random.default_rng(61)
     us = [bc.random_unitary_bc(rng) for _ in range(n_us)]
+    window = (-40.0, 40.0)
     proxy = CountingKernel(DiracKernel(1.0))
     assert not hasattr(proxy, "special_points")
-    iso.orbit_spectra(us[0], (-40.0, 40.0), proxy, n_lambda=n_us)
-    proxy.calls, proxy.samples = [], None
-    slices = find_spectra(us, (-40.0, 40.0), proxy)
+    iso.orbit_spectra(us[0], window, proxy, n_lambda=n_us)
+    # the orbit's one search sampled the window as a search alone does:
+    # its stage is served again on this proxy, with no call to the kernel
+    calls = len(proxy.calls)
+    xs, *_ = roots._sample_stage(
+        proxy, window[0], roots._top_end(window[1], roots.DEFAULT_TOL_ROOT), sample_count(1)
+    )
+    assert len(proxy.calls) == calls and np.array_equal(xs, proxy.samples)
+    proxy = CountingKernel(DiracKernel(1.0))
+    slices = find_spectra(us, window, proxy)
     names = [name for name, _ in proxy.calls]
     assert "coefficients" not in names
     assert names.count("spectral_values") == 1 and names[-1] == "spectral_values"
@@ -1181,19 +1189,148 @@ def sweep_bcs(seed: int, n: int) -> list:
 
 
 def test_polar_calls_per_search_are_pinned():
-    # the polar calls of searches of one U each (the ends call and one per
-    # refinement round), at the count measured when a search alone went to
-    # 256 sample intervals: 5.34 per search on the sweep recipe (6.29 with
-    # 64 intervals) and 7.5 on Schroedinger (0, 1e4] (8.0)
+    # the polar calls of searches of one U each on one kernel and window:
+    # the first search's ends call and one per refinement round of every
+    # search, since the later searches are served the first one's samples.
+    # Pinned at the counts measured when that stage was first kept: 556
+    # on the sweep recipe (683, 5.34 per search, with an ends call per
+    # search) and 53 on Schroedinger (0, 1e4] (60)
     rng = np.random.default_rng(101)
     for kernel, window, us, pinned in (
-        (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 683),
-        (SchrodKernel(), (0.0, 1e4), [bc.random_unitary_bc(rng) for _ in range(8)], 60),
+        (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 556),
+        (SchrodKernel(), (0.0, 1e4), [bc.random_unitary_bc(rng) for _ in range(8)], 53),
     ):
         proxy = CountingKernel(kernel)
         for u in us:
             find_spectrum(u, window, proxy)
-        assert sum(name == "polar" for name, _ in proxy.calls) <= pinned
+        sizes = [n for name, n in proxy.calls if name == "polar"]
+        assert len(sizes) <= pinned
+        assert sizes.count(len(proxy.samples)) == 1
+
+
+@st.composite
+def sampled_searches(draw):
+    """A way to make a kernel (Dirac, Schroedinger or RepKernel) and a
+    window for it."""
+    theory = draw(st.sampled_from(["dirac", "schrod", "rep"]))
+    if theory == "schrod":
+        lo = draw(st.floats(-10.0, 3000.0))
+        return SchrodKernel, (lo, lo + draw(st.floats(1.0, 500.0)))
+    mu0 = draw(st.floats(0.0, 20.0))
+    if theory == "rep":
+        lo = draw(st.floats(-10.0, 10.0))
+        return (lambda: RepKernel(DIRAC_REP, mu0)), (lo, lo + draw(st.floats(0.5, 10.0)))
+    lo = draw(st.floats(-60.0, 60.0))
+    return (lambda: DiracKernel(mu0)), (lo, lo + draw(st.floats(0.5, 40.0)))
+
+
+def search_bytes(u, window, kernel):
+    """The bytes of a search's columns and its grid_points, or its error."""
+    try:
+        s = find_spectrum(u, window, kernel)
+    except NumericalError as err:
+        return str(err)
+    return s.x.tobytes(), s.multiplicity.tobytes(), s.residual.tobytes(), s.grid_points
+
+
+@settings(PROPERTY, max_examples=40)
+@given(case=sampled_searches(), u=unitary_bcs(), v=unitary_bcs())
+def test_a_search_served_its_samples_equals_a_fresh_search(case, u, v):
+    # a search on the kernel, window and sample count of the search before
+    # it is served that search's samples and polar form, and comes out bit
+    # for bit as a search on a fresh kernel, which evaluates them itself
+    make, window = case
+    proxy = CountingKernel(make())
+    search_bytes(u, window, proxy)
+    samples, proxy.calls = len(proxy.samples), []
+    served = search_bytes(v, window, proxy)
+    assert served == search_bytes(v, window, make())
+    if not isinstance(served, str):  # no polar call at the samples
+        assert sum(n for name, n in proxy.calls if name == "polar") == served[3] - samples
+
+
+def test_the_sample_stage_is_served_only_for_its_kernel_window_and_count():
+    # the one stage kept is that of the last kernel object, lo, top end
+    # and sample count: changing any of them evaluates the samples again
+    rng = np.random.default_rng(5)
+    us = [bc.random_unitary_bc(rng) for _ in range(3)]
+    first, second = CountingKernel(DiracKernel(1.0)), CountingKernel(DiracKernel(1.0))
+
+    def sampled(kernel, us, window=(-10.0, 10.0), tol_root=roots.DEFAULT_TOL_ROOT):
+        """Whether the search's first polar call evaluated its samples
+        (mu0 = 1 < pi: the evenly spaced ones alone)."""
+        kernel.calls, kernel.samples = [], None
+        find_spectra(us, window, kernel, tol_root)
+        top = roots._top_end(window[1], tol_root)
+        return np.array_equal(
+            kernel.samples, np.linspace(window[0], top, sample_count(len(us)) + 1)
+        )
+
+    assert sampled(first, us[:1])
+    assert not sampled(first, us[1:2])
+    assert sampled(first, us[:1], window=(-10.0, 12.0))
+    assert sampled(first, us[:1], window=(-9.0, 12.0))
+    assert not sampled(first, us[1:2], window=(-9.0, 12.0))
+    assert sampled(first, us[:1], window=(-9.0, 12.0), tol_root=1e-10)  # the top end moves
+    assert sampled(first, us[:2], window=(-9.0, 12.0), tol_root=1e-10)  # 128 intervals
+    assert not sampled(first, us[1:], window=(-9.0, 12.0), tol_root=1e-10)
+    assert sampled(second, us[1:], window=(-9.0, 12.0), tol_root=1e-10)
+    assert sampled(first, us[1:], window=(-9.0, 12.0), tol_root=1e-10)  # one slot
+
+
+def test_the_sample_stage_is_read_only():
+    # (0, 100] merges the turning points above e ~ 6 into the samples
+    xs, *polar = roots._sample_stage(SchrodKernel(), 0.0, 100.0, 64)
+    assert xs.size > 65
+    for part in (xs, *polar):
+        assert part.shape == xs.shape
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0.0
+
+
+@pytest.mark.parametrize("kernel, name", [
+    (DiracKernel(1.0), "mu0"), (RepKernel(DIRAC_REP, 1.0), "mu0"), (RepKernel(DIRAC_REP, 1.0), "rep"),
+])
+def test_kernel_parameters_are_read_only(kernel, name):
+    # a kept sample stage is served by kernel identity, so a kernel's
+    # parameters cannot change under it
+    value = getattr(kernel, name)
+    with pytest.raises(AttributeError):
+        setattr(kernel, name, 3.0)
+    assert getattr(kernel, name) is value
+
+
+def test_threads_searching_two_windows_on_one_kernel_get_the_sequential_results():
+    # threads racing on the one stage kept, each switching window at every
+    # search, compute or are served a whole stage of the window they ask for
+    rng = np.random.default_rng(9)
+    us = [bc.random_unitary_bc(rng) for _ in range(6)]
+    windows = [(-10.0, 10.0), (-3.0, 25.0)]
+    want = [[find_spectrum(u, w, DiracKernel(1.0)) for u in us] for w in windows]
+    kernel, n, rounds = DiracKernel(1.0), 4, 5
+    barrier = threading.Barrier(n)
+    seen = [None] * n
+
+    def search(i):
+        barrier.wait(timeout=10)
+        seen[i] = [
+            [find_spectrum(u, windows[(i + j) % 2], kernel) for j, u in enumerate(us)]
+            for _ in range(rounds)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, got in enumerate(seen):
+        assert got == [[want[(i + j) % 2][j] for j in range(len(us))]] * rounds
 
 
 @settings(PROPERTY, max_examples=40)

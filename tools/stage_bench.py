@@ -15,14 +15,20 @@ members that fail certification, the four-U orbit of ``ring-spectra
 verify``, the README's three-U example).  Per side it
 records:
 
-- per-stage wall time per op: the ends call (``roots._levels``, on
-  ``orbit`` also the certification's track reading), the refinement
+- per-stage wall time per op: the U-independent samples of the ends
+  call and the polar form there (``roots._sample_stage``, which a tree
+  that keeps the last stage serves to repeat searches; a tree without it
+  does that work inside ``roots._levels`` and reads 0 here), the ends
+  call's tracks (``roots._levels``, on ``orbit`` also the
+  certification's track reading), the refinement
   (``roots._refine``), clustering and verification
   (``roots.collect_spectra``), on ``orbit`` the building of the orbit
   members (whichever of ``_orbit_members`` and ``conjugate_orbit`` the
   tree's ``iso`` calls) and the certification (``roots._certify`` less
-  its ``_levels`` call), and the rest of the op, plus microseconds per
-  refinement round;
+  its ``_levels`` call, so with its ``polar`` call in a tree whose
+  ``_levels`` takes the polar form), and the rest of the op,
+  plus microseconds per refinement round (per ``polar`` call made by
+  ``roots._refine``);
 - ``polar`` calls per op (counted on the kernel; a one-U op is one search);
 - the ``tracemalloc`` peak of an op (the largest over the inputs, in a
   separate pass, since tracing slows everything).
@@ -59,9 +65,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import ring_spectra  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-STAGES = ("ends", "refine", "collect", "members", "certify")
-#: stage -> (module, the names it may have there; the first one present is wrapped)
+STAGES = ("samples", "ends", "refine", "collect", "members", "certify")
+#: stage -> (module, the names it may have there; the first one present is
+#: wrapped, and a tree with none of them reads 0 for the stage)
 _WRAPPED = {
+    "samples": ("roots", ("_sample_stage",)),
     "ends": ("roots", ("_levels",)),
     "refine": ("roots", ("_refine",)),
     "collect": ("roots", ("collect_spectra",)),
@@ -89,16 +97,19 @@ class Side:
     def __init__(self, lib):
         self.lib = lib
         self.times = dict.fromkeys(STAGES, 0.0)
-        self.polar = 0
+        self.polar = self.rounds = 0  # polar calls, and those made by the refinement
         self._nested = 0.0  # time of the timed calls inside the running one
+        self._stage = None  # the timed stage running
         for stage, (module, names) in _WRAPPED.items():
             module = getattr(lib, module)
-            name = next(n for n in names if hasattr(module, n))
-            setattr(module, name, self._timed(stage, getattr(module, name)))
+            name = next((n for n in names if hasattr(module, n)), None)
+            if name is not None:
+                setattr(module, name, self._timed(stage, getattr(module, name)))
 
     def _timed(self, stage, fn):
         def timed(*args):
             outer, self._nested = self._nested, 0.0
+            outer_stage, self._stage = self._stage, stage
             t0 = time.perf_counter()
             try:
                 return fn(*args)
@@ -106,6 +117,7 @@ class Side:
                 dt = time.perf_counter() - t0
                 self.times[stage] += dt - self._nested
                 self._nested = outer + dt
+                self._stage = outer_stage
         return timed
 
     def kernel(self, theory, mu0):
@@ -114,6 +126,7 @@ class Side:
 
         def counted(x):
             self.polar += 1
+            self.rounds += self._stage == "refine"
             return polar(x)
 
         k.polar = counted
@@ -124,7 +137,7 @@ class Side:
 
     def reset(self):
         self.times = dict.fromkeys(STAGES, 0.0)
-        self.polar = 0
+        self.polar = self.rounds = 0
 
 
 def workload_ops(side, w):
@@ -168,7 +181,8 @@ def measure(sides, make_ops, runs):
         for i, side in enumerate(sides):
             other = totals[i] - sum(side.times.values())
             samples[i].append(
-                {"total": totals[i], **side.times, "other": other, "polar": side.polar})
+                {"total": totals[i], **side.times, "other": other, "polar": side.polar,
+                 "rounds": side.rounds})
     out = []
     for side_ops, runs_of in zip(ops, samples):
         n = len(side_ops)
@@ -184,17 +198,12 @@ def measure(sides, make_ops, runs):
             "us_per_op": {k: round(v, 1) for k, v in stage_us.items()},
             "polar_calls_per_op": round(med["polar"] / n, 3),
             "tracemalloc_peak_kib": round(peak / 1024, 1),
+            "refine_us_per_round":
+                round(1e6 * med["refine"] / med["rounds"], 1) if med["rounds"] else None,
         })
     ratios = [b["total"] / a["total"] for a, b in zip(*samples)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     return out, {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
-
-
-def refine_round_us(side_result, other_calls):
-    """Refinement microseconds per round: refine time over the polar calls
-    of an op less the ``other_calls`` made outside the refinement."""
-    rounds = side_result["polar_calls_per_op"] - other_calls
-    return round(side_result["us_per_op"]["refine"] / rounds, 1) if rounds > 0 else None
 
 
 def main(argv=None) -> int:
@@ -219,9 +228,6 @@ def main(argv=None) -> int:
     }
     for name, w in WORKLOADS.items():
         (base, change), ratio = measure(sides, lambda side, w=w: workload_ops(side, w), args.runs)
-        # an orbit op is one search (one ends call) and one certification call
-        for res in (base, change):
-            res["refine_us_per_round"] = refine_round_us(res, 2 if w.n_lambda else 1)
         report["workloads"][name] = {
             "inputs": f"perfbench {name}, seed 101", "base": base, "change": change,
             "ratio": ratio,
@@ -232,8 +238,6 @@ def main(argv=None) -> int:
             (base, change), ratio = measure(
                 sides, lambda side, s=size: batch_ops(side, theory, window, s), args.runs)
             key = f"{theory} {window} x{size}"
-            for res in (base, change):
-                res["refine_us_per_round"] = refine_round_us(res, 1)
             report["batches"][key] = {"base": base, "change": change, "ratio": ratio}
             print(key, ratio, flush=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
