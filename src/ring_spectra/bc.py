@@ -273,6 +273,15 @@ _FAMILY_KEYS = {
 _NUM = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+def _finite(tok: str) -> float:
+    """A token that matched ``_NUM`` as a float; one that overflows
+    (``1e999``) is refused, so no infinity reaches the matrix."""
+    x = float(tok)
+    if not math.isfinite(x):
+        raise BCParseError(f"not a finite number: {tok!r}")
+    return x
+
+
 def _parse_kv(body: str, keys: tuple[str, ...]) -> dict[str, float]:
     out: dict[str, float] = {}
     for item in body.split(","):
@@ -287,7 +296,7 @@ def _parse_kv(body: str, keys: tuple[str, ...]) -> dict[str, float]:
             raise BCParseError(f"duplicate parameter {key!r}")
         if not _NUM.match(val):
             raise BCParseError(f"not a number: {val!r}")
-        out[key] = float(val)
+        out[key] = _finite(val)
     missing = [k for k in keys if k not in out]
     if missing:
         raise BCParseError(f"missing parameter(s): {', '.join(missing)}")
@@ -316,7 +325,7 @@ def parse_bc(text: str) -> UnitaryBC:
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != 8 or not all(_NUM.match(p) for p in parts):
             raise BCParseError("mat: expects 8 comma-separated reals")
-        vals = np.array([float(p) for p in parts])
+        vals = np.array([_finite(p) for p in parts])
         mat = (vals[0::2] + 1j * vals[1::2]).reshape(2, 2)
         return from_matrix(mat, tol=1e-9)
     if kind not in _FAMILY_KEYS:

@@ -11,10 +11,10 @@ Exit codes: 0 success, 1 a failed ``verify`` check or standard output
 closed before all output was written (``| head``; no traceback, the
 rest of the output is dropped), 2 malformed boundary-condition text or
 option value (window, tolerances, rest energy, check numbers, an output
-format the command does not have), 3 boundary condition violating a
-constraint (non-unitary, off the unit sphere), 4 numerical failure
-(unresolvable pole interval, a root failing residual verification, or
-coincident eigenphase crossings).
+format the command does not have, an ``--out`` path that cannot be
+written), 3 boundary condition violating a constraint (non-unitary, off
+the unit sphere), 4 numerical failure (a root failing residual
+verification, or coincident eigenphase crossings).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bc import BCConstraintError, BCParseError, UnitaryBC, parse_bc
-from .dirac import DiracKernel, PhysicalConfig, SpectralPoleError
+from .dirac import DiracKernel, PhysicalConfig
 from .iso import ORBIT_LAMBDAS, classify, compare_spectra, orbit_spectra
 from .matalg import NonUnitaryError
 from .roots import (
@@ -79,14 +79,22 @@ def _dump_json(obj, indent: int = 0) -> str:
     return _format_number(obj)
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(text: str, path: str | None) -> int:
+    """Writes ``text`` to stdout or ``path``; the exit code.  A closed
+    stdout raises (``main`` handles it); a path that cannot be written
+    is reported on stderr as a bad option value."""
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return EXIT_OK
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
+    return EXIT_OK
 
 
 def _add_bc_arg(p: argparse.ArgumentParser) -> None:
@@ -225,10 +233,8 @@ def cmd_spectrum(args) -> int:
     kernel = _make_kernel(args.theory, mu0)
     s = find_spectrum(u, window, kernel, tol_root=args.tol_root, tol_residual=args.tol_residual)
     if args.format == "json":
-        _write_output(_dump_json(_spectrum_payload(s, args, cfg)), args.out)
-    else:
-        _write_output(_spectrum_csv(s, args, cfg), args.out)
-    return EXIT_OK
+        return _write_output(_dump_json(_spectrum_payload(s, args, cfg)), args.out)
+    return _write_output(_spectrum_csv(s, args, cfg), args.out)
 
 
 def _bc_chart(u: UnitaryBC) -> dict:
@@ -255,8 +261,7 @@ def cmd_classify(args) -> int:
         ],
         "meta": {"version": __version__},
     }
-    _write_output(_dump_json(payload), args.out)
-    return EXIT_OK
+    return _write_output(_dump_json(payload), args.out)
 
 
 def cmd_orbit(args) -> int:
@@ -290,8 +295,7 @@ def cmd_orbit(args) -> int:
         ],
         "meta": {"version": __version__, "theory": args.theory, "window": list(args.window)},
     }
-    _write_output(_dump_json(payload), args.out)
-    return EXIT_OK
+    return _write_output(_dump_json(payload), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -331,9 +335,6 @@ def main(argv=None) -> int:
     except (BCConstraintError, NonUnitaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_BC
-    except SpectralPoleError as exc:
-        print(f"error: {exc} (interval could not be resolved)", file=sys.stderr)
-        return EXIT_NUMERICAL
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -24,10 +24,15 @@ when p > 0, below it when n < 0) and (tanh kappa / kappa, 1,
 sech kappa) where p n < 0 (inside the gap), so nothing overflows.
 Both tend to (1, 1, 1) at zero wavenumber, p = 0 or n = 0, and stay
 accurate as K -> 0, so the points mu = +-mu0 are the same form with
-D = +-mu0 - i, taken as that limit where K^2 = 0 exactly.  |D| >= 1
-everywhere, so the form has no pole (a guard raises
-:class:`SpectralPoleError` should (mu S)^2 + C^2 < 1/4 ever come
-out).  With rho = sign(mu) K where p n > 0 and rho = 0 elsewhere,
+D = +-mu0 - i, taken as that limit where K^2 = 0 exactly.  |D|^2 =
+(mu S)^2 + C^2 >= 1 everywhere, so the form has no pole:
+
+- oscillatory: mu^2 = K^2 + mu0^2 >= K^2, so (mu sin K / K)^2 +
+  cos^2 K >= sin^2 K + cos^2 K = 1;
+- in the gap: C = 1;
+- at K^2 = 0: mu0^2 + 1.
+
+With rho = sign(mu) K where p n > 0 and rho = 0 elsewhere,
 
     h = -arg D = pi/2 - rho - atan2((mu - rho) S cos rho,
                                     1 + (mu - rho) S sin rho),
@@ -61,15 +66,12 @@ import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, spectral_function
 
-class SpectralPoleError(ArithmeticError):
-    """The kernel's denominator broke down (never expected: |D| >= 1 in
-    exact arithmetic; kept as a guard)."""
 
-    def __init__(self, mu):
-        self.mu = np.atleast_1d(mu)
-        super().__init__(
-            f"spectral-function pole at mu in [{self.mu.min():.6g}, {self.mu.max():.6g}]"
-        )
+class SpectralPoleError(ArithmeticError):
+    """A pole of the spectral function.  Nothing raises it: |D| >= 1
+    (module docstring), so F_U has none.  It stays exported only for
+    the benchmark's self-test, until that test changes (ROADMAP item
+    7)."""
 
 
 @dataclass(frozen=True)
@@ -134,13 +136,9 @@ def _closed_form(p, n):
     # sech kappa, and 1 where kappa = 0; cosh overflows past kappa = 710,
     # where sech is below the smallest normal double anyway
     sigma = 1.0 / np.cosh(np.minimum(kap, 710.0))
-    mu_s = mu * big_s
-    pole = mu_s * mu_s + big_c * big_c < 0.25  # |D|^2 < 1/4
-    if np.count_nonzero(pole):
-        raise SpectralPoleError(mu[pole])
     y = (mu - rho) * big_s
     h = 0.5 * np.pi - rho - np.arctan2(y * big_c, 1.0 + y * sin_rho)
-    return h, 0.5 * (n - p) * big_s, sigma, mu_s, big_c
+    return h, 0.5 * (n - p) * big_s, sigma, mu * big_s, big_c
 
 
 def _turns(k, p, n):

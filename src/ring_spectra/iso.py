@@ -28,8 +28,9 @@ from .roots import (  # noqa: F401
     find_spectrum,
 )
 
-#: classify() sweeps the orbit at lambda = k pi / 8, k = 1..15
-ORBIT_LAMBDAS = tuple(k * np.pi / 8.0 for k in range(1, 16))
+#: classify() samples the orbit at lambda = k pi / 16, k = 1..15: one
+#: period (pi) without U itself, at lambda = 0, as ``orbit --lambdas 16``
+ORBIT_LAMBDAS = tuple(k * np.pi / 16.0 for k in range(1, 16))
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,11 @@ class SpectrumComparison:
 
 
 def compare_spectra(s1: SpectrumSlice, s2: SpectrumSlice, tol: float) -> SpectrumComparison:
-    """Greedy sorted matching of two spectra over the same window.
+    """Element-by-element comparison of two spectra over the same
+    window: each spectrum's roots, sorted, with a multiplicity-2 root
+    listed twice, and the k-th of one against the k-th of the other.
 
-    Multiplicity-2 roots count twice.  Equal means identical counts and
-    every matched pair closer than ``tol``.
+    Equal means identical counts and every pair closer than ``tol``.
     """
     if s1.window != s2.window or s1.theory != s2.theory:
         raise ValueError("spectra must share window and theory to be compared")

@@ -2,8 +2,8 @@
 
 Everything downstream (boundary conditions, spectral kernels, oracles)
 manipulates 2x2 unitaries, so the few primitives that must behave
-identically everywhere live here: the Pauli matrices, determinant and
-trace, and the unitarity check.
+identically everywhere live here: the identity and the Pauli matrices
+sx and sz, determinant and trace, and the unitarity check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ TAU = 2.0 * np.pi
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 

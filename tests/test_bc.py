@@ -276,6 +276,18 @@ def test_parse_bc_error_classes():
         parse_bc("mat:1,0,1,0,0,0,1,0")  # not unitary
 
 
+@pytest.mark.parametrize("text", [
+    "qp:alpha=1e999",
+    "u2:eta=1e999,m0=1,m1=0,m2=0,m3=0",
+    "parity:eta=1e999,theta=0",
+    "mat:1e999,0,0,0,0,0,1,0",
+])
+def test_parse_bc_refuses_numbers_that_overflow(text):
+    # float('1e999') is inf, which would reach the matrix as NaN
+    with pytest.raises(BCParseError, match=r"not a finite number: '1e999'"):
+        parse_bc(text)
+
+
 def test_u2_eta_canonicalized():
     u = parse_bc("u2:eta=4.0,m0=1,m1=0,m2=0,m3=0")
     assert 0.0 <= u.eta < np.pi

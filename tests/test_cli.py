@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,35 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["eigenvalues"][0]["value"] == pytest.approx(np.pi**2 / 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--theory", "schrod", "--bc", "qp:alpha=0", "--window", "0", "50"],
+    ["classify", "--bc", "qp:alpha=0.7"],
+    ["orbit", "--theory", "schrod", "--bc", "qp:alpha=0", "--window", "0", "50",
+     "--lambdas", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_an_unwritable_out_path_exits_2(argv, where, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, argv + ["--out", str(path)])
+    assert code == 2 and out == ""
+    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "qp:alpha=1e999",
+    "u2:eta=1e999,m0=1,m1=0,m2=0,m3=0",
+    "parity:eta=1e999,theta=0",
+    "mat:1e999,0,0,0,0,0,1,0",
+])
+def test_an_overflowing_bc_number_exits_2_without_a_warning(text, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["classify", "--bc", text])
+    assert code == 2 and out == ""
+    assert err == "error: not a finite number: '1e999'\n"
 
 
 def test_closed_pipe_exits_without_a_traceback():

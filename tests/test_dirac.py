@@ -4,11 +4,14 @@ wavenumber and plane-wave matrices)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ring_spectra import bc
 from ring_spectra.dirac import (
     DiracKernel,
     PhysicalConfig,
+    _closed_form,
     coefficient_arrays,
     mass_mode_membership,
 )
@@ -204,6 +207,35 @@ def test_B_unitary_including_mass_modes():
     mats = closed_form_B(mu, mu0)
     gram = np.einsum("nki,nkj->nij", mats.conj(), mats)
     assert np.max(np.linalg.norm(gram - I2, axis=(1, 2))) < 1e-10
+
+
+@st.composite
+def closed_form_pairs(draw):
+    """(p, n) arrays: Dirac energies around the gap edges +-mu0, with mu0
+    in {0} and [1e-300, 1e12], or Schrodinger energies (e, 1)."""
+    if draw(st.booleans()):
+        e = draw(st.lists(st.floats(5e-324, 1e15), min_size=1, max_size=8))
+        e = np.concatenate([e, np.negative(e), [0.0]])
+        return e, np.ones_like(e)
+    mu0 = draw(st.just(0.0) | st.floats(1e-300, 1e12))
+    edges = [mu0, np.nextafter(mu0, 0.0), np.nextafter(mu0, np.inf),
+             mu0 * (1.0 - 1e-12), mu0 * (1.0 + 1e-12)]
+    rel = draw(st.lists(st.floats(-1.0, 1e3), min_size=1, max_size=8))
+    mags = draw(st.lists(st.floats(1e-320, 1e15), min_size=1, max_size=8))
+    mu = np.concatenate([edges, mu0 * (1.0 + np.array(rel)), mags, [0.0]])
+    mu = np.concatenate([mu, np.negative(mu)])
+    return mu - mu0, mu + mu0
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(pair=closed_form_pairs())
+def test_the_closed_form_has_no_pole(pair):
+    # |D|^2 = (mu S)^2 + C^2 >= 1 on every branch (module docstring), so
+    # the spectral function has no pole anywhere on the real axis
+    *_, mu_s, big_c = _closed_form(*pair)
+    d2 = mu_s * mu_s + big_c * big_c
+    finite = np.isfinite(d2)
+    assert np.all(d2[finite] >= 1.0 - 8.0 * np.finfo(float).eps)
 
 
 def test_physical_config():

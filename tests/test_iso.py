@@ -41,6 +41,18 @@ def test_parity_flag_iff_orbit_fixed_points():
         assert result.parity_symmetric == (moved < 1e-10)
 
 
+def test_classify_samples_distinct_orbit_members():
+    # the orbit has period pi: k pi / 16, k = 1..15, is one period without U
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        u = bc.random_unitary_bc(rng)
+        if bc.is_parity_symmetric(u):
+            continue
+        mats = [u.matrix] + [s.matrix for s in classify(u).orbit_samples]
+        gaps = [np.max(np.abs(a - b)) for i, a in enumerate(mats) for b in mats[i + 1:]]
+        assert min(gaps) > 1e-6
+
+
 def test_canonical_tag_constant_on_orbit():
     rng = np.random.default_rng(72)
     for _ in range(50):

@@ -11,13 +11,14 @@ import pytest
 from ring_spectra.matalg import (
     I2,
     SX,
-    SY,
     SZ,
     NonUnitaryError,
     det2,
     require_unitary,
 )
 from ring_spectra.oracles import unitary_eigenphases
+
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def random_matrices(rng, n):

@@ -4,6 +4,7 @@ import contextlib
 import sys
 import threading
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -1629,3 +1630,34 @@ def test_window_additivity(case, u, at_root, frac):
     assert len(parts) == len(whole)
     assert np.all(np.abs(parts - whole) <= 1e-10 * np.maximum(1.0, np.abs(whole)))
 
+
+DOCUMENTED_FAILURES = ("failed residual verification", "coincident eigenphase crossings",
+                       "against a cap of")
+
+
+@st.composite
+def any_scale_searches(draw):
+    """A kernel and a window (lo, lo + width], lo = +-10^[-3, 12] and
+    width = 10^[-3, 2.5]."""
+    mu0 = draw(st.sampled_from([None, 0.0, 1.0, 20.0, 1e3, 2.6e6]))
+    kernel = SchrodKernel() if mu0 is None else DiracKernel(mu0)
+    lo = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 12.0))
+    return kernel, (lo, lo + 10.0 ** draw(st.floats(-3.0, 2.5)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(case=any_scale_searches(), u=unitary_bcs())
+def test_a_search_meets_its_contract_or_raises_a_documented_error(case, u):
+    # at any scale, a search returns roots in the window that meet the
+    # residual contract, or raises NumericalError with one of its
+    # documented messages; never another exception, never a warning
+    kernel, window = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = find_spectrum(u, window, kernel)
+        except NumericalError as exc:
+            assert any(m in str(exc) for m in DOCUMENTED_FAILURES), str(exc)
+            return
+    assert np.all((window[0] < s.x) & (s.x <= window[1]))
+    assert np.all(np.abs(kernel.spectral_values(s.x, u)) < roots.DEFAULT_TOL_RESIDUAL)

@@ -5,7 +5,7 @@ import pytest
 
 from ring_spectra import bc
 from ring_spectra.dirac import DiracKernel
-from ring_spectra.matalg import I2, SX, SY, SZ
+from ring_spectra.matalg import I2, SX, SZ
 from ring_spectra.oracles import boundary_matrix
 from ring_spectra.roots import find_spectrum
 from ring_spectra.triple import (
@@ -21,6 +21,7 @@ from ring_spectra.triple import (
     representation_transform,
 )
 
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SY_SZ = CliffordRep(SY, SZ)
 
 
