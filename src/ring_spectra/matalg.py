@@ -8,6 +8,8 @@ sx and sz, determinant and trace, and the unitarity check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TAU = 2.0 * np.pi
@@ -40,9 +42,12 @@ def tr2(m: np.ndarray) -> complex | np.ndarray:
 
 
 def unitarity_residual(w: np.ndarray) -> float:
-    """Frobenius norm of W^H W - I."""
+    """Frobenius norm of W^H W - I: inf where finite entries are so large
+    (beyond 1e154) that the product overflows."""
     w = np.asarray(w, dtype=complex)
-    return float(np.linalg.norm(w.conj().T @ w - I2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.linalg.norm(w.conj().T @ w - I2))
+    return math.inf if math.isnan(res) and np.isfinite(w).all() else res
 
 
 def require_unitary(w: np.ndarray, tol: float = 1e-10) -> None:

@@ -34,7 +34,11 @@ grow, and at the kernel's turning points.  Neither the samples nor the
 polar form there depend on U, so that stage is kept for the last kernel,
 window and S searched, and a search that repeats them, with any U, pays
 only for its own tracks (:func:`_sample_stage`).  Each crossing starts in
-the sample interval it lies in, and is refined there on its own track by a
+the sample interval it lies in.  Where the samples show that every track
+drops little over every sample interval and the tracks bend
+(:func:`_start_pays`), a start stage closes most brackets in two kernel
+calls, from a Chebyshev stencil and inverse interpolation
+(:func:`_start`).  Every bracket is then refined on its own track by a
 two-point step that keeps it between its ends, down to adjacent doubles
 at most.  The turning points are where the tracks turn steeply: where
 |u| / v can exceed 1 the tracks are staircases that take almost all of a
@@ -108,6 +112,17 @@ _MAX_ROUNDS = 200
 #: _BATCH_SAMPLES over the batch: more samples save refinement rounds but
 #: add points to the ends call, where every U is evaluated at every sample
 _SAMPLES, _BATCH_SAMPLES = 64, 256
+#: the start stage (:func:`_start`): the Chebyshev-Lobatto intervals of its
+#: stencil, where its points lie in a sample interval (the left end, the
+#: false-position point, NaN here, the interior nodes and the right end),
+#: and its selection (:func:`_start_pays`)
+_STENCIL = 6
+_GRID = np.concatenate(
+    [[0.0, np.nan], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, _STENCIL) / _STENCIL), [1.0]]
+)
+_STRIDE = _GRID.size
+_EYE = np.eye(_STRIDE)
+_STENCIL_DROP, _STENCIL_BEND = 0.4, 1e-2
 
 
 class NumericalError(RuntimeError):
@@ -148,8 +163,9 @@ class SpectrumSlice:
     S = max(64, 256 // the number of U searched together), merged with
     the kernel's turning points; they count also when an earlier search
     on the same kernel, window and S evaluated them and this one was
-    served them) plus every refinement step of its
-    brackets (the grid size, for the grid oracle; 2 + 2N, the window
+    served them) plus, per bracket, the start stage's points where it
+    ran (the stencil's _STENCIL and the pair's 2) and every refinement
+    step (the grid size, for the grid oracle; 2 + 2N, the window
     ends and the ends of its N brackets, for a slice certified from
     another U's roots).
     """
@@ -336,6 +352,68 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     return located, lower, xr, evals
 
 
+def _start(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
+    """Tighter brackets for :func:`_refine`, from at most two kernel calls.
+
+    Takes the brackets as :func:`_refine` does, each one sample interval.
+    The first ``polar`` call evaluates every bracket's false-position
+    point and the _STENCIL - 1 interior Chebyshev-Lobatto nodes of its
+    interval.  Of these points and the two ends, sorted, the first one
+    after the left end with g <= 0 and the point before it make the
+    tightest pair that straddles the crossing, and the barycentric inverse
+    interpolant x(g) through all of them estimates the crossing at x(0):
+    inside a sample interval the tracks are analytic, so where they bend
+    slowly the estimate is all but exact.  A pair with an end on an exact
+    zero stops there, as :func:`_refine`'s stop rule does, and if every
+    pair stopped, the stage does too.  Otherwise the second call evaluates
+    est -+ tol1 (tol1 as ``_refine`` takes it for the pair, the estimate
+    clamped into the pair; a stopped pair is read at its own ends again,
+    so it keeps them): when the crossing lies between the two points, the
+    bracket is at most half the width tolerance wide; otherwise the
+    nearer point replaces its end.  Returns the brackets (xl, xr, gl,
+    gr), which straddle or keep an end on an exact zero, and the energies
+    evaluated per bracket.
+    """
+    n = xl.size
+    rows = _STRIDE * np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        at = np.empty((n, _STRIDE))  # where each point lies in its interval
+        at[:] = _GRID
+        at[:, 1] = gl / (gl - gr)  # the false-position point
+        xs = xl[:, None] + (xr - xl)[:, None] * at
+        gs = np.empty_like(xs)
+        gs[:, 0], gs[:, -1] = gl, gr
+        h, u, v = (p.reshape(n, _STENCIL) for p in kernel.polar(xs[:, 1:-1].ravel()))
+        gs[:, 1:-1] = _tracks(h, u, v, *consts[:-1, :, None]) - consts[-1, :, None]
+        order = (np.argsort(xs, axis=1) + rows[:, None]).ravel()
+        xs, gs = xs.ravel()[order].reshape(n, _STRIDE), gs.ravel()[order].reshape(n, _STRIDE)
+        # the barycentric weights 1 / prod_k (G_j - G_k) of the inverse
+        # interpolant, [bracket, node], over G_j, summed at g = 0
+        c = 1.0 / ((gs[:, :, None] - gs[:, None, :] + _EYE).prod(axis=2) * gs)
+        est = (c * xs).sum(axis=1) / c.sum(axis=1)
+        j = rows + np.argmax(gs[:, 1:] <= 0.0, axis=1)
+        xs, gs = xs.ravel(), gs.ravel()
+        xl, xr, gl, gr = xs[j], xs[j + 1], gs[j], gs[j + 1]
+        stopped = (gl == 0.0) | (gr == 0.0)
+        if stopped.all():
+            return xl, xr, gl, gr, _STENCIL
+        width = xr - xl
+        tol_x = tol_root * np.maximum(1.0, np.abs(xl + 0.5 * width))
+        tol1 = 0.25 * np.fmin(tol_x, 0.125 * tol_residual * width / (gl - gr))
+        tol1[stopped] = np.inf  # a stopped pair is read at its own ends again
+        est = np.fmin(np.fmax(est, xl), xr)  # a NaN estimate goes to xl
+        p1, p2 = np.maximum(est - tol1, xl), np.minimum(est + tol1, xr)
+        h, u, v = (p.reshape(2, n) for p in kernel.polar(np.concatenate([p1, p2])))
+        g1, g2 = _tracks(h, u, v, *consts[:-1]) - consts[-1]
+    # the crossing lies left of p1, between p1 and p2, or right of p2
+    left, mid = g1 <= 0.0, g2 <= 0.0
+    xl, gl, xr, gr = (
+        np.where(left, xl, np.where(mid, p1, p2)), np.where(left, gl, np.where(mid, g1, g2)),
+        np.where(left, p1, np.where(mid, p2, xr)), np.where(left, g1, np.where(mid, g2, gr)),
+    )
+    return xl, xr, gl, gr, _STENCIL + 2
+
+
 def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, evaluated):
     """Cluster the located crossings of every U into roots (multiplicity
     at most 2), keep those in the half-open window, verify all of them
@@ -427,11 +505,28 @@ def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, 
 _last_stage = (None, None, None)
 
 
+def _start_pays(h, u, v) -> bool:
+    """Whether :func:`_start` pays on samples with the polar form (h, u,
+    v), for every U at once.  Over a sample interval a track drops by at
+    most |dh| + |d phi|, phi = atan2(v, u) the angle of B's SU(2) part
+    (the distance between two rotations bounds the change of the angle
+    of their products with U's), so the stencil resolves every track where
+    that is at most _STENCIL_DROP.  And where h is a straight line and phi
+    does not turn (as for a massless particle), so are the tracks, and
+    false position alone is all but exact: the stage pays where |d^2 h| +
+    |d phi| reaches _STENCIL_BEND of the largest |dh|."""
+    dh, dphi = np.abs(np.diff(h)), np.abs(np.diff(np.arctan2(v, u)))
+    drop = (dh + dphi).max(initial=0.0)
+    bend = np.abs(np.diff(h, 2)).max(initial=0.0) + dphi.max(initial=0.0)
+    return bool(drop <= _STENCIL_DROP and bend >= _STENCIL_BEND * dh.max(initial=0.0))
+
+
 def _sample_stage(kernel, lo, top, count):
-    """The U-independent part of the ends call, as read-only arrays (xs,
-    h, u, v): ``count`` + 1 evenly spaced energies from lo to top, merged
-    with the kernel's turning points in (lo, top), and the kernel's polar
-    form there (one ``polar`` call).
+    """The U-independent part of the ends call: ``count`` + 1 evenly
+    spaced energies from lo to top, merged with the kernel's turning
+    points in (lo, top), and the kernel's polar form there (one ``polar``
+    call), as read-only arrays (xs, h, u, v), and whether the start stage
+    pays on them (:func:`_start_pays`).
 
     The last stage is kept, with its kernel, and served again for the
     same kernel object, lo, top and count (as bits, so -0.0 is not 0.0):
@@ -454,8 +549,9 @@ def _sample_stage(kernel, lo, top, count):
         xs = np.sort(np.concatenate([xs, turns]))
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
     with np.errstate(invalid="ignore", over="ignore"):
-        stage = (xs, *kernel.polar(xs))
-    for part in stage:
+        h, u, v = polar = kernel.polar(xs)
+        stage = (xs, *polar, _start_pays(h, u, v))
+    for part in (xs, h, u, v):
         part.flags.writeable = False
     _last_stage = (kernel, key, stage)
     return stage
@@ -561,9 +657,12 @@ def find_spectra(
     the counts add up to the certificate of the two ends.  A U whose
     count exceeds MAX_ROOTS, or is not finite, is refused before any
     bracket is allocated; a window with more than MAX_ROOTS spots to
-    turn at gets no turning points, so none is built for it either.  The
-    brackets of all U are refined together (:func:`_refine`) to |dx| <
-    tol_root * max(1, |x|), or to adjacent doubles.  Per U, crossings
+    turn at gets no turning points, so none is built for it either.
+    Where the samples show that it pays (:func:`_start_pays`, the same for
+    every U), the start stage tightens every bracket in two more kernel
+    calls (:func:`_start`).  The brackets of all U are then refined
+    together (:func:`_refine`) to |dx| < tol_root * max(1, |x|), or to
+    adjacent doubles.  Per U, crossings
     closer than the separation tolerance merge into a multiplicity-2
     root, and the roots of every U are verified against |F_U| <
     tol_residual in one kernel call.  Slices follow ``us``, which may be
@@ -575,7 +674,7 @@ def find_spectra(
         return []
     top = _top_end(hi, tol_root)
     chart = _charts(us)
-    xs, *polar = _sample_stage(kernel, lo, top, max(_SAMPLES, _BATCH_SAMPLES // len(us)))
+    xs, *polar, start = _sample_stage(kernel, lo, top, max(_SAMPLES, _BATCH_SAMPLES // len(us)))
     tracks, level, counts = _levels(polar, chart)
     for k, total in enumerate(counts.sum(axis=(1, 2))):
         if not total <= MAX_ROOTS:
@@ -595,10 +694,11 @@ def find_spectra(
     # the track arrays grow with the turning points: free them before refining
     del tracks, level, counts, n, row, step, left
     consts = np.concatenate((chart.T[:, owner], [_SIGNS[track], target]))
-    located, _, _, evals = _refine(
-        kernel, consts, xs[interval], xs[interval + 1], gl, gr, tol_root, tol_residual
-    )
-    evaluated = xs.size + np.bincount(owner, weights=evals, minlength=len(us))
+    xl, xr, spent = xs[interval], xs[interval + 1], 0
+    if start and owner.size:
+        xl, xr, gl, gr, spent = _start(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual)
+    located, _, _, evals = _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual)
+    evaluated = xs.size + np.bincount(owner, weights=evals + spent, minlength=len(us))
     return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 
 

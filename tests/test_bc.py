@@ -1,5 +1,6 @@
 """Tests for the boundary-condition space and its text format."""
 
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -286,6 +287,21 @@ def test_parse_bc_refuses_numbers_that_overflow(text):
     # float('1e999') is inf, which would reach the matrix as NaN
     with pytest.raises(BCParseError, match=r"not a finite number: '1e999'"):
         parse_bc(text)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("mat:1e200,0,0,0,0,0,1,0", NonUnitaryError, r"\|\|W\^H W - I\|\|_F = inf"),
+    ("mat:0,0,-1e300,1e300,1,0,0,0", NonUnitaryError, r"\|\|W\^H W - I\|\|_F = inf"),
+    ("u2:eta=0,m0=1e200,m1=0,m2=0,m3=0", BCConstraintError, r"\|v\|\^2 - 1 = inf"),
+    ("u2:eta=0,m0=0,m1=-1e300,m2=1e300,m3=0", BCConstraintError, r"\|v\|\^2 - 1 = inf"),
+])
+def test_parse_bc_refuses_huge_finite_numbers_without_a_warning(text, error, message):
+    # finite numbers whose squares overflow are refused as far off the
+    # unitary group, with no NumPy warning from the products
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            parse_bc(text)
 
 
 def test_u2_eta_canonicalized():

@@ -351,6 +351,18 @@ def test_an_overflowing_bc_number_exits_2_without_a_warning(text, capsys):
     assert err == "error: not a finite number: '1e999'\n"
 
 
+@pytest.mark.parametrize("text", [
+    "mat:1e200,0,0,0,0,0,1,0",
+    "u2:eta=0,m0=1e200,m1=0,m2=0,m3=0",
+])
+def test_a_huge_finite_bc_number_exits_3_with_one_error_line(text, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["classify", "--bc", text])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "= inf" in err
+
+
 def test_closed_pipe_exits_without_a_traceback():
     # `ring-spectra orbit ... | head -5`: the reader leaves after its first
     # read, the ~200 kB of JSON no longer fits the pipe, and the write fails

@@ -949,18 +949,23 @@ def test_search_protocol_counts(n_us, n_samples):
 
 
 @contextmanager
-def refine_spy():
-    """Records the arguments and result of every _refine call, also of a
-    search that raises after refining."""
+def stage_spy(name):
+    """Records the arguments and result of every call of the search stage
+    ``roots.<name>``, also of a search that raises after it."""
     calls = []
-    refine = roots._refine
+    stage = getattr(roots, name)
 
     def spy(*args):
-        calls.append((args, refine(*args)))
+        calls.append((args, stage(*args)))
         return calls[-1][1]
 
-    with mock.patch.object(roots, "_refine", spy):
+    with mock.patch.object(roots, name, spy):
         yield calls
+
+
+def refine_spy():
+    """Records the arguments and result of every _refine call."""
+    return stage_spy("_refine")
 
 
 def refine_call(us, window, kernel):
@@ -978,16 +983,27 @@ def refine_call(us, window, kernel):
     us=st.lists(batch_bcs, min_size=1, max_size=16),
 )
 def test_search_protocol_counts_on_random_batches(case, us):
-    # each round's polar call covers exactly the brackets still active
-    # (those with more evaluations than rounds so far), so the sizes
-    # never increase and add up to the reported evaluations
+    # after the samples, the start stage's calls where it runs (its
+    # stencil over every bracket, then a pair per bracket unless all of
+    # them stopped), then each round's polar call covers exactly the
+    # brackets still active (those with more evaluations than rounds so
+    # far), so the round sizes never increase; all the calls add up to
+    # the reported evaluations
     kernel, window = case
     proxy = CountingKernel(kernel)
-    slices, _, (_, _, _, evals) = refine_call(us, window, proxy)
+    with stage_spy("_start") as starts, refine_spy() as refines:
+        slices = find_spectra(us, window, proxy)
+    ((args, (*_, evals)),) = refines
     sizes = [n for name, n in proxy.calls if name == "polar"][1:]
+    if starts:
+        ((_, (*_, spent)),) = starts
+        stage = [roots._STENCIL * len(evals)] + [2 * len(evals)] * (spent > roots._STENCIL)
+        assert sizes[:len(stage)] == stage
+        sizes = sizes[len(stage):]
     assert sizes == [int(np.sum(evals > r)) for r in range(len(sizes))]
     assert all(now >= after for now, after in zip(sizes, sizes[1:]))
-    assert sum(sizes) == sum(s.grid_points - len(proxy.samples) for s in slices)
+    calls = sum(n for name, n in proxy.calls if name == "polar") - len(proxy.samples)
+    assert calls == sum(s.grid_points - len(proxy.samples) for s in slices)
 
 
 @st.composite
@@ -1013,6 +1029,17 @@ degenerate_bcs = st.builds(
 )
 
 
+def first_brackets(us, window, kernel):
+    """The calls of find_spectra's start stage (none or one) and of its
+    refinement (one), as (args, result), and the brackets (xl, xr, gl,
+    gr) the search drew from its samples: the start stage's input where
+    it ran, else the refinement's."""
+    with stage_spy("_start") as starts, refine_spy() as refines:
+        find_spectra(us, window, kernel)
+    _, _, *brackets, _, _ = (starts or refines)[0][0]
+    return starts, refines, brackets
+
+
 @settings(PROPERTY, max_examples=60)
 @given(case=sampled_windows(), u=st.one_of(unitary_bcs(), degenerate_bcs))
 def test_each_crossing_starts_in_its_own_sample_interval(case, u):
@@ -1020,7 +1047,8 @@ def test_each_crossing_starts_in_its_own_sample_interval(case, u):
     # one sample interval of the ends call with g(left) > 0 >= g(right)
     kernel, (lo, hi) = case
     proxy = CountingKernel(kernel)
-    _, (_, _, xl, xr, gl, gr, tol_root, _), _ = refine_call([u], (lo, hi), proxy)
+    _, _, (xl, xr, gl, gr) = first_brackets([u], (lo, hi), proxy)
+    tol_root = roots.DEFAULT_TOL_ROOT
     top = roots._top_end(hi, tol_root)
     ends = phases_at(kernel, np.array([lo, top]), u)
     certificate = np.maximum(np.ceil(ends[0] / TAU) - np.ceil(ends[1] / TAU), 0.0).sum()
@@ -1034,6 +1062,57 @@ def test_each_crossing_starts_in_its_own_sample_interval(case, u):
     assert np.array_equal(samples[j], xl) and np.array_equal(samples[j + 1], xr)
     assert np.all(xl < xr)
     assert np.all(gl > 0.0) and np.all(gr <= 0.0)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(case=sampled_windows(), u=st.one_of(unitary_bcs(), degenerate_bcs), data=st.data())
+def test_the_start_stage_tightens_brackets_in_two_calls(case, u, data):
+    # the stage runs exactly where its samples say it pays, and there are
+    # brackets; its stencil takes _STENCIL points per bracket and its pair
+    # two more, in one call each (none when every bracket stopped on an
+    # exact zero); each bracket it hands to the refinement lies in its
+    # sample interval and straddles (g(left) > 0 >= g(right)) or has an
+    # end on an exact zero, with the track values of its ends; and a
+    # bracket's start is the same bits alone or with the others
+    kernel, (lo, hi) = case
+    proxy = CountingKernel(kernel)
+    starts, ((refined, _),), (xl, xr, gl, gr) = first_brackets([u], (lo, hi), proxy)
+    top = roots._top_end(hi, roots.DEFAULT_TOL_ROOT)
+    *_, pays = roots._sample_stage(kernel, lo, top, sample_count(1))
+    assert len(starts) == int(pays and len(xl) > 0)
+    if not starts:
+        return
+    ((args, (al, ar, ga, gb, spent)),) = starts
+    assert np.array_equal(np.stack([al, ar, ga, gb]), np.stack(refined[2:6]))
+    sizes = [n for name, n in proxy.calls if name == "polar"][1:]
+    assert sizes[:2] == [roots._STENCIL * len(xl), 2 * len(xl)][:1 + (spent > roots._STENCIL)]
+    assert np.all((xl <= al) & (al <= ar) & (ar <= xr))
+    assert np.all(((ga > 0.0) & (gb <= 0.0) & (al < ar)) | (ga == 0.0) | (gb == 0.0))
+    consts = args[1]
+    for x, g in ((al, ga), (ar, gb)):
+        assert np.array_equal(_tracks(*kernel.polar(x), *consts[:-1]) - consts[-1], g)
+    rows = data.draw(st.lists(st.integers(0, len(xl) - 1), min_size=1, max_size=4, unique=True))
+    alone = roots._start(kernel, consts[:, rows], *(a[rows] for a in args[2:6]), *args[6:])
+    for got, want in zip(alone[:4], (al, ar, ga, gb)):
+        assert got.tobytes() == want[rows].tobytes()
+
+
+@settings(PROPERTY, max_examples=40)
+@given(case=sampled_windows(), u=st.one_of(unitary_bcs(), degenerate_bcs))
+def test_started_search_matches_grid_oracle(case, u):
+    # on the windows of the start stage, also with degenerate conditions
+    # (doubles, where the stage cannot interpolate across the kink): equal
+    # multiplicities and roots within 1e-12 relative of the grid oracle's,
+    # away from the window ends, which may sit on a special point
+    kernel, window = case
+    got = find_spectrum(u, window, kernel)
+    want = grid_spectra([u], window, kernel)[0]
+    pad = 1e-9 * max(1.0, *np.abs(window))
+    keep_got = (got.x > window[0] + pad) & (got.x < window[1] - pad)
+    keep_want = (want.x > window[0] + pad) & (want.x < window[1] - pad)
+    assert np.array_equal(got.multiplicity[keep_got], want.multiplicity[keep_want])
+    x, y = got.x[keep_got], want.x[keep_want]
+    assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y)))
 
 
 def test_brackets_stop_on_adjacent_doubles_at_the_fp_limit():
@@ -1191,14 +1270,17 @@ def sweep_bcs(seed: int, n: int) -> list:
 
 def test_polar_calls_per_search_are_pinned():
     # the polar calls of searches of one U each on one kernel and window:
-    # the first search's ends call and one per refinement round of every
-    # search, since the later searches are served the first one's samples.
-    # Pinned at the counts measured when that stage was first kept: 556
-    # on the sweep recipe (683, 5.34 per search, with an ends call per
-    # search) and 53 on Schroedinger (0, 1e4] (60)
+    # the first search's ends call and, for every search, the start
+    # stage's calls where it runs and one per refinement round, since the
+    # later searches are served the first one's samples.  Pinned at the
+    # counts measured when that stage was first kept (556 on the sweep
+    # recipe, from 683, 5.34 per search, with an ends call per search; 53
+    # on Schroedinger (0, 1e4], from 60), and on the sweep recipe at those
+    # measured when the start stage came in: 341, two calls for each
+    # random U, against 4.0 before
     rng = np.random.default_rng(101)
     for kernel, window, us, pinned in (
-        (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 556),
+        (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 341),
         (SchrodKernel(), (0.0, 1e4), [bc.random_unitary_bc(rng) for _ in range(8)], 53),
     ):
         proxy = CountingKernel(kernel)
@@ -1281,8 +1363,8 @@ def test_the_sample_stage_is_served_only_for_its_kernel_window_and_count():
 
 def test_the_sample_stage_is_read_only():
     # (0, 100] merges the turning points above e ~ 6 into the samples
-    xs, *polar = roots._sample_stage(SchrodKernel(), 0.0, 100.0, 64)
-    assert xs.size > 65
+    xs, *polar, pays = roots._sample_stage(SchrodKernel(), 0.0, 100.0, 64)
+    assert xs.size > 65 and pays in (True, False)
     for part in (xs, *polar):
         assert part.shape == xs.shape
         with pytest.raises(ValueError, match="read-only"):
@@ -1638,11 +1720,14 @@ DOCUMENTED_FAILURES = ("failed residual verification", "coincident eigenphase cr
 @st.composite
 def any_scale_searches(draw):
     """A kernel and a window (lo, lo + width], lo = +-10^[-3, 12] and
-    width = 10^[-3, 2.5]."""
+    width 10^[-0.5, 1.5] level spacings at lo: pi for Dirac, whose levels
+    lie pi apart in the wavenumber, and 2 pi sqrt(|lo|) for Schroedinger
+    (2 pi at |lo| < 1), so that most windows hold roots."""
     mu0 = draw(st.sampled_from([None, 0.0, 1.0, 20.0, 1e3, 2.6e6]))
     kernel = SchrodKernel() if mu0 is None else DiracKernel(mu0)
     lo = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 12.0))
-    return kernel, (lo, lo + 10.0 ** draw(st.floats(-3.0, 2.5)))
+    spacing = np.pi if mu0 is not None else 2.0 * np.pi * np.sqrt(max(abs(lo), 1.0))
+    return kernel, (lo, lo + spacing * 10.0 ** draw(st.floats(-0.5, 1.5)))
 
 
 @settings(PROPERTY, max_examples=300)

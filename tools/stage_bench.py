@@ -4,23 +4,27 @@
 Run from the root of a checkout, with a copy of the base commit's tree:
 
     git archive <base> | tar -x -C /tmp/base
-    python3 tools/stage_bench.py --base /tmp/base/src --out BENCH_small_search.json
+    python3 tools/stage_bench.py --base /tmp/base/src --out BENCH_<topic>.json
 
 Both libraries are loaded into one process (the base under another
 package name).  Inputs are the benchmark's seed-101 inputs of all three
-workloads (``perfbench/workloads.py``) and batches of 2, 3, 4, 16, 64
-and 256 random U (``default_rng(101)``) through ``find_spectra``: the
-small ones are the sizes the library's own batches take (an orbit's
-members that fail certification, the four-U orbit of ``ring-spectra
-verify``, the README's three-U example).  Per side it
-records:
+workloads (``perfbench/workloads.py``), ``sweep`` also split into its
+random U, its ``dpp`` at alpha in {0, pi} (doubly degenerate levels) and
+its other ``dpp``; batches of 2, 3, 4, 16, 64 and 256 random U
+(``default_rng(101)``) through ``find_spectra``: the small ones are the
+sizes the library's own batches take (an orbit's members that fail
+certification, the four-U orbit of ``ring-spectra verify``, the README's
+three-U example); and one-U searches of 24 random U (``default_rng(5)``)
+on the windows of ``WINDOWS``, on either side of the start stage's
+selection.  Per side it records:
 
 - per-stage wall time per op: the U-independent samples of the ends
   call and the polar form there (``roots._sample_stage``, which a tree
   that keeps the last stage serves to repeat searches; a tree without it
   does that work inside ``roots._levels`` and reads 0 here), the ends
   call's tracks (``roots._levels``, on ``orbit`` also the
-  certification's track reading), the refinement
+  certification's track reading), the start stage (``roots._start``,
+  0 in a tree without it), the refinement
   (``roots._refine``), clustering and verification
   (``roots.collect_spectra``), on ``orbit`` the building of the orbit
   members (whichever of ``_orbit_members`` and ``conjugate_orbit`` the
@@ -29,7 +33,8 @@ records:
   ``_levels`` takes the polar form), and the rest of the op,
   plus microseconds per refinement round (per ``polar`` call made by
   ``roots._refine``);
-- ``polar`` calls per op (counted on the kernel; a one-U op is one search);
+- ``polar`` calls per op (counted on the kernel; a one-U op is one
+  search), and of those the start stage's and the refinement's;
 - the ``tracemalloc`` peak of an op (the largest over the inputs, in a
   separate pass, since tracing slows everything).
 
@@ -65,12 +70,22 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import ring_spectra  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-STAGES = ("samples", "ends", "refine", "collect", "members", "certify")
+STAGES = ("samples", "ends", "start", "refine", "collect", "members", "certify")
+#: (theory, mu0, window) of the one-U searches: where the start stage runs
+#: (Dirac mu0 = 1 up to (-20, 20], Schroedinger (0, 100]) and where it does
+#: not (wider windows, the gap edge at mu0 = 20, and the straight tracks
+#: of a massless particle)
+WINDOWS = (
+    ("dirac", 1.0, (-10.0, 10.0)), ("dirac", 1.0, (-20.0, 20.0)), ("dirac", 1.0, (-40.0, 40.0)),
+    ("dirac", 1.0, (-80.0, 80.0)), ("dirac", 20.0, (19.0, 60.0)), ("dirac", 0.0, (0.0, 30.0)),
+    ("schrod", 0.0, (0.0, 100.0)), ("schrod", 0.0, (0.0, 1e3)), ("schrod", 0.0, (-50.0, 400.0)),
+)
 #: stage -> (module, the names it may have there; the first one present is
 #: wrapped, and a tree with none of them reads 0 for the stage)
 _WRAPPED = {
     "samples": ("roots", ("_sample_stage",)),
     "ends": ("roots", ("_levels",)),
+    "start": ("roots", ("_start",)),
     "refine": ("roots", ("_refine",)),
     "collect": ("roots", ("collect_spectra",)),
     "members": ("iso", ("_orbit_members", "conjugate_orbit")),
@@ -97,7 +112,8 @@ class Side:
     def __init__(self, lib):
         self.lib = lib
         self.times = dict.fromkeys(STAGES, 0.0)
-        self.polar = self.rounds = 0  # polar calls, and those made by the refinement
+        # polar calls, and those made by the start stage and the refinement
+        self.polar = self.starts = self.rounds = 0
         self._nested = 0.0  # time of the timed calls inside the running one
         self._stage = None  # the timed stage running
         for stage, (module, names) in _WRAPPED.items():
@@ -126,6 +142,7 @@ class Side:
 
         def counted(x):
             self.polar += 1
+            self.starts += self._stage == "start"
             self.rounds += self._stage == "refine"
             return polar(x)
 
@@ -137,13 +154,21 @@ class Side:
 
     def reset(self):
         self.times = dict.fromkeys(STAGES, 0.0)
-        self.polar = self.rounds = 0
+        self.polar = self.starts = self.rounds = 0
 
 
-def workload_ops(side, w):
-    """One zero-argument callable per seed-101 input of workload ``w``."""
+def sweep_part(case) -> str:
+    """The part of ``sweep`` an input belongs to."""
+    if case.family == "random":
+        return "random U"
+    return "dpp, alpha in {0, pi}" if case.alpha in (0.0, float(np.pi)) else "dpp, other alpha"
+
+
+def workload_ops(side, w, part=None):
+    """One zero-argument callable per seed-101 input of workload ``w``,
+    or of its inputs in ``part`` (:func:`sweep_part`)."""
     kernel = side.kernel(w.theory, w.mu0)
-    us = [side.bc(c.u) for c in w.cases(101)]
+    us = [side.bc(c.u) for c in w.cases(101) if part is None or sweep_part(c) == part]
     if w.n_lambda:
         iso = side.lib.iso
         return [lambda u=u: iso.orbit_spectra(u, w.window, kernel, n_lambda=w.n_lambda)
@@ -156,6 +181,13 @@ def batch_ops(side, theory, window, size):
     us = [side.bc(ring_spectra.random_unitary_bc(rng)) for _ in range(size)]
     kernel = side.kernel(theory, 1.0)
     return [lambda: side.lib.find_spectra(us, window, kernel)]
+
+
+def window_ops(side, theory, mu0, window):
+    rng = np.random.default_rng(5)
+    us = [side.bc(ring_spectra.random_unitary_bc(rng)) for _ in range(24)]
+    kernel = side.kernel(theory, mu0)
+    return [lambda u=u: side.lib.find_spectrum(u, window, kernel) for u in us]
 
 
 def measure(sides, make_ops, runs):
@@ -182,7 +214,7 @@ def measure(sides, make_ops, runs):
             other = totals[i] - sum(side.times.values())
             samples[i].append(
                 {"total": totals[i], **side.times, "other": other, "polar": side.polar,
-                 "rounds": side.rounds})
+                 "starts": side.starts, "rounds": side.rounds})
     out = []
     for side_ops, runs_of in zip(ops, samples):
         n = len(side_ops)
@@ -197,6 +229,8 @@ def measure(sides, make_ops, runs):
         out.append({
             "us_per_op": {k: round(v, 1) for k, v in stage_us.items()},
             "polar_calls_per_op": round(med["polar"] / n, 3),
+            "start_calls_per_op": round(med["starts"] / n, 3),
+            "refine_calls_per_op": round(med["rounds"] / n, 3),
             "tracemalloc_peak_kib": round(peak / 1024, 1),
             "refine_us_per_round":
                 round(1e6 * med["refine"] / med["rounds"], 1) if med["rounds"] else None,
@@ -210,7 +244,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, type=Path, help="src/ directory of the base tree")
     p.add_argument("--runs", type=int, default=9)
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_small_search.json")
+    p.add_argument("--out", type=Path, required=True, help="the BENCH_<topic>.json to write")
     args = p.parse_args(argv)
     if args.runs < 9:
         p.error("--runs must be at least 9")
@@ -225,12 +259,17 @@ def main(argv=None) -> int:
                      "change over base within each pass, median and quartiles",
         "workloads": {},
         "batches": {},
+        "windows": {},
     }
-    for name, w in WORKLOADS.items():
-        (base, change), ratio = measure(sides, lambda side, w=w: workload_ops(side, w), args.runs)
+    parts = [(name, w, None) for name, w in WORKLOADS.items()]
+    parts += [(f"sweep: {p}", WORKLOADS["sweep"], p)
+              for p in ("random U", "dpp, alpha in {0, pi}", "dpp, other alpha")]
+    for name, w, part in parts:
+        (base, change), ratio = measure(
+            sides, lambda side, w=w, p=part: workload_ops(side, w, p), args.runs)
         report["workloads"][name] = {
-            "inputs": f"perfbench {name}, seed 101", "base": base, "change": change,
-            "ratio": ratio,
+            "inputs": f"perfbench {w.name}, seed 101" + (f", {part}" if part else ""),
+            "base": base, "change": change, "ratio": ratio,
         }
         print(name, ratio, flush=True)
     for theory, window in (("dirac", (-10.0, 10.0)), ("schrod", (0.0, 1e4))):
@@ -240,6 +279,12 @@ def main(argv=None) -> int:
             key = f"{theory} {window} x{size}"
             report["batches"][key] = {"base": base, "change": change, "ratio": ratio}
             print(key, ratio, flush=True)
+    for theory, mu0, window in WINDOWS:
+        (base, change), ratio = measure(
+            sides, lambda side, t=theory, m=mu0, w=window: window_ops(side, t, m, w), args.runs)
+        key = f"{theory} mu0={mu0:g} {window}, 24 U one at a time"
+        report["windows"][key] = {"base": base, "change": change, "ratio": ratio}
+        print(key, ratio, flush=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
