@@ -55,6 +55,11 @@ gap edges) the eigenphase tracks turn steeply near each zero of sin K;
 :func:`_turns` names those spots on (p, n), once for both kernels, and
 the search samples them (``turning_points``).  The non-relativistic
 kernel is the same form at p = e, n = 1 (:mod:`ring_spectra.schrod`).
+
+A rest energy whose square overflows, mu0 > sqrt(largest double) ~
+1.34e154, is refused with ``ValueError``: K^2 = p n would overflow
+inside and around the gap, where a search would miss the bound states
+or fail to verify them.
 """
 
 from __future__ import annotations
@@ -65,6 +70,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, spectral_function
+
+
+#: the largest rest energy whose square is finite (~1.34e154); a larger
+#: one is refused, since K^2 = p n overflows inside and around its gap
+_MAX_MU0 = math.sqrt(np.finfo(float).max)
 
 
 class SpectralPoleError(ArithmeticError):
@@ -249,7 +259,9 @@ def mass_mode_membership(
 
 class DiracKernel:
     """Relativistic kernel bound to a fixed dimensionless mass; ``mu0``
-    is read-only, so the kernel is a value for its whole lifetime.
+    is read-only, so the kernel is a value for its whole lifetime.  A
+    ``mu0`` that is negative, not finite or whose square overflows
+    (above ~1.34e154) raises ``ValueError``.
 
     The kernel protocol the root search uses: ``theory``,
     ``turning_points(lo, hi, limit)`` (the energies it samples besides
@@ -265,6 +277,11 @@ class DiracKernel:
     def __init__(self, mu0: float):
         if not 0 <= mu0 < np.inf:
             raise ValueError("mu0 must be finite and non-negative")
+        if mu0 > _MAX_MU0:
+            raise ValueError(
+                f"mu0 must be at most {_MAX_MU0!r}, the largest rest energy whose "
+                f"square is finite; got {float(mu0)!r}"
+            )
         self._mu0 = float(mu0)
 
     @property

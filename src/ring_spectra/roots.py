@@ -30,26 +30,27 @@ window ends are exactly its crossings: the tracks at the two ends alone
 certify the root count.  The one kernel call that reads the ends samples
 the tracks at S + 1 evenly spaced energies, S = max(64, 256 // (number
 of U)), so one U starts from narrow brackets and a batch's call does not
-grow, and at the kernel's turning points.  Neither the samples nor the
-polar form there depend on U, so that stage is kept for the last kernel,
+grow, and at the kernel's turning points.  Where the samples show that
+every track drops little over every sample interval and the tracks bend
+(:func:`_start_pays`), one more call evaluates a Chebyshev stencil in
+each sample interval.  Neither the samples, the stencil nor the polar
+form there depend on U, so that stage is kept for the last kernel,
 window and S searched, and a search that repeats them, with any U, pays
-only for its own tracks (:func:`_sample_stage`).  Each crossing starts in
-the sample interval it lies in.  Where the samples show that every track
-drops little over every sample interval and the tracks bend
-(:func:`_start_pays`), a start stage closes most brackets in two kernel
-calls, from a Chebyshev stencil and inverse interpolation
-(:func:`_start`).  Every bracket is then refined on its own track by a
-two-point step that keeps it between its ends, down to adjacent doubles
-at most.  The turning points are where the tracks turn steeply: where
-|u| / v can exceed 1 the tracks are staircases that take almost all of a
-level's 2 pi near each zero of u, and the kernel names those spots, with
-the points on either side where |u| / v is 1 and 3, so no refinement
-round is spent finding the step.  |w| comes straight from (u, v), so the
-phases stay accurate to machine precision through degeneracies and
-double roots are located as sharply as simple ones.  Two crossings
-closer than the separation tolerance merge into one root of multiplicity
-2, the maximum for 2x2 unitaries; a larger cluster raises, since it
-would mean the dimension count failed.
+only for its own tracks (:func:`_sample_stage`).  Each crossing starts
+in the sample interval it lies in; where there is a stencil, a start
+stage closes most brackets in one kernel call, by inverse interpolation
+through it (:func:`_start`).  Every bracket is then refined on its own
+track by a two-point step that keeps it between its ends, down to
+adjacent doubles at most.  The turning points are where the tracks turn
+steeply: where |u| / v can exceed 1 the tracks are staircases that take
+almost all of a level's 2 pi near each zero of u, and the kernel names
+those spots, with the points on either side where |u| / v is 1 and 3, so
+no refinement round is spent finding the step.  |w| comes straight from
+(u, v), so the phases stay accurate to machine precision through
+degeneracies and double roots are located as sharply as simple ones.
+Two crossings closer than the separation tolerance merge into one root
+of multiplicity 2, the maximum for 2x2 unitaries; a larger cluster
+raises, since it would mean the dimension count failed.
 
 A kernel is anything with ``theory``, ``turning_points(lo, hi,
 limit)``, ``polar(x) -> (h, u, v)`` and ``spectral_values(x, u)``; the
@@ -71,12 +72,14 @@ round, and verifies the roots of every U in one more;
 the number of roots, not with the window, plus the one sample stage
 kept: (S + 1 + turning points) x 4 doubles, a few KB for windows with
 few turning points and at most ~21 MB at MAX_ROOTS turning spots of 5
-points each.  U that share one invariant triple (a conjugation orbit)
-share one spectrum, so once one of them is searched, :func:`_certify`
-checks its roots for the others on their own tracks in one kernel call,
-with each U's own residuals from one more.
-The reference grid search it replaced, and the complex eigenphase route
-it used, live on as oracles (:mod:`ring_spectra.oracles`).
+points each, and where the start stage pays, (_STENCIL - 1) x (sample
+intervals) x 4 doubles for its stencil, ~57 KB at S = 256 and at most
+~0.2 MB (README).  U that share one invariant triple (a conjugation
+orbit) share one spectrum, so once one of them is searched,
+:func:`_certify` checks its roots for the others on their own tracks in
+one kernel call, with each U's own residuals from one more.  The
+reference grid search it replaced, and the complex eigenphase route it
+used, live on as oracles (:mod:`ring_spectra.oracles`).
 
 Everything here is pure-function over value inputs but the sample stage
 kept, which is replaced whole; concurrent searches on shared kernels are
@@ -113,15 +116,11 @@ _MAX_ROUNDS = 200
 #: add points to the ends call, where every U is evaluated at every sample
 _SAMPLES, _BATCH_SAMPLES = 64, 256
 #: the start stage (:func:`_start`): the Chebyshev-Lobatto intervals of its
-#: stencil, where its points lie in a sample interval (the left end, the
-#: false-position point, NaN here, the interior nodes and the right end),
-#: and its selection (:func:`_start_pays`)
-_STENCIL = 6
-_GRID = np.concatenate(
-    [[0.0, np.nan], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, _STENCIL) / _STENCIL), [1.0]]
-)
-_STRIDE = _GRID.size
-_EYE = np.eye(_STRIDE)
+#: stencil, where its interior nodes lie in a sample interval (the sample
+#: stage evaluates them), and its selection (:func:`_start_pays`)
+_STENCIL = 8
+_NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(1, _STENCIL) / _STENCIL)
+_EYE = np.eye(_STENCIL + 1)
 _STENCIL_DROP, _STENCIL_BEND = 0.4, 1e-2
 
 
@@ -164,10 +163,10 @@ class SpectrumSlice:
     the kernel's turning points; they count also when an earlier search
     on the same kernel, window and S evaluated them and this one was
     served them) plus, per bracket, the start stage's points where it
-    ran (the stencil's _STENCIL and the pair's 2) and every refinement
-    step (the grid size, for the grid oracle; 2 + 2N, the window
-    ends and the ends of its N brackets, for a slice certified from
-    another U's roots).
+    ran (the stencil's _STENCIL - 1 nodes, counted as the samples are,
+    and the pair's 2) and every refinement step (the grid size, for the
+    grid oracle; 2 + 2N, the window ends and the ends of its N brackets,
+    for a slice certified from another U's roots).
     """
 
     window: tuple[float, float]
@@ -291,10 +290,10 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     is no longer strictly between the ends: exactly when no double lies
     between them.  A bracket that retires has its final ends, their
     values and its evaluation count (the round it retired in) written
-    out in that round, and the state keeps the active rows alone.  What
-    is still active after _MAX_ROUNDS rounds is written out as it
-    stands.  Returns (the better end, which the stop rule
-    certified, lower end, upper end, evaluations per bracket).
+    out: in that round while others stay active (the state keeps the
+    active rows alone), else once after the loop, as is what is still
+    active after _MAX_ROUNDS rounds.  Returns (the better end, which the
+    stop rule certified, lower end, upper end, evaluations per bracket).
     """
     n = len(xl)
     ends = np.empty((4, n))  # the final xl, xr, gl, gr of each bracket
@@ -318,7 +317,11 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
                 & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
                 & ((width > tol_x) | (np.abs(g_best) > phase_tol))
             )
-            if np.count_nonzero(active) < live.size:
+            kept = np.count_nonzero(active)
+            if not kept:
+                evals[live] = r
+                break
+            if kept < live.size:
                 done = ~active
                 k = live[done]
                 ends[:, k] = xl[done], xr[done], gl[done], gr[done]
@@ -328,8 +331,6 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
                 )
                 consts = consts[:, active]
                 *track, goal = consts
-            if not live.size:
-                break
             # a quarter of the width that meets both the width tolerance
             # and, at the secant slope, the phase tolerance
             tol1 = 0.25 * np.fmin(tol_x, phase_tol * width / (gl - gr))
@@ -344,59 +345,51 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             d = left
             xl, gl, fl = np.where(left, x, xl), np.where(left, g, gl), np.where(left, g, fl * m)
             xr, gr, fr = np.where(left, xr, x), np.where(left, gr, g), np.where(left, fr * m, g)
-        else:  # still active after the last round: written out as they stand
-            ends[:, live] = xl, xr, gl, gr
+    ends[:, live] = xl, xr, gl, gr
     xl, xr, gl, gr = ends
     located = np.where(gl + gr >= 0.0, xr, xl)
     lower = np.where(gr == 0.0, xr, xl)
     return located, lower, xr, evals
 
 
-def _start(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
-    """Tighter brackets for :func:`_refine`, from at most two kernel calls.
+def _start(kernel, consts, stencil, interval, xl, xr, gl, gr, tol_root, tol_residual):
+    """Tighter brackets for :func:`_refine`, from at most one kernel call.
 
-    Takes the brackets as :func:`_refine` does, each one sample interval.
-    The first ``polar`` call evaluates every bracket's false-position
-    point and the _STENCIL - 1 interior Chebyshev-Lobatto nodes of its
-    interval.  Of these points and the two ends, sorted, the first one
-    after the left end with g <= 0 and the point before it make the
-    tightest pair that straddles the crossing, and the barycentric inverse
-    interpolant x(g) through all of them estimates the crossing at x(0):
-    inside a sample interval the tracks are analytic, so where they bend
-    slowly the estimate is all but exact.  A pair with an end on an exact
-    zero stops there, as :func:`_refine`'s stop rule does, and if every
-    pair stopped, the stage does too.  Otherwise the second call evaluates
-    est -+ tol1 (tol1 as ``_refine`` takes it for the pair, the estimate
-    clamped into the pair; a stopped pair is read at its own ends again,
-    so it keeps them): when the crossing lies between the two points, the
-    bracket is at most half the width tolerance wide; otherwise the
-    nearer point replaces its end.  Returns the brackets (xl, xr, gl,
-    gr), which straddle or keep an end on an exact zero, and the energies
-    evaluated per bracket.
+    Takes the brackets as :func:`_refine` does, each the sample interval
+    ``interval`` of the sample stage, and that stage's ``stencil`` (its
+    nodes in every sample interval and the polar form there).  Of a
+    bracket's ends and nodes, in order, the first point after the left
+    end with g <= 0 and the one before it are the tightest pair that
+    straddles the crossing, and the barycentric inverse interpolant x(g)
+    through all of them estimates the crossing at x(0): inside a sample
+    interval the tracks are analytic, so where they bend slowly the
+    estimate is all but exact.  A pair with an end on an exact zero stops
+    there, as :func:`_refine`'s stop rule does, and if every pair
+    stopped, so does the stage.  Otherwise one ``polar`` call evaluates
+    est -+ tol1 (``_refine``'s tol1 for the pair, the estimate clamped
+    into it; a stopped pair is read at its own ends, so it keeps them): a
+    crossing between the two points closes the bracket to half the width
+    tolerance, else the nearer point replaces its end.  Returns the
+    brackets (xl, xr, gl, gr), which straddle or keep an end on an exact
+    zero, and the energies evaluated per bracket, served nodes included.
     """
     n = xl.size
-    rows = _STRIDE * np.arange(n)
+    nodes, h, u, v = (part[interval] for part in stencil)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        at = np.empty((n, _STRIDE))  # where each point lies in its interval
-        at[:] = _GRID
-        at[:, 1] = gl / (gl - gr)  # the false-position point
-        xs = xl[:, None] + (xr - xl)[:, None] * at
-        gs = np.empty_like(xs)
+        xs, gs = np.empty((2, n, _STENCIL + 1))
+        xs[:, 0], xs[:, 1:-1], xs[:, -1] = xl, nodes, xr
         gs[:, 0], gs[:, -1] = gl, gr
-        h, u, v = (p.reshape(n, _STENCIL) for p in kernel.polar(xs[:, 1:-1].ravel()))
         gs[:, 1:-1] = _tracks(h, u, v, *consts[:-1, :, None]) - consts[-1, :, None]
-        order = (np.argsort(xs, axis=1) + rows[:, None]).ravel()
-        xs, gs = xs.ravel()[order].reshape(n, _STRIDE), gs.ravel()[order].reshape(n, _STRIDE)
         # the barycentric weights 1 / prod_k (G_j - G_k) of the inverse
         # interpolant, [bracket, node], over G_j, summed at g = 0
         c = 1.0 / ((gs[:, :, None] - gs[:, None, :] + _EYE).prod(axis=2) * gs)
         est = (c * xs).sum(axis=1) / c.sum(axis=1)
-        j = rows + np.argmax(gs[:, 1:] <= 0.0, axis=1)
+        j = (_STENCIL + 1) * np.arange(n) + np.argmax(gs[:, 1:] <= 0.0, axis=1)
         xs, gs = xs.ravel(), gs.ravel()
         xl, xr, gl, gr = xs[j], xs[j + 1], gs[j], gs[j + 1]
         stopped = (gl == 0.0) | (gr == 0.0)
         if stopped.all():
-            return xl, xr, gl, gr, _STENCIL
+            return xl, xr, gl, gr, _STENCIL - 1
         width = xr - xl
         tol_x = tol_root * np.maximum(1.0, np.abs(xl + 0.5 * width))
         tol1 = 0.25 * np.fmin(tol_x, 0.125 * tol_residual * width / (gl - gr))
@@ -407,11 +400,11 @@ def _start(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
         g1, g2 = _tracks(h, u, v, *consts[:-1]) - consts[-1]
     # the crossing lies left of p1, between p1 and p2, or right of p2
     left, mid = g1 <= 0.0, g2 <= 0.0
-    xl, gl, xr, gr = (
-        np.where(left, xl, np.where(mid, p1, p2)), np.where(left, gl, np.where(mid, g1, g2)),
-        np.where(left, p1, np.where(mid, p2, xr)), np.where(left, g1, np.where(mid, g2, gr)),
+    return (
+        np.where(left, xl, np.where(mid, p1, p2)), np.where(left, p1, np.where(mid, p2, xr)),
+        np.where(left, gl, np.where(mid, g1, g2)), np.where(left, g1, np.where(mid, g2, gr)),
+        _STENCIL + 1,
     )
-    return xl, xr, gl, gr, _STENCIL + 2
 
 
 def collect_spectra(us, located, owner, window, tol_root, kernel, tol_residual, evaluated):
@@ -522,11 +515,14 @@ def _start_pays(h, u, v) -> bool:
 
 
 def _sample_stage(kernel, lo, top, count):
-    """The U-independent part of the ends call: ``count`` + 1 evenly
-    spaced energies from lo to top, merged with the kernel's turning
-    points in (lo, top), and the kernel's polar form there (one ``polar``
-    call), as read-only arrays (xs, h, u, v), and whether the start stage
-    pays on them (:func:`_start_pays`).
+    """The U-independent part of a search: ``count`` + 1 evenly spaced
+    energies from lo to top, merged with the kernel's turning points in
+    (lo, top), and the kernel's polar form there (one ``polar`` call), as
+    read-only arrays (xs, h, u, v), and the start stage's stencil where
+    it pays on them (:func:`_start_pays`), else None: the _STENCIL - 1
+    interior Chebyshev-Lobatto nodes of every sample interval and the
+    polar form there (one more call), as read-only [interval, node]
+    arrays (nodes, h, u, v).
 
     The last stage is kept, with its kernel, and served again for the
     same kernel object, lo, top and count (as bits, so -0.0 is not 0.0):
@@ -549,10 +545,13 @@ def _sample_stage(kernel, lo, top, count):
         xs = np.sort(np.concatenate([xs, turns]))
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
     with np.errstate(invalid="ignore", over="ignore"):
-        h, u, v = polar = kernel.polar(xs)
-        stage = (xs, *polar, _start_pays(h, u, v))
-    for part in (xs, h, u, v):
+        polar, stencil = kernel.polar(xs), None
+        if _start_pays(*polar):
+            nodes = xs[:-1, None] + np.diff(xs)[:, None] * _NODES
+            stencil = (nodes, *(p.reshape(nodes.shape) for p in kernel.polar(nodes.ravel())))
+    for part in (xs, *polar, *(stencil or ())):
         part.flags.writeable = False
+    stage = (xs, *polar, stencil)
     _last_stage = (kernel, key, stage)
     return stage
 
@@ -659,8 +658,9 @@ def find_spectra(
     bracket is allocated; a window with more than MAX_ROOTS spots to
     turn at gets no turning points, so none is built for it either.
     Where the samples show that it pays (:func:`_start_pays`, the same for
-    every U), the start stage tightens every bracket in two more kernel
-    calls (:func:`_start`).  The brackets of all U are then refined
+    every U), the sample stage holds a stencil in every sample interval
+    too, and the start stage tightens every bracket from it in one more
+    kernel call (:func:`_start`).  The brackets of all U are then refined
     together (:func:`_refine`) to |dx| < tol_root * max(1, |x|), or to
     adjacent doubles.  Per U, crossings
     closer than the separation tolerance merge into a multiplicity-2
@@ -674,7 +674,7 @@ def find_spectra(
         return []
     top = _top_end(hi, tol_root)
     chart = _charts(us)
-    xs, *polar, start = _sample_stage(kernel, lo, top, max(_SAMPLES, _BATCH_SAMPLES // len(us)))
+    xs, *polar, stencil = _sample_stage(kernel, lo, top, max(_SAMPLES, _BATCH_SAMPLES // len(us)))
     tracks, level, counts = _levels(polar, chart)
     for k, total in enumerate(counts.sum(axis=(1, 2))):
         if not total <= MAX_ROOTS:
@@ -694,10 +694,10 @@ def find_spectra(
     # the track arrays grow with the turning points: free them before refining
     del tracks, level, counts, n, row, step, left
     consts = np.concatenate((chart.T[:, owner], [_SIGNS[track], target]))
-    xl, xr, spent = xs[interval], xs[interval + 1], 0
-    if start and owner.size:
-        xl, xr, gl, gr, spent = _start(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual)
-    located, _, _, evals = _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual)
+    xl, xr, spent, tols = xs[interval], xs[interval + 1], 0, (tol_root, tol_residual)
+    if stencil is not None and owner.size:
+        xl, xr, gl, gr, spent = _start(kernel, consts, stencil, interval, xl, xr, gl, gr, *tols)
+    located, _, _, evals = _refine(kernel, consts, xl, xr, gl, gr, *tols)
     evaluated = xs.size + np.bincount(owner, weights=evals + spent, minlength=len(us))
     return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
 

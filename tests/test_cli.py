@@ -363,6 +363,22 @@ def test_a_huge_finite_bc_number_exits_3_with_one_error_line(text, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "= inf" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mu0", "1e155"],
+    ["--mu0", "1e308", "--window", "-10", "10"],
+    ["--units", "physical", "--mass", "1e200"],
+])
+def test_a_rest_energy_whose_square_overflows_exits_2(argv, capsys):
+    # refused before any search, with one error line naming the limit
+    args = ["spectrum", "--theory", "dirac", "--bc", "dpp:alpha=0", "--window", "-1", "1", *argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: mu0 must be at most 1.3407807929942596e+154")
+    assert err.count("\n") == 1
+
+
 def test_closed_pipe_exits_without_a_traceback():
     # `ring-spectra orbit ... | head -5`: the reader leaves after its first
     # read, the ~200 kB of JSON no longer fits the pipe, and the write fails

@@ -2,13 +2,16 @@
 spectral function, and the dual evaluation paths (with the oracles'
 wavenumber and plane-wave matrices)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ring_spectra import bc
+from ring_spectra import bc, find_spectrum
 from ring_spectra.dirac import (
+    _MAX_MU0,
     DiracKernel,
     PhysicalConfig,
     _closed_form,
@@ -236,6 +239,29 @@ def test_the_closed_form_has_no_pole(pair):
     d2 = mu_s * mu_s + big_c * big_c
     finite = np.isfinite(d2)
     assert np.all(d2[finite] >= 1.0 - 8.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("mu0", [np.nextafter(_MAX_MU0, np.inf), 1e155, 1e160, 1e200, 1e308])
+def test_a_rest_energy_whose_square_overflows_is_refused(mu0):
+    # mu0^2 = inf: K^2 = p n overflows in and around the gap, where the
+    # in-gap bound state was lost (1e160, 1e200) or failed verification
+    # with an overflow warning (1e155); the message names the limit
+    with pytest.raises(ValueError, match=r"at most 1\.3407807929942596e\+154"):
+        DiracKernel(mu0)
+
+
+@pytest.mark.parametrize("mu0", [1e100, 1e154, _MAX_MU0])
+def test_a_rest_energy_up_to_the_limit_keeps_its_bound_state(mu0):
+    # each of these conditions has one root inside the gap at every mu0
+    # from 1e100 up to the largest one whose square is finite
+    assert _MAX_MU0 * _MAX_MU0 < np.inf
+    rng = np.random.default_rng(11)
+    kernel = DiracKernel(mu0)
+    window = (-mu0 * (1.0 - 1e-9), mu0 * (1.0 - 1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            assert len(find_spectrum(bc.random_unitary_bc(rng), window, kernel).roots) == 1
 
 
 def test_physical_config():

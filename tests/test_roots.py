@@ -968,6 +968,13 @@ def refine_spy():
     return stage_spy("_refine")
 
 
+def served_stage(kernel, window, n_us=1):
+    """The sample stage of a search of n_us U on ``window``; straight
+    after such a search on ``kernel`` it is served, with no kernel call."""
+    top = roots._top_end(window[1], roots.DEFAULT_TOL_ROOT)
+    return roots._sample_stage(kernel, window[0], top, sample_count(n_us))
+
+
 def refine_call(us, window, kernel):
     """find_spectra's slices, with the arguments and result of its one
     _refine call."""
@@ -983,26 +990,33 @@ def refine_call(us, window, kernel):
     us=st.lists(batch_bcs, min_size=1, max_size=16),
 )
 def test_search_protocol_counts_on_random_batches(case, us):
-    # after the samples, the start stage's calls where it runs (its
-    # stencil over every bracket, then a pair per bracket unless all of
-    # them stopped), then each round's polar call covers exactly the
+    # after the sample stage's calls (the samples and, where the start
+    # stage pays, its stencil over every sample interval), the start
+    # stage's one call where it runs (a pair per bracket, none when all
+    # of them stopped), then each round's polar call covers exactly the
     # brackets still active (those with more evaluations than rounds so
-    # far), so the round sizes never increase; all the calls add up to
-    # the reported evaluations
+    # far), so the round sizes never increase; the calls after the sample
+    # stage's, with the stencil's nodes served to each started bracket,
+    # add up to the reported evaluations
     kernel, window = case
     proxy = CountingKernel(kernel)
     with stage_spy("_start") as starts, refine_spy() as refines:
         slices = find_spectra(us, window, proxy)
     ((args, (*_, evals)),) = refines
+    *_, stencil = served_stage(proxy, window, len(us))
     sizes = [n for name, n in proxy.calls if name == "polar"][1:]
+    if stencil is not None:
+        assert sizes[0] == (roots._STENCIL - 1) * (len(proxy.samples) - 1)
+        sizes = sizes[1:]
+    calls = sum(sizes)
     if starts:
         ((_, (*_, spent)),) = starts
-        stage = [roots._STENCIL * len(evals)] + [2 * len(evals)] * (spent > roots._STENCIL)
+        stage = [2 * len(evals)] * (spent > roots._STENCIL - 1)
         assert sizes[:len(stage)] == stage
         sizes = sizes[len(stage):]
+        calls += (roots._STENCIL - 1) * len(evals)
     assert sizes == [int(np.sum(evals > r)) for r in range(len(sizes))]
     assert all(now >= after for now, after in zip(sizes, sizes[1:]))
-    calls = sum(n for name, n in proxy.calls if name == "polar") - len(proxy.samples)
     assert calls == sum(s.grid_points - len(proxy.samples) for s in slices)
 
 
@@ -1036,8 +1050,8 @@ def first_brackets(us, window, kernel):
     it ran, else the refinement's."""
     with stage_spy("_start") as starts, refine_spy() as refines:
         find_spectra(us, window, kernel)
-    _, _, *brackets, _, _ = (starts or refines)[0][0]
-    return starts, refines, brackets
+    *_, xl, xr, gl, gr, _, _ = (starts or refines)[0][0]
+    return starts, refines, [xl, xr, gl, gr]
 
 
 @settings(PROPERTY, max_examples=60)
@@ -1047,7 +1061,7 @@ def test_each_crossing_starts_in_its_own_sample_interval(case, u):
     # one sample interval of the ends call with g(left) > 0 >= g(right)
     kernel, (lo, hi) = case
     proxy = CountingKernel(kernel)
-    _, _, (xl, xr, gl, gr) = first_brackets([u], (lo, hi), proxy)
+    starts, _, (xl, xr, gl, gr) = first_brackets([u], (lo, hi), proxy)
     tol_root = roots.DEFAULT_TOL_ROOT
     top = roots._top_end(hi, tol_root)
     ends = phases_at(kernel, np.array([lo, top]), u)
@@ -1060,39 +1074,45 @@ def test_each_crossing_starts_in_its_own_sample_interval(case, u):
     j = np.searchsorted(samples, xl)
     assert np.all(j < len(samples) - 1)
     assert np.array_equal(samples[j], xl) and np.array_equal(samples[j + 1], xr)
+    if starts:  # the start stage is told the interval of each bracket
+        assert np.array_equal(starts[0][0][3], j)
     assert np.all(xl < xr)
     assert np.all(gl > 0.0) and np.all(gr <= 0.0)
 
 
 @settings(PROPERTY, max_examples=60)
 @given(case=sampled_windows(), u=st.one_of(unitary_bcs(), degenerate_bcs), data=st.data())
-def test_the_start_stage_tightens_brackets_in_two_calls(case, u, data):
-    # the stage runs exactly where its samples say it pays, and there are
-    # brackets; its stencil takes _STENCIL points per bracket and its pair
-    # two more, in one call each (none when every bracket stopped on an
-    # exact zero); each bracket it hands to the refinement lies in its
+def test_the_start_stage_tightens_brackets_in_one_call(case, u, data):
+    # the stage runs exactly where the sample stage built its stencil, and
+    # there are brackets; it reads the stencil's _STENCIL - 1 nodes per
+    # bracket from the sample stage, which evaluated them in its own call,
+    # and takes its pair in one call (none when every bracket stopped on
+    # an exact zero); each bracket it hands to the refinement lies in its
     # sample interval and straddles (g(left) > 0 >= g(right)) or has an
     # end on an exact zero, with the track values of its ends; and a
     # bracket's start is the same bits alone or with the others
-    kernel, (lo, hi) = case
+    kernel, window = case
     proxy = CountingKernel(kernel)
-    starts, ((refined, _),), (xl, xr, gl, gr) = first_brackets([u], (lo, hi), proxy)
-    top = roots._top_end(hi, roots.DEFAULT_TOL_ROOT)
-    *_, pays = roots._sample_stage(kernel, lo, top, sample_count(1))
-    assert len(starts) == int(pays and len(xl) > 0)
+    starts, ((refined, _),), (xl, xr, gl, gr) = first_brackets([u], window, proxy)
+    *_, stencil = served_stage(proxy, window)
+    assert len(starts) == int(stencil is not None and len(xl) > 0)
     if not starts:
         return
     ((args, (al, ar, ga, gb, spent)),) = starts
+    assert args[2] is stencil
     assert np.array_equal(np.stack([al, ar, ga, gb]), np.stack(refined[2:6]))
-    sizes = [n for name, n in proxy.calls if name == "polar"][1:]
-    assert sizes[:2] == [roots._STENCIL * len(xl), 2 * len(xl)][:1 + (spent > roots._STENCIL)]
+    assert spent in (roots._STENCIL - 1, roots._STENCIL + 1)
+    sizes = [n for name, n in proxy.calls if name == "polar"][2:]  # after the samples and stencil
+    assert sizes[:1] == [2 * len(xl)][:int(spent > roots._STENCIL - 1)]
     assert np.all((xl <= al) & (al <= ar) & (ar <= xr))
     assert np.all(((ga > 0.0) & (gb <= 0.0) & (al < ar)) | (ga == 0.0) | (gb == 0.0))
     consts = args[1]
     for x, g in ((al, ga), (ar, gb)):
         assert np.array_equal(_tracks(*kernel.polar(x), *consts[:-1]) - consts[-1], g)
     rows = data.draw(st.lists(st.integers(0, len(xl) - 1), min_size=1, max_size=4, unique=True))
-    alone = roots._start(kernel, consts[:, rows], *(a[rows] for a in args[2:6]), *args[6:])
+    alone = roots._start(
+        kernel, consts[:, rows], stencil, *(a[rows] for a in args[3:8]), *args[8:]
+    )
     for got, want in zip(alone[:4], (al, ar, ga, gb)):
         assert got.tobytes() == want[rows].tobytes()
 
@@ -1270,17 +1290,21 @@ def sweep_bcs(seed: int, n: int) -> list:
 
 def test_polar_calls_per_search_are_pinned():
     # the polar calls of searches of one U each on one kernel and window:
-    # the first search's ends call and, for every search, the start
-    # stage's calls where it runs and one per refinement round, since the
-    # later searches are served the first one's samples.  Pinned at the
+    # the first search's sample stage (its ends call, and the stencil
+    # where the start stage pays) and, for every search, the start
+    # stage's call where it runs and one per refinement round, since the
+    # later searches are served the first one's stage.  Pinned at the
     # counts measured when that stage was first kept (556 on the sweep
     # recipe, from 683, 5.34 per search, with an ends call per search; 53
-    # on Schroedinger (0, 1e4], from 60), and on the sweep recipe at those
-    # measured when the start stage came in: 341, two calls for each
-    # random U, against 4.0 before
+    # on Schroedinger (0, 1e4], from 60), on the sweep recipe when the
+    # start stage came in (341, two calls for each random U, against 4.0
+    # before), and when the sample stage came to serve the start stage's
+    # stencil: 215, one call for each random U; and the doubly degenerate
+    # dpp at alpha in {0, pi}, whose stencil cannot interpolate across the
+    # kink, at 6 per search, against 7 before
     rng = np.random.default_rng(101)
     for kernel, window, us, pinned in (
-        (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 341),
+        (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 215),
         (SchrodKernel(), (0.0, 1e4), [bc.random_unitary_bc(rng) for _ in range(8)], 53),
     ):
         proxy = CountingKernel(kernel)
@@ -1289,6 +1313,12 @@ def test_polar_calls_per_search_are_pinned():
         sizes = [n for name, n in proxy.calls if name == "polar"]
         assert len(sizes) <= pinned
         assert sizes.count(len(proxy.samples)) == 1
+    proxy = CountingKernel(DiracKernel(1.0))
+    find_spectrum(bc.named_family("dpp", 1.0), (-10.0, 10.0), proxy)
+    for alpha in (0.0, np.pi):
+        proxy.calls = []
+        find_spectrum(bc.named_family("dpp", alpha), (-10.0, 10.0), proxy)
+        assert [name for name, _ in proxy.calls].count("polar") <= 6
 
 
 @st.composite
@@ -1307,29 +1337,36 @@ def sampled_searches(draw):
     return (lambda: DiracKernel(mu0)), (lo, lo + draw(st.floats(0.5, 40.0)))
 
 
+def slice_bytes(s):
+    """The bytes of a slice's columns, and its grid_points."""
+    return s.x.tobytes(), s.multiplicity.tobytes(), s.residual.tobytes(), s.grid_points
+
+
 def search_bytes(u, window, kernel):
     """The bytes of a search's columns and its grid_points, or its error."""
     try:
-        s = find_spectrum(u, window, kernel)
+        return slice_bytes(find_spectrum(u, window, kernel))
     except NumericalError as err:
         return str(err)
-    return s.x.tobytes(), s.multiplicity.tobytes(), s.residual.tobytes(), s.grid_points
 
 
 @settings(PROPERTY, max_examples=40)
 @given(case=sampled_searches(), u=unitary_bcs(), v=unitary_bcs())
 def test_a_search_served_its_samples_equals_a_fresh_search(case, u, v):
     # a search on the kernel, window and sample count of the search before
-    # it is served that search's samples and polar form, and comes out bit
-    # for bit as a search on a fresh kernel, which evaluates them itself
+    # it is served that search's samples and polar form (and stencil), and
+    # comes out bit for bit as a search on a fresh kernel, which evaluates
+    # them itself
     make, window = case
     proxy = CountingKernel(make())
     search_bytes(u, window, proxy)
     samples, proxy.calls = len(proxy.samples), []
-    served = search_bytes(v, window, proxy)
+    with stage_spy("_start") as starts:
+        served = search_bytes(v, window, proxy)
     assert served == search_bytes(v, window, make())
-    if not isinstance(served, str):  # no polar call at the samples
-        assert sum(n for name, n in proxy.calls if name == "polar") == served[3] - samples
+    if not isinstance(served, str):  # no polar call at the samples or the stencil
+        nodes = sum((roots._STENCIL - 1) * args[4].size for args, _ in starts)
+        assert sum(n for name, n in proxy.calls if name == "polar") + nodes == served[3] - samples
 
 
 def test_the_sample_stage_is_served_only_for_its_kernel_window_and_count():
@@ -1363,12 +1400,91 @@ def test_the_sample_stage_is_served_only_for_its_kernel_window_and_count():
 
 def test_the_sample_stage_is_read_only():
     # (0, 100] merges the turning points above e ~ 6 into the samples
-    xs, *polar, pays = roots._sample_stage(SchrodKernel(), 0.0, 100.0, 64)
-    assert xs.size > 65 and pays in (True, False)
+    xs, *polar, stencil = roots._sample_stage(SchrodKernel(), 0.0, 100.0, 64)
+    assert xs.size > 65 and stencil is None
     for part in (xs, *polar):
         assert part.shape == xs.shape
         with pytest.raises(ValueError, match="read-only"):
             part[0] = 0.0
+    # the stencil, where the start stage pays, is served to every later
+    # search on the kernel, window and count too
+    xs, *_, stencil = roots._sample_stage(DiracKernel(1.0), -10.0, 10.0, 256)
+    assert stencil is not None
+    for part in stencil:
+        assert part.shape == (xs.size - 1, roots._STENCIL - 1)
+        with pytest.raises(ValueError, match="read-only"):
+            part[0, 0] = 0.0
+
+
+@settings(PROPERTY, max_examples=60)
+@given(case=sampled_searches(), count=st.sampled_from([64, 85, 128, 256]))
+def test_the_stencil_is_built_exactly_where_the_start_stage_pays(case, count):
+    # the sample stage builds the start stage's stencil where its samples
+    # say the stage pays, and nowhere else: the _STENCIL - 1 interior
+    # Chebyshev-Lobatto nodes of every sample interval, in order inside
+    # it, and the kernel's polar form there, from one more polar call
+    make, (lo, hi) = case
+    proxy = CountingKernel(make())
+    xs, *polar, stencil = roots._sample_stage(proxy, lo, hi, count)
+    calls = [n for name, n in proxy.calls if name == "polar"]
+    assert (stencil is not None) == roots._start_pays(*polar)
+    if stencil is None:
+        assert calls == [xs.size]
+        return
+    nodes, *at_nodes = stencil
+    assert calls == [xs.size, nodes.size]
+    assert nodes.shape == (xs.size - 1, roots._STENCIL - 1)
+    assert np.all(xs[:-1, None] <= nodes) and np.all(nodes <= xs[1:, None])
+    assert np.all(np.diff(nodes, axis=1) >= 0.0)
+    for got, want in zip(at_nodes, proxy.kernel.polar(nodes.ravel())):
+        assert got.shape == nodes.shape and got.ravel().tobytes() == want.tobytes()
+
+
+#: windows where the start stage pays: single U on Dirac mu0 = 1 up to
+#: (-20, 20] and Schroedinger (0, 100], batches of 2 and 3 on (-10, 10]
+STENCIL_CASES = [
+    (DiracKernel(1.0), (-10.0, 10.0), 1), (DiracKernel(1.0), (-20.0, 20.0), 1),
+    (SchrodKernel(), (0.0, 100.0), 1), (DiracKernel(1.0), (-10.0, 10.0), 2),
+    (DiracKernel(1.0), (-10.0, 10.0), 3),
+]
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    case=st.sampled_from(STENCIL_CASES),
+    first=st.lists(batch_bcs, min_size=3, max_size=3),
+    then=st.lists(st.one_of(batch_bcs, degenerate_bcs), min_size=3, max_size=3),
+)
+def test_a_search_served_its_stencil_equals_a_fresh_search(case, first, then):
+    # a search served an earlier search's stencil makes no polar call at
+    # its nodes and comes out bit for bit as a search on a fresh kernel,
+    # which builds the stencil itself; both count its nodes alike
+    kernel, window, n = case
+    proxy = CountingKernel(kernel)
+    find_spectra(first[:n], window, proxy)
+    *_, stencil = served_stage(proxy, window, n)
+    assert stencil is not None
+    proxy.calls = []
+    served = find_spectra(then[:n], window, proxy)
+    assert (roots._STENCIL - 1) * (len(proxy.samples) - 1) not in [m for _, m in proxy.calls]
+    fresh = find_spectra(then[:n], window, CountingKernel(kernel))
+    assert [slice_bytes(s) for s in served] == [slice_bytes(s) for s in fresh]
+
+
+@pytest.mark.parametrize("kernel, window", [
+    (SchrodKernel(), (0.0, 1e6)), (DiracKernel(1e3), (999.0, 1100.0)),
+])
+def test_a_window_with_many_turning_spots_builds_no_stencil(kernel, window):
+    # every turning spot turns a track by most of 2 pi over a few of its
+    # points, far more than the stage's drop allows over one interval, so
+    # such a window keeps its samples alone, and its searches start no
+    # bracket at the stencil
+    assert kernel.turning_points(*window, MAX_ROOTS).size > 200
+    u = bc.random_unitary_bc(np.random.default_rng(7))
+    with stage_spy("_start") as starts:
+        s = find_spectrum(u, window, kernel)
+    *_, stencil = served_stage(kernel, window)
+    assert stencil is None and not starts and len(s.roots) > 0
 
 
 @pytest.mark.parametrize("kernel, name", [

@@ -19,12 +19,14 @@ on the windows of ``WINDOWS``, on either side of the start stage's
 selection.  Per side it records:
 
 - per-stage wall time per op: the U-independent samples of the ends
-  call and the polar form there (``roots._sample_stage``, which a tree
-  that keeps the last stage serves to repeat searches; a tree without it
-  does that work inside ``roots._levels`` and reads 0 here), the ends
-  call's tracks (``roots._levels``, on ``orbit`` also the
+  call and the polar form there, and where the start stage pays the
+  call at its stencil's nodes too (``roots._sample_stage``, which a
+  tree that keeps the last stage serves to repeat searches; a tree
+  without it does that work inside ``roots._levels`` and reads 0 here),
+  the ends call's tracks (``roots._levels``, on ``orbit`` also the
   certification's track reading), the start stage (``roots._start``,
-  0 in a tree without it), the refinement
+  one ``polar`` call where it runs, two in a tree that evaluates its
+  stencil there; 0 in a tree without it), the refinement
   (``roots._refine``), clustering and verification
   (``roots.collect_spectra``), on ``orbit`` the building of the orbit
   members (whichever of ``_orbit_members`` and ``conjugate_orbit`` the
@@ -34,7 +36,8 @@ selection.  Per side it records:
   plus microseconds per refinement round (per ``polar`` call made by
   ``roots._refine``);
 - ``polar`` calls per op (counted on the kernel; a one-U op is one
-  search), and of those the start stage's and the refinement's;
+  search), and of those the start stage's and the refinement's (the
+  sample stage's are the rest);
 - the ``tracemalloc`` peak of an op (the largest over the inputs, in a
   separate pass, since tracing slows everything).
 
