@@ -45,11 +45,17 @@ D = |D| e^{-ih}, B has the polar form
 
 with u and v real and |D|^2 = u^2 + v^2 (B is unitary).  The root
 search works on (h, u, v) alone, in real arithmetic (``polar``);
-(a, b, c) serve the spectral function F_U (``coefficients``).
+(a, b, c) serve the spectral function F_U (``spectral_values``), and
+the root search's verification reads them without h, so it takes no
+arctan.
 
-:func:`_closed_form` is the only place this is written; it works on
-(p, n), so u = (n - p) S / 2, and forms K^2 as their product, never
-as mu^2 - mu0^2, which would cancel.  Where |u| / v =
+:func:`_closed_form` is the only place the real core (mu, rho,
+sin rho, S, C, u, sigma) is written, :func:`_phase` the only place h
+is formed from it and :func:`_coefficients` the only place (a, b, c)
+are; ``polar`` reads h, u and v = sigma, ``spectral_values`` reads a,
+b and c, and ``coefficients`` all four.  The core works on (p, n), so
+u = (n - p) S / 2, and forms K^2 as their product, never as mu^2 -
+mu0^2, which would cancel.  Where |u| / v =
 |n - p| |sin K| / (2 K) can exceed 1 (for Dirac at K < mu0, near the
 gap edges) the eigenphase tracks turn steeply near each zero of sin K;
 :func:`_turns` names those spots on (p, n), once for both kernels, and
@@ -81,7 +87,7 @@ class SpectralPoleError(ArithmeticError):
     """A pole of the spectral function.  Nothing raises it: |D| >= 1
     (module docstring), so F_U has none.  It stays exported only for
     the benchmark's self-test, until that test changes (ROADMAP item
-    7)."""
+    9)."""
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,10 @@ class PhysicalConfig:
 
 
 def _closed_form(p, n):
-    """The real core (h, u, v, mu S, C) at p = mu - mu0 and n = mu + mu0
-    (module docstring): B = e^{ih} (u I - i v sx) / |D| with
-    D = mu S - i C.
+    """The real core (mu, rho, sin rho, S, C, u, sigma) at p = mu - mu0
+    and n = mu + mu0 (module docstring), u = (n - p) S / 2.  The phase h
+    is not part of it (:func:`_phase`), so a call that reads only
+    (a, b, c) (:func:`_coefficients`) computes no arctan.
 
     All regimes run through the same array expressions, selected by the
     sign of K^2 = p n, so a call costs the same few dozen real array
@@ -142,13 +149,17 @@ def _closed_form(p, n):
     sin_rho = np.sin(rho)
     # S = sin K / K or tanh kappa / kappa, and 1 / 1 at zero wavenumber
     big_s = (sin_rho + np.tanh(kap) + zero) / (rho + kap + zero)
-    big_c = np.cos(rho)
     # sech kappa, and 1 where kappa = 0; cosh overflows past kappa = 710,
     # where sech is below the smallest normal double anyway
     sigma = 1.0 / np.cosh(np.minimum(kap, 710.0))
+    return mu, rho, sin_rho, big_s, np.cos(rho), 0.5 * (n - p) * big_s, sigma
+
+
+def _phase(mu, rho, sin_rho, big_s, big_c, *_):
+    """The lifted half phase h = -arg D of the real core (module
+    docstring), for ``polar`` and ``coefficients``."""
     y = (mu - rho) * big_s
-    h = 0.5 * np.pi - rho - np.arctan2(y * big_c, 1.0 + y * sin_rho)
-    return h, 0.5 * (n - p) * big_s, sigma, mu * big_s, big_c
+    return 0.5 * np.pi - rho - np.arctan2(y * big_c, 1.0 + y * sin_rho)
 
 
 def _turns(k, p, n):
@@ -218,11 +229,11 @@ def turning_points(lo: float, hi: float, mu0: float, limit: int) -> np.ndarray:
     return _in_window(np.concatenate(parts), lo, hi)
 
 
-def _coefficients(h, u, v, mu_s, big_c):
-    """(a, b, c, h) from the real core: a = u / D, b = -i v / D and
-    c = conj(D) / D, with D = mu S - i C."""
-    d = mu_s - 1j * big_c
-    return u / d, -1j * v / d, np.conj(d) / d, h
+def _coefficients(mu, rho, sin_rho, big_s, big_c, u, sigma):
+    """(a, b, c) from the real core: a = u / D, b = -i sigma / D and
+    c = conj(D) / D, with D = mu S - i C; no phase."""
+    d = mu * big_s - 1j * big_c
+    return u / d, -1j * sigma / d, np.conj(d) / d
 
 
 def _core(mu, mu0: float):
@@ -236,7 +247,8 @@ def _core(mu, mu0: float):
 def coefficient_arrays(mu, mu0: float):
     """Vectorized (a, b, c, h) over an array of energies, all regimes;
     h is the half phase of c, e^{2ih} = c, continuous in mu."""
-    return _coefficients(*_core(mu, mu0))
+    core = _core(mu, mu0)
+    return (*_coefficients(*core), _phase(*core))
 
 
 def mass_mode_membership(
@@ -266,10 +278,11 @@ class DiracKernel:
     The kernel protocol the root search uses: ``theory``,
     ``turning_points(lo, hi, limit)`` (the energies it samples besides
     its evenly spaced ones, :func:`turning_points`), ``polar(mu) -> (h,
-    u, v)`` and ``spectral_values``, which evaluates F_U from
-    ``coefficients(mu) -> (a, b, c, h)``.  ``special_points()``, the
-    zero-wavenumber points, is for the grid oracle, which refines its
-    grid there.
+    u, v)``, which reads the phase h and (u, v) of the real core, and
+    ``spectral_values``, which evaluates F_U from its (a, b, c) without
+    h.  ``coefficients(mu) -> (a, b, c, h)`` serves the oracles and
+    checks.  ``special_points()``, the zero-wavenumber points, is for
+    the grid oracle, which refines its grid there.
     """
 
     theory = "dirac"
@@ -295,10 +308,12 @@ class DiracKernel:
     def polar(self, mu):
         """Polar form (h, u, v) of B: B = e^{ih} (u I - i v sx) /
         sqrt(u^2 + v^2), all float arrays."""
-        return _core(mu, self.mu0)[:3]
+        core = _core(mu, self.mu0)
+        return _phase(*core), *core[5:]
 
     def spectral_values(self, mu, u: UnitaryBC | InvariantTriple) -> np.ndarray:
-        return spectral_function(*self.coefficients(mu)[:3], u)
+        """F_U from (a, b, c) of the real core, without the phase h."""
+        return spectral_function(*_coefficients(*_core(mu, self.mu0)), u)
 
     def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
         return turning_points(lo, hi, self.mu0, limit)

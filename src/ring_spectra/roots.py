@@ -41,11 +41,14 @@ in the sample interval it lies in; where there is a stencil, a start
 stage closes most brackets in one kernel call, by inverse interpolation
 through it (:func:`_start`).  Every bracket is then refined on its own
 track by a two-point step that keeps it between its ends, down to
-adjacent doubles at most.  The turning points are where the tracks turn
-steeply: where |u| / v can exceed 1 the tracks are staircases that take
-almost all of a level's 2 pi near each zero of u, and the kernel names
-those spots, with the points on either side where |u| / v is 1 and 3, so
-no refinement round is spent finding the step.  |w| comes straight from
+adjacent doubles at most; the step's state is built only where the stop
+test leaves a bracket open (:func:`_refine`), so a search whose
+brackets the start stage closed refines nothing.  The turning points
+are where the tracks turn steeply: where |u| / v can exceed 1 the
+tracks are staircases that take almost all of a level's 2 pi near each
+zero of u, and the kernel names those spots, with the points on either
+side where |u| / v is 1 and 3, so no refinement round is spent finding
+the step.  |w| comes straight from
 (u, v), so the phases stay accurate to machine precision through
 degeneracies and double roots are located as sharply as simple ones.
 Two crossings closer than the separation tolerance merge into one root
@@ -83,9 +86,13 @@ used, live on as oracles (:mod:`ring_spectra.oracles`).
 
 Everything here is pure-function over value inputs but the sample stage
 kept, which is replaced whole; concurrent searches on shared kernels are
-safe.  A :class:`SpectrumSlice` holds its roots as read-only arrays and
-builds its ``roots`` records on first access; threads that race on that
-access build equal tuples.
+safe.  :func:`find_spectra` and :func:`_certify` each enter one
+``np.errstate`` for all their stages, which enter none of their own:
+tracks read NaN or inf where a kernel overflows (the count refuses
+them), and no ``RuntimeWarning`` reaches a caller.  A
+:class:`SpectrumSlice` holds its roots as read-only arrays and builds
+its ``roots`` records on first access; threads that race on that access
+build equal tuples.
 """
 
 from __future__ import annotations
@@ -255,15 +262,39 @@ def _charts(us: Sequence[UnitaryBC]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def _spread(u, v, m0, m1, mperp2):
+    """atan2(|w|, w0), the spread of both tracks about h - eta, from the
+    kernel's (u, v) and U's (m0, m1, m_perp^2) (module docstring).  All
+    arguments broadcast."""
+    w0 = u * m0 - v * m1
+    q = v * m0 + u * m1
+    return np.arctan2(np.sqrt(q * q + mperp2 * (u * u + v * v)), w0)
+
+
 def _tracks(h, u, v, eta, m0, m1, mperp2, sign):
     """The eigenphase track h - eta + sign atan2(|w|, w0) of W = B U^H
     from the kernel's polar form (h, u, v) and U's (eta, m0, m1,
     m_perp^2) (module docstring): t_+ for sign = +1, t_- for sign = -1.
-    All arguments broadcast."""
-    w0 = u * m0 - v * m1
-    q = v * m0 + u * m1
-    spread = np.arctan2(sign * np.sqrt(q * q + mperp2 * (u * u + v * v)), w0)
-    return h + spread - eta  # the rounding order of oracles.eigenphases
+    All arguments broadcast.  atan2 is odd in its first argument, so
+    sign * atan2(|w|, w0) is atan2(sign |w|, w0) bit for bit, signed
+    zeros and w0 < 0 included."""
+    # the rounding order of oracles.eigenphases
+    return h + sign * _spread(u, v, m0, m1, mperp2) - eta
+
+
+def _open(xl, xr, gl, gr, tol_root, phase_tol):
+    """:func:`_refine`'s stop test: which brackets stay open, with their
+    width, rounded midpoint and width tolerance."""
+    width = xr - xl
+    mid = xl + 0.5 * width
+    g_best = np.where(gl + gr >= 0.0, gr, gl)  # the better end's value
+    tol_x = tol_root * np.maximum(1.0, np.abs(mid))
+    active = (
+        (g_best != 0.0)
+        & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
+        & ((width > tol_x) | (np.abs(g_best) > phase_tol))
+    )
+    return active, width, mid, tol_x
 
 
 def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
@@ -288,35 +319,35 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     better end's phase is small enough that |F| ~ |phase| clears the
     residual contract, or until the rounded midpoint xl + (xr - xl) / 2
     is no longer strictly between the ends: exactly when no double lies
-    between them.  A bracket that retires has its final ends, their
-    values and its evaluation count (the round it retired in) written
-    out: in that round while others stay active (the state keeps the
-    active rows alone), else once after the loop, as is what is still
-    active after _MAX_ROUNDS rounds.  Returns (the better end, which the
-    stop rule certified, lower end, upper end, evaluations per bracket).
+    between them (:func:`_open`, the test at the top of every round).
+    Where it closes every bracket before the first round, as after a
+    start stage that closed them all, nothing more is built: no ``polar``
+    call is made and every count is 0.  Otherwise the step's state is
+    built for the brackets, and a bracket that retires has its final
+    ends, their values and its evaluation count (the round it retired
+    in) written out: in that round while others stay active (the state
+    keeps the active rows alone), else once after the loop, as is what
+    is still active after _MAX_ROUNDS rounds.  Returns (the better end,
+    which the stop rule certified, lower end, upper end, evaluations per
+    bracket).  The caller enters ``np.errstate``: a secant through equal
+    values divides by zero, and the midpoint then takes its place.
     """
-    n = len(xl)
-    ends = np.empty((4, n))  # the final xl, xr, gl, gr of each bracket
-    evals = np.full(n, _MAX_ROUNDS)
-    live = np.arange(n)  # the bracket of each row of the state
     xl, xr, gl, gr = (np.array(a, dtype=float) for a in (xl, xr, gl, gr))
-    fl, fr = gl.copy(), gr.copy()  # the end values the secant is drawn through
-    # whether the last step replaced the left end; the better end (gl + gr
-    # >= 0, i.e. |gr| <= |gl|) counts as replaced before the first
-    d = gl + gr < 0.0
+    n = xl.size
     phase_tol = 0.125 * tol_residual
-    *track, goal = consts
-    with np.errstate(divide="ignore", invalid="ignore"):
+    test = _open(xl, xr, gl, gr, tol_root, phase_tol)
+    evals = np.zeros(n, dtype=int)
+    if test[0].any():
+        ends = np.empty((4, n))  # the final xl, xr, gl, gr of each bracket
+        evals = np.full(n, _MAX_ROUNDS)
+        live = np.arange(n)  # the bracket of each row of the state
+        fl, fr = gl.copy(), gr.copy()  # the end values the secant is drawn through
+        # whether the last step replaced the left end; the better end (gl + gr
+        # >= 0, i.e. |gr| <= |gl|) counts as replaced before the first
+        d = gl + gr < 0.0
+        *track, goal = consts
         for r in range(_MAX_ROUNDS):
-            width = xr - xl
-            mid = xl + 0.5 * width
-            g_best = np.where(gl + gr >= 0.0, gr, gl)  # the better end's value
-            tol_x = tol_root * np.maximum(1.0, np.abs(mid))
-            active = (
-                (g_best != 0.0)
-                & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
-                & ((width > tol_x) | (np.abs(g_best) > phase_tol))
-            )
+            active, width, mid, tol_x = test
             kept = np.count_nonzero(active)
             if not kept:
                 evals[live] = r
@@ -345,8 +376,9 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
             d = left
             xl, gl, fl = np.where(left, x, xl), np.where(left, g, gl), np.where(left, g, fl * m)
             xr, gr, fr = np.where(left, xr, x), np.where(left, gr, g), np.where(left, fr * m, g)
-    ends[:, live] = xl, xr, gl, gr
-    xl, xr, gl, gr = ends
+            test = _open(xl, xr, gl, gr, tol_root, phase_tol)
+        ends[:, live] = xl, xr, gl, gr
+        xl, xr, gl, gr = ends
     located = np.where(gl + gr >= 0.0, xr, xl)
     lower = np.where(gr == 0.0, xr, xl)
     return located, lower, xr, evals
@@ -375,29 +407,28 @@ def _start(kernel, consts, stencil, interval, xl, xr, gl, gr, tol_root, tol_resi
     """
     n = xl.size
     nodes, h, u, v = (part[interval] for part in stencil)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xs, gs = np.empty((2, n, _STENCIL + 1))
-        xs[:, 0], xs[:, 1:-1], xs[:, -1] = xl, nodes, xr
-        gs[:, 0], gs[:, -1] = gl, gr
-        gs[:, 1:-1] = _tracks(h, u, v, *consts[:-1, :, None]) - consts[-1, :, None]
-        # the barycentric weights 1 / prod_k (G_j - G_k) of the inverse
-        # interpolant, [bracket, node], over G_j, summed at g = 0
-        c = 1.0 / ((gs[:, :, None] - gs[:, None, :] + _EYE).prod(axis=2) * gs)
-        est = (c * xs).sum(axis=1) / c.sum(axis=1)
-        j = (_STENCIL + 1) * np.arange(n) + np.argmax(gs[:, 1:] <= 0.0, axis=1)
-        xs, gs = xs.ravel(), gs.ravel()
-        xl, xr, gl, gr = xs[j], xs[j + 1], gs[j], gs[j + 1]
-        stopped = (gl == 0.0) | (gr == 0.0)
-        if stopped.all():
-            return xl, xr, gl, gr, _STENCIL - 1
-        width = xr - xl
-        tol_x = tol_root * np.maximum(1.0, np.abs(xl + 0.5 * width))
-        tol1 = 0.25 * np.fmin(tol_x, 0.125 * tol_residual * width / (gl - gr))
-        tol1[stopped] = np.inf  # a stopped pair is read at its own ends again
-        est = np.fmin(np.fmax(est, xl), xr)  # a NaN estimate goes to xl
-        p1, p2 = np.maximum(est - tol1, xl), np.minimum(est + tol1, xr)
-        h, u, v = (p.reshape(2, n) for p in kernel.polar(np.concatenate([p1, p2])))
-        g1, g2 = _tracks(h, u, v, *consts[:-1]) - consts[-1]
+    xs, gs = np.empty((2, n, _STENCIL + 1))
+    xs[:, 0], xs[:, 1:-1], xs[:, -1] = xl, nodes, xr
+    gs[:, 0], gs[:, -1] = gl, gr
+    gs[:, 1:-1] = _tracks(h, u, v, *consts[:-1, :, None]) - consts[-1, :, None]
+    # the barycentric weights 1 / prod_k (G_j - G_k) of the inverse
+    # interpolant, [bracket, node], over G_j, summed at g = 0
+    c = 1.0 / ((gs[:, :, None] - gs[:, None, :] + _EYE).prod(axis=2) * gs)
+    est = (c * xs).sum(axis=1) / c.sum(axis=1)
+    j = (_STENCIL + 1) * np.arange(n) + np.argmax(gs[:, 1:] <= 0.0, axis=1)
+    xs, gs = xs.ravel(), gs.ravel()
+    xl, xr, gl, gr = xs[j], xs[j + 1], gs[j], gs[j + 1]
+    stopped = (gl == 0.0) | (gr == 0.0)
+    if stopped.all():
+        return xl, xr, gl, gr, _STENCIL - 1
+    width = xr - xl
+    tol_x = tol_root * np.maximum(1.0, np.abs(xl + 0.5 * width))
+    tol1 = 0.25 * np.fmin(tol_x, 0.125 * tol_residual * width / (gl - gr))
+    tol1[stopped] = np.inf  # a stopped pair is read at its own ends again
+    est = np.fmin(np.fmax(est, xl), xr)  # a NaN estimate goes to xl
+    p1, p2 = np.maximum(est - tol1, xl), np.minimum(est + tol1, xr)
+    h, u, v = (p.reshape(2, n) for p in kernel.polar(np.concatenate([p1, p2])))
+    g1, g2 = _tracks(h, u, v, *consts[:-1]) - consts[-1]
     # the crossing lies left of p1, between p1 and p2, or right of p2
     left, mid = g1 <= 0.0, g2 <= 0.0
     return (
@@ -544,11 +575,10 @@ def _sample_stage(kernel, lo, top, count):
     if turns.size:
         xs = np.sort(np.concatenate([xs, turns]))
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
-    with np.errstate(invalid="ignore", over="ignore"):
-        polar, stencil = kernel.polar(xs), None
-        if _start_pays(*polar):
-            nodes = xs[:-1, None] + np.diff(xs)[:, None] * _NODES
-            stencil = (nodes, *(p.reshape(nodes.shape) for p in kernel.polar(nodes.ravel())))
+    polar, stencil = kernel.polar(xs), None
+    if _start_pays(*polar):
+        nodes = xs[:-1, None] + np.diff(xs)[:, None] * _NODES
+        stencil = (nodes, *(p.reshape(nodes.shape) for p in kernel.polar(nodes.ravel())))
     for part in (xs, *polar, *(stencil or ())):
         part.flags.writeable = False
     stage = (xs, *polar, stencil)
@@ -566,14 +596,15 @@ def _levels(polar, chart):
     crossings in (x_j, x_j+1], counts[:, j].  The levels ceil(t / 2 pi)
     are taken as their running minimum, held at the last energy's level,
     which keeps every count nonnegative and their sum the certificate of
-    the two ends.
+    the two ends.  Both tracks share one arctan per U and energy: they
+    are :func:`_tracks` at sign +1 and -1 bit for bit.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        h, u, v = (part[:, None] for part in polar)
-        tracks = _tracks(h, u, v, *chart.T[:, :, None, None], _SIGNS)
-        level = np.ceil(tracks / TAU)
-        level = np.maximum(np.minimum.accumulate(level, axis=1), level[:, -1:])
-        return tracks, level, level[:, :-1] - level[:, 1:]
+    h, u, v = (part[:, None] for part in polar)
+    eta, m0, m1, mperp2 = chart.T[:, :, None, None]
+    tracks = h + _SIGNS * _spread(u, v, m0, m1, mperp2) - eta
+    level = np.ceil(tracks / TAU)
+    level = np.maximum(np.minimum.accumulate(level, axis=1), level[:, -1:])
+    return tracks, level, level[:, :-1] - level[:, 1:]
 
 
 def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None]:
@@ -608,31 +639,30 @@ def _certify(s, us, kernel, tol_root, tol_residual) -> list[SpectrumSlice | None
     # few rows (told apart by the rounding of m_perp^2): each is read once
     rows = {}
     row_of = [rows.setdefault(row, len(rows)) for row in map(tuple, _charts(us).tolist())]
-    with np.errstate(invalid="ignore", over="ignore"):
-        polar = kernel.polar(xs)
-    tracks, level, counts = _levels(polar, np.array(list(rows)))
-    inside = counts[:, 1::2]  # [row, root, track]
-    target = TAU * level[:, 2:-1:2]
-    gl, gr = tracks[:, 1:-1:2] - target, tracks[:, 2:-1:2] - target
-    certified = (
-        (counts.sum(axis=(1, 2)) == s.multiplicity.sum())
-        & np.all(inside[..., 0] + inside[..., 1] == s.multiplicity, axis=1)
-        & np.all((inside == 0) | ((inside == 1) & (gl > 0.0) & (gr <= 0.0)), axis=(1, 2))
-    )
-    kept = np.flatnonzero(certified[row_of])
-    if not kept.size:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tracks, level, counts = _levels(kernel.polar(xs), np.array(list(rows)))
+        inside = counts[:, 1::2]  # [row, root, track]
+        target = TAU * level[:, 2:-1:2]
+        gl, gr = tracks[:, 1:-1:2] - target, tracks[:, 2:-1:2] - target
+        certified = (
+            (counts.sum(axis=(1, 2)) == s.multiplicity.sum())
+            & np.all(inside[..., 0] + inside[..., 1] == s.multiplicity, axis=1)
+            & np.all((inside == 0) | ((inside == 1) & (gl > 0.0) & (gr <= 0.0)), axis=(1, 2))
+        )
+        kept = np.flatnonzero(certified[row_of])
+        if not kept.size:
+            return out
+        per_u = invariant_triple(np.array([us[k].matrix for k in kept], dtype=complex))
+        triples = InvariantTriple(per_u.det_u[:, None], per_u.tr_u[:, None], per_u.tr_u_sx[:, None])
+        residuals = np.abs(kernel.spectral_values(s.x, triples))  # [U, root]
+        residuals.flags.writeable = False
+        passed = (residuals <= tol_residual).all(axis=1).tolist()
+        for k, residual, ok in zip(kept, residuals, passed):
+            if ok:
+                out[k] = SpectrumSlice._from_columns(
+                    s.window, s.x, s.multiplicity, residual, xs.size, kernel.theory
+                )
         return out
-    per_u = invariant_triple(np.array([us[k].matrix for k in kept], dtype=complex))
-    triples = InvariantTriple(per_u.det_u[:, None], per_u.tr_u[:, None], per_u.tr_u_sx[:, None])
-    residuals = np.abs(kernel.spectral_values(s.x, triples))  # [U, root]
-    residuals.flags.writeable = False
-    passed = (residuals <= tol_residual).all(axis=1).tolist()
-    for k, residual, ok in zip(kept, residuals, passed):
-        if ok:
-            out[k] = SpectrumSlice._from_columns(
-                s.window, s.x, s.multiplicity, residual, xs.size, kernel.theory
-            )
-    return out
 
 
 def find_spectra(
@@ -674,32 +704,36 @@ def find_spectra(
         return []
     top = _top_end(hi, tol_root)
     chart = _charts(us)
-    xs, *polar, stencil = _sample_stage(kernel, lo, top, max(_SAMPLES, _BATCH_SAMPLES // len(us)))
-    tracks, level, counts = _levels(polar, chart)
-    for k, total in enumerate(counts.sum(axis=(1, 2))):
-        if not total <= MAX_ROOTS:
-            count = f"{total:.0f} roots" if np.isfinite(total) else "no finite root count"
-            raise NumericalError(
-                f"window ({lo:.6g}, {hi:.6g}] holds {count} for boundary condition {k}, "
-                f"against a cap of {MAX_ROOTS} roots; split it into smaller windows"
-            )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        intervals = max(_SAMPLES, _BATCH_SAMPLES // len(us))
+        xs, *polar, stencil = _sample_stage(kernel, lo, top, intervals)
+        tracks, level, counts = _levels(polar, chart)
+        for k, total in enumerate(counts.sum(axis=(1, 2))):
+            if not total <= MAX_ROOTS:
+                count = f"{total:.0f} roots" if np.isfinite(total) else "no finite root count"
+                raise NumericalError(
+                    f"window ({lo:.6g}, {hi:.6g}] holds {count} for boundary condition {k}, "
+                    f"against a cap of {MAX_ROOTS} roots; split it into smaller windows"
+                )
 
-    n = counts.astype(int).ravel()
-    row = np.repeat(np.arange(n.size), n)  # flat (U, interval, track) index per bracket
-    step = np.arange(row.size) - (np.cumsum(n) - n)[row]
-    owner, interval, track = np.unravel_index(row, counts.shape)
-    left = row + 2 * owner  # flat index of each bracket's left end in tracks
-    target = TAU * (level.ravel()[left + 2] + step)
-    gl, gr = (tracks.ravel()[left + end] - target for end in (0, 2))
-    # the track arrays grow with the turning points: free them before refining
-    del tracks, level, counts, n, row, step, left
-    consts = np.concatenate((chart.T[:, owner], [_SIGNS[track], target]))
-    xl, xr, spent, tols = xs[interval], xs[interval + 1], 0, (tol_root, tol_residual)
-    if stencil is not None and owner.size:
-        xl, xr, gl, gr, spent = _start(kernel, consts, stencil, interval, xl, xr, gl, gr, *tols)
-    located, _, _, evals = _refine(kernel, consts, xl, xr, gl, gr, *tols)
-    evaluated = xs.size + np.bincount(owner, weights=evals + spent, minlength=len(us))
-    return collect_spectra(us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated)
+        n = counts.astype(int).ravel()
+        row = np.repeat(np.arange(n.size), n)  # flat (U, interval, track) index per bracket
+        step = np.arange(row.size) - (np.cumsum(n) - n)[row]
+        owner, interval, track = np.unravel_index(row, counts.shape)
+        left = row + 2 * owner  # flat index of each bracket's left end in tracks
+        target = TAU * (level.ravel()[left + 2] + step)
+        gl, gr = (tracks.ravel()[left + end] - target for end in (0, 2))
+        # the track arrays grow with the turning points: free them before refining
+        del tracks, level, counts, n, row, step, left
+        consts = np.concatenate((chart.T[:, owner], [_SIGNS[track], target]))
+        xl, xr, spent, tols = xs[interval], xs[interval + 1], 0, (tol_root, tol_residual)
+        if stencil is not None and owner.size:
+            xl, xr, gl, gr, spent = _start(kernel, consts, stencil, interval, xl, xr, gl, gr, *tols)
+        located, _, _, evals = _refine(kernel, consts, xl, xr, gl, gr, *tols)
+        evaluated = xs.size + np.bincount(owner, weights=evals + spent, minlength=len(us))
+        return collect_spectra(
+            us, located, owner, (lo, hi), tol_root, kernel, tol_residual, evaluated
+        )
 
 
 def find_spectrum(

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, spectral_function
-from .dirac import _closed_form, _coefficients, _in_window, _turn_spots, _turns
+from .dirac import _closed_form, _coefficients, _in_window, _phase, _turn_spots, _turns
 
 
 def _core(e):
@@ -48,17 +48,24 @@ def _core(e):
     return _closed_form(np.array(e, dtype=float, ndmin=1), 1.0)
 
 
+def _abc(core):
+    """(a, b, c) from the real core: minus the relativistic a and b."""
+    a, b, c = _coefficients(*core)
+    return -a, -b, c
+
+
 def coefficient_arrays(e):
     """Vectorized (a, b, c, h) over an array of energies, all regimes;
     h is the half phase of c, e^{2ih} = c, continuous in e."""
-    a, b, c, h = _coefficients(*_core(e))
-    return -a, -b, c, h
+    core = _core(e)
+    return (*_abc(core), _phase(*core))
 
 
 class SchrodKernel:
     """Non-relativistic kernel (no free parameters after rescaling);
     same protocol as :class:`~ring_spectra.dirac.DiracKernel`, including
-    ``turning_points``."""
+    ``turning_points``: ``polar`` reads the phase h and (u, v) of the
+    real core, ``spectral_values`` its (a, b, c) without h."""
 
     theory = "schrod"
 
@@ -68,11 +75,11 @@ class SchrodKernel:
     def polar(self, e):
         """Polar form (h, u, v) of B: B = e^{ih} (u I - i v sx) /
         sqrt(u^2 + v^2), all float arrays."""
-        h, u, v, _, _ = _core(e)
-        return h, -u, -v
+        core = _core(e)
+        return _phase(*core), -core[5], -core[6]
 
     def spectral_values(self, e, u: UnitaryBC | InvariantTriple) -> np.ndarray:
-        return spectral_function(*self.coefficients(e)[:3], u)
+        return spectral_function(*_abc(_core(e)), u)
 
     def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
         """The energies in (lo, hi) around which the tracks turn, sorted

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bc import UnitaryBC, from_matrix
+from .bc import InvariantTriple, UnitaryBC, from_matrix, spectral_function
 from .dirac import DiracKernel, coefficient_arrays
 from .matalg import I2, SX, SZ, det2
 
@@ -352,6 +352,10 @@ class RepKernel(DiracKernel):
             c,
             h,
         )
+
+    def spectral_values(self, mu, u: UnitaryBC | InvariantTriple) -> np.ndarray:
+        """F_U from this kernel's own (a, b, c)."""
+        return spectral_function(*self.coefficients(mu)[:3], u)
 
     def polar(self, mu):
         """(h, u, v) from this kernel's own (a, b, h): a e^{-ih} = u and

@@ -235,7 +235,8 @@ def closed_form_pairs(draw):
 def test_the_closed_form_has_no_pole(pair):
     # |D|^2 = (mu S)^2 + C^2 >= 1 on every branch (module docstring), so
     # the spectral function has no pole anywhere on the real axis
-    *_, mu_s, big_c = _closed_form(*pair)
+    mu, _, _, big_s, big_c, *_ = _closed_form(*pair)
+    mu_s = mu * big_s
     d2 = mu_s * mu_s + big_c * big_c
     finite = np.isfinite(d2)
     assert np.all(d2[finite] >= 1.0 - 8.0 * np.finfo(float).eps)

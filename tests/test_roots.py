@@ -179,8 +179,10 @@ def denominator(kernel, x) -> np.ndarray:
     kernel, whose polar form is normalized)."""
     if isinstance(kernel, RepKernel):
         return np.ones(1)
-    core = dirac._core(x, kernel.mu0) if kernel.theory == "dirac" else schrod._core(x)
-    return np.hypot(core[3], core[4])
+    mu, _, _, big_s, big_c, *_ = (
+        dirac._core(x, kernel.mu0) if kernel.theory == "dirac" else schrod._core(x)
+    )
+    return np.hypot(mu * big_s, big_c)
 
 
 @PROPERTY
@@ -204,6 +206,36 @@ def test_polar_form_reproduces_the_coefficients(point):
     assert np.abs(-1j * turn * v / d - b) <= tol
     assert np.abs(turn * turn - c) <= tol
     assert np.abs(u * u + v * v - d * d) <= base * d * d
+
+
+def regime_energies(kernel) -> np.ndarray:
+    """Energies in every regime of a kernel: its zero-wavenumber points
+    exactly (K^2 = 0), a relative 1e-13 to either side of them, inside the
+    gap (Schroedinger e < 0) and on the oscillatory branches, near and far."""
+    edges = np.array(kernel.special_points())
+    near = np.concatenate([edges * (1.0 + f) + f for f in (-1e-13, 1e-13)])
+    if kernel.theory == "schrod":
+        return np.concatenate([edges, near, [-1e4, -3.0, -1e-9, 1e-9, 0.5, 7.0, 40.0, 1e4]])
+    mu0 = kernel.mu0
+    inside = mu0 * np.array([-0.999, -0.5, 0.0, 0.5, 0.999])
+    outside = np.array([1.0, 1.0001, 2.0, 30.0, 1e3]) * (mu0 + 1.0)
+    return np.concatenate([edges, near, inside, outside, -outside])
+
+
+@pytest.mark.parametrize("kernel", POLAR_KERNELS, ids=repr)
+def test_the_spectral_function_reads_the_coefficients_bit_for_bit(kernel):
+    # spectral_values takes (a, b, c) from the real core without the
+    # phase; it is F_U at the kernel's own coefficients, bit for bit, and
+    # polar's h is the coefficients' h, in every regime
+    x = regime_energies(kernel)
+    a, b, c, h = kernel.coefficients(x)
+    assert kernel.polar(x)[0].tobytes() == h.tobytes()
+    rng = np.random.default_rng(17)
+    for u in [bc.random_unitary_bc(rng) for _ in range(3)] + [bc.named_family("dpp", 0.0)]:
+        want = bc.spectral_function(a, b, c, u)
+        assert kernel.spectral_values(x, u).tobytes() == want.tobytes()
+        triple = bc.invariant_triple(u)
+        assert kernel.spectral_values(x, triple).tobytes() == want.tobytes()
 
 
 def test_find_spectrum_quasi_periodic_window():
@@ -655,6 +687,38 @@ def test_tracks_never_increase(case, u):
     kernel, grid = case
     t = phases_at(kernel, grid, u)
     assert np.all(np.diff(t, axis=0) <= 1e-12 * (1.0 + np.abs(t[1:])))
+
+
+def test_both_tracks_of_the_ends_call_share_one_arctan_bit_for_bit():
+    # _levels forms t_pm = h - eta +- atan2(|w|, w0) from one arctan;
+    # atan2 is odd in its first argument, so each track is _tracks at its
+    # sign, and the sign taken inside atan2, bit for bit: with w0 < 0,
+    # |w| = 0 (where the two tracks lie 2 pi apart for w0 < 0) and signed zeros
+    rng = np.random.default_rng(29)
+    h = np.concatenate([[0.0, -0.0, 1.5, -2.0, 3.0], rng.uniform(-30.0, 30.0, 40)])
+    u = np.concatenate([[1.0, -1.0, -0.0, 0.0, -0.5], rng.uniform(-2.0, 2.0, 40)])
+    v = np.concatenate([[0.0, 0.0, 0.0, -0.0, 0.0], rng.uniform(0.0, 2.0, 40)])
+    chart = np.array([
+        [0.0, 0.0, 0.0, 0.0],  # w0 = 0, |w| = 0
+        [0.3, 1.0, 0.0, 0.0],  # |w| = |u m1 + v m0| = v: 0 where v = 0, w0 = u
+        [-1.0, -1.0, 0.0, 0.0],  # w0 = -u
+        [0.7, 0.0, 1.0, 0.0],  # w0 = -v
+        *([rng.uniform(0.0, np.pi), *rng.uniform(-1.0, 1.0, 2), rng.uniform(0.0, 1.0)]
+          for _ in range(4)),
+    ])
+    tracks, _, _ = roots._levels((h, u, v), chart)
+    for k, row in enumerate(chart):
+        eta, m0, m1, mperp2 = row
+        w0 = u * m0 - v * m1
+        q = v * m0 + u * m1
+        w = np.sqrt(q * q + mperp2 * (u * u + v * v))
+        for i, sign in enumerate(_SIGNS):
+            track = tracks[k, :, i]
+            assert track.tobytes() == _tracks(h, u, v, *row, sign).tobytes()
+            assert track.tobytes() == (h + np.arctan2(sign * w, w0) - eta).tobytes()
+    # w0 < 0 and w0 = -0.0 both occur
+    w0 = u[:, None] * chart[:, 1] - v[:, None] * chart[:, 2]
+    assert np.any(w0 < 0.0) and np.any((w0 == 0.0) & np.signbit(w0))
 
 
 @st.composite
@@ -1751,6 +1815,38 @@ def test_refine_round_cap(monkeypatch, cap):
     assert np.all(evals == np.minimum(full_evals, cap))
     early = full_evals < cap
     assert np.array_equal(x[early], full[early])
+
+
+class NoPolar:
+    """A kernel that must not be called."""
+
+    def polar(self, x):
+        raise AssertionError("polar called")
+
+
+def test_refine_leaves_brackets_its_stop_test_closes_alone():
+    # on sweep's window the start stage closes every bracket of a random
+    # U: _refine then makes no kernel call and counts no evaluation, and
+    # returns each bracket as a call that also refines an open one does
+    kernel, window = DiracKernel(1.0), (-10.0, 10.0)
+    u = bc.random_unitary_bc(np.random.default_rng(101))
+    starts, ((args, result),), _ = first_brackets([u], window, kernel)
+    ((start_args, closed),) = starts
+    consts, tols = args[1], args[6:]
+    assert closed[-1] == roots._STENCIL + 1 and not result[-1].any()
+    located, lower, upper, evals = roots._refine(NoPolar(), consts, *closed[:4], *tols)
+    assert evals.dtype == int and not evals.any()
+    xl, xr, gl, gr = closed[:4]
+    assert np.array_equal(located, np.where(gl + gr >= 0.0, xr, xl))
+    assert np.array_equal(lower, np.where(gr == 0.0, xr, xl))
+    assert np.array_equal(upper, xr)
+    # the same brackets next to one still open, the first drawn from the samples
+    opened = [np.append(c, s[0]) for c, s in zip(closed[:4], start_args[4:8])]
+    with_open = np.column_stack([consts, start_args[1][:, 0]])
+    *ends, evals = roots._refine(kernel, with_open, *opened, *tols)
+    assert evals[-1] > 0 and not evals[:-1].any()
+    for got, want in zip(ends, (located, lower, upper)):
+        assert got[:-1].tobytes() == want.tobytes()
 
 
 def test_find_spectra_accepts_any_iterable():

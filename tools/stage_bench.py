@@ -10,8 +10,11 @@ Both libraries are loaded into one process (the base under another
 package name).  Inputs are the benchmark's seed-101 inputs of all three
 workloads (``perfbench/workloads.py``), ``sweep`` also split into its
 random U, its ``dpp`` at alpha in {0, pi} (doubly degenerate levels) and
-its other ``dpp``; batches of 2, 3, 4, 16, 64 and 256 random U
-(``default_rng(101)``) through ``find_spectra``: the small ones are the
+its other ``dpp``, and once more with each input searched on a new
+kernel (``sweep: fresh kernel``), as ``ring-spectra spectrum`` searches,
+so that no search is served an earlier one's sample stage; batches of
+2, 3, 4, 16, 64 and 256 random U (``default_rng(101)``) through
+``find_spectra``: the small ones are the
 sizes the library's own batches take (an orbit's members that fail
 certification, the four-U orbit of ``ring-spectra verify``, the README's
 three-U example); and one-U searches of 24 random U (``default_rng(5)``)
@@ -179,6 +182,14 @@ def workload_ops(side, w, part=None):
     return [lambda u=u: side.lib.find_spectrum(u, w.window, kernel) for u in us]
 
 
+def fresh_ops(side, w):
+    """One zero-argument callable per seed-101 input of workload ``w``,
+    each searching on a kernel of its own, built inside the op."""
+    us = [side.bc(c.u) for c in w.cases(101)]
+    return [lambda u=u: side.lib.find_spectrum(u, w.window, side.kernel(w.theory, w.mu0))
+            for u in us]
+
+
 def batch_ops(side, theory, window, size):
     rng = np.random.default_rng(101)
     us = [side.bc(ring_spectra.random_unitary_bc(rng)) for _ in range(size)]
@@ -264,12 +275,15 @@ def main(argv=None) -> int:
         "batches": {},
         "windows": {},
     }
-    parts = [(name, w, None) for name, w in WORKLOADS.items()]
-    parts += [(f"sweep: {p}", WORKLOADS["sweep"], p)
+    parts = [(name, w, None, lambda side, w=w: workload_ops(side, w))
+             for name, w in WORKLOADS.items()]
+    sweep = WORKLOADS["sweep"]
+    parts += [(f"sweep: {p}", sweep, p, lambda side, p=p: workload_ops(side, sweep, p))
               for p in ("random U", "dpp, alpha in {0, pi}", "dpp, other alpha")]
-    for name, w, part in parts:
-        (base, change), ratio = measure(
-            sides, lambda side, w=w, p=part: workload_ops(side, w, p), args.runs)
+    parts.append(("sweep: fresh kernel", sweep, "a new kernel per op",
+                  lambda side: fresh_ops(side, sweep)))
+    for name, w, part, make_ops in parts:
+        (base, change), ratio = measure(sides, make_ops, args.runs)
         report["workloads"][name] = {
             "inputs": f"perfbench {w.name}, seed 101" + (f", {part}" if part else ""),
             "base": base, "change": change, "ratio": ratio,
