@@ -163,7 +163,7 @@ def check_dual_path_kernel() -> CheckResult:
     assert len(mu) >= 10_000
     worst_b = 0.0
     worst_det = 0.0
-    closed_b = oracles.boundary_matrix(*dirac.coefficient_arrays(mu, mu0)[:2])
+    closed_b = oracles.boundary_matrix(*dirac.DiracKernel(mu0).coefficients(mu)[:2])
     for m, b_closed in zip(mu, closed_b):
         a_plus, a_minus = oracles.build_Apm(float(m), mu0)
         b_mat = a_minus @ np.linalg.inv(a_plus)
@@ -189,7 +189,7 @@ def check_unitarity_unimodularity() -> CheckResult:
         ]
     )
     mu.sort()
-    a, b, c, _ = dirac.coefficient_arrays(mu, mu0)
+    a, b, c, _ = dirac.DiracKernel(mu0).coefficients(mu)
     bmat = oracles.boundary_matrix(a, b)
     gram = np.einsum("nki,nkj->nij", bmat.conj(), bmat)
     unit_res = float(np.max(np.linalg.norm(gram - I2, axis=(1, 2))))
@@ -203,7 +203,7 @@ def check_gap_edge_continuity() -> CheckResult:
     mu0 = 1.0
     b0 = oracles.mass_mode_B(+1, mu0)
     deltas = np.array([1e-2, 1e-3, 1e-4])
-    a, b, *_ = dirac.coefficient_arrays(mu0 + deltas, mu0)
+    a, b, *_ = dirac.DiracKernel(mu0).coefficients(mu0 + deltas)
     gaps = np.linalg.norm(oracles.boundary_matrix(a, b) - b0, axis=(1, 2))
     slope = float(np.polyfit(np.log(deltas), np.log(gaps), 1)[0])
     ok = slope >= 0.95 and bool(np.all(np.diff(gaps) < 0))
@@ -334,13 +334,6 @@ CHECKS: tuple[tuple[int, str, Callable[[], CheckResult]], ...] = (
     (11, "root set is stable under grid refinement (grid oracle)", check_grid_refinement_stability),
     (12, "parity-family pairs are distinguishable (finite window)", check_parity_distinguishability),
 )
-
-
-def run_check(number: int) -> CheckResult:
-    for num, _, fn in CHECKS:
-        if num == number:
-            return fn()
-    raise ValueError(f"no acceptance check numbered {number}")
 
 
 def run_all(numbers=None, stream=None) -> bool:

@@ -195,40 +195,6 @@ def _in_window(x, lo: float, hi: float) -> np.ndarray:
     return x[keep]
 
 
-def turning_points(lo: float, hi: float, mu0: float, limit: int) -> np.ndarray:
-    """The energies in (lo, hi) around which the Dirac tracks at rest
-    energy mu0 turn (:func:`_turns`), sorted and distinct; they do not
-    depend on U.
-
-    n - p = 2 mu0, so the peak ratio mu0 / K exceeds 1 only at K < mu0,
-    near the gap edges, on both oscillatory branches mu = +-sqrt(K^2 +
-    mu0^2); as K >= pi there, the set is empty for mu0 <= pi.  Every
-    point has K >= pi / 2, so none lies on an edge (past mu0 ~ 1e8,
-    hypot may round one onto +-mu0, where it is an ordinary sample).  A
-    window with more than ``limit`` zeros K = m pi to turn at gets none,
-    so nothing is allocated for it.
-    """
-    if mu0 <= np.pi:
-        return np.empty(0)
-
-    def wavenumber(mu):
-        return math.sqrt(abs(mu) - mu0) * math.sqrt(abs(mu) + mu0)
-
-    branches = [
-        (sign, _turn_spots(wavenumber(near), min(wavenumber(far), mu0)))
-        for sign, near, far in ((1.0, max(lo, mu0), hi), (-1.0, min(hi, -mu0), lo))
-        if sign * far > mu0
-    ]
-    if sum(count for _, (_, count) in branches) > limit:
-        return np.empty(0)
-    parts = [np.empty(0)]
-    for sign, (first, count) in branches:
-        k = np.pi * np.arange(first, first + count)
-        mu = np.hypot(k, mu0)
-        parts.append(sign * np.hypot(_turns(k, mu - mu0, mu + mu0), mu0))
-    return _in_window(np.concatenate(parts), lo, hi)
-
-
 def _coefficients(mu, rho, sin_rho, big_s, big_c, u, sigma):
     """(a, b, c) from the real core: a = u / D, b = -i sigma / D and
     c = conj(D) / D, with D = mu S - i C; no phase."""
@@ -237,18 +203,10 @@ def _coefficients(mu, rho, sin_rho, big_s, big_c, u, sigma):
 
 
 def _core(mu, mu0: float):
-    """The real core over an array of energies mu."""
-    if mu0 < 0:
-        raise ValueError("mu0 must be non-negative")
+    """The real core over an array of energies mu, at a rest energy
+    mu0 that :class:`DiracKernel` validated."""
     mu = np.array(mu, dtype=float, ndmin=1)
     return _closed_form(mu - mu0, mu + mu0)
-
-
-def coefficient_arrays(mu, mu0: float):
-    """Vectorized (a, b, c, h) over an array of energies, all regimes;
-    h is the half phase of c, e^{2ih} = c, continuous in mu."""
-    core = _core(mu, mu0)
-    return (*_coefficients(*core), _phase(*core))
 
 
 def mass_mode_membership(
@@ -275,13 +233,27 @@ class DiracKernel:
     ``mu0`` that is negative, not finite or whose square overflows
     (above ~1.34e154) raises ``ValueError``.
 
-    The kernel protocol the root search uses: ``theory``,
-    ``turning_points(lo, hi, limit)`` (the energies it samples besides
-    its evenly spaced ones, :func:`turning_points`), ``polar(mu) -> (h,
-    u, v)``, which reads the phase h and (u, v) of the real core, and
-    ``spectral_values``, which evaluates F_U from its (a, b, c) without
-    h.  ``coefficients(mu) -> (a, b, c, h)`` serves the oracles and
-    checks.  ``special_points()``, the zero-wavenumber points, is for
+    The kernel protocol, which every kernel speaks; the root search
+    (:mod:`ring_spectra.roots`) calls nothing else of it:
+
+    - ``theory``, the name of the theory;
+    - ``turning_points(lo, hi, limit)``: the energies the search samples
+      besides its evenly spaced ones, strictly inside (lo, hi), sorted
+      and distinct, that do not depend on U; none where the tracks do
+      not turn steeply, or past ``limit`` spots;
+    - ``polar(x) -> (h, u, v)``, which reads the phase h and (u, v) of
+      the real core;
+    - ``spectral_values(x, u)``, F_U for U or its invariant triple
+      (arrays of them for a batch), from (a, b, c) without h.
+
+    ``turning_points`` and ``polar`` must be pure functions of their
+    arguments for the kernel's lifetime, since a search may be served
+    samples and a polar form computed for the same kernel object
+    earlier; the kernels here are immutable values.  Every energy is
+    evaluated as itself, up to and on the zero-wavenumber points, so a
+    root there is found, counted and placed like any other.  Besides
+    the protocol, ``coefficients(x) -> (a, b, c, h)`` serves the oracles
+    and checks, and ``special_points()``, the zero-wavenumber points,
     the grid oracle, which refines its grid there.
     """
 
@@ -303,7 +275,10 @@ class DiracKernel:
         return self._mu0
 
     def coefficients(self, mu):
-        return coefficient_arrays(mu, self.mu0)
+        """(a, b, c, h) over an array of energies, all regimes; h is the
+        half phase of c, e^{2ih} = c, continuous in mu."""
+        core = _core(mu, self.mu0)
+        return (*_coefficients(*core), _phase(*core))
 
     def polar(self, mu):
         """Polar form (h, u, v) of B: B = e^{ih} (u I - i v sx) /
@@ -316,7 +291,37 @@ class DiracKernel:
         return spectral_function(*_coefficients(*_core(mu, self.mu0)), u)
 
     def turning_points(self, lo: float, hi: float, limit: int) -> np.ndarray:
-        return turning_points(lo, hi, self.mu0, limit)
+        """The energies in (lo, hi) around which the tracks turn
+        (:func:`_turns`), sorted and distinct; they do not depend on U.
+
+        n - p = 2 mu0, so the peak ratio mu0 / K exceeds 1 only at K <
+        mu0, near the gap edges, on both oscillatory branches mu =
+        +-sqrt(K^2 + mu0^2); as K >= pi there, the set is empty for mu0
+        <= pi.  Every point has K >= pi / 2, so none lies on an edge
+        (past mu0 ~ 1e8, hypot may round one onto +-mu0, where it is an
+        ordinary sample).  A window with more than ``limit`` zeros K = m
+        pi to turn at gets none, so nothing is allocated for it.
+        """
+        mu0 = self.mu0
+        if mu0 <= np.pi:
+            return np.empty(0)
+
+        def wavenumber(mu):
+            return math.sqrt(abs(mu) - mu0) * math.sqrt(abs(mu) + mu0)
+
+        branches = [
+            (sign, _turn_spots(wavenumber(near), min(wavenumber(far), mu0)))
+            for sign, near, far in ((1.0, max(lo, mu0), hi), (-1.0, min(hi, -mu0), lo))
+            if sign * far > mu0
+        ]
+        if sum(count for _, (_, count) in branches) > limit:
+            return np.empty(0)
+        parts = [np.empty(0)]
+        for sign, (first, count) in branches:
+            k = np.pi * np.arange(first, first + count)
+            mu = np.hypot(k, mu0)
+            parts.append(sign * np.hypot(_turns(k, mu - mu0, mu + mu0), mu0))
+        return _in_window(np.concatenate(parts), lo, hi)
 
     def special_points(self) -> tuple[float, ...]:
         if self.mu0 > 0:

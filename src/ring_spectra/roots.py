@@ -27,62 +27,66 @@ are continuous tracks at any single x, with no grid and no unwrapping.
 Both tracks never increase with energy (the Herglotz/Krein monotonicity
 of the eigenphases), so the multiples of 2 pi a track passes between the
 window ends are exactly its crossings: the tracks at the two ends alone
-certify the root count.  The one kernel call that reads the ends samples
-the tracks at S + 1 evenly spaced energies, S = max(64, 256 // (number
-of U)), so one U starts from narrow brackets and a batch's call does not
-grow, and at the kernel's turning points.  Where the samples show that
-every track drops little over every sample interval and the tracks bend
-(:func:`_start_pays`), one more call evaluates a Chebyshev stencil in
-each sample interval.  Neither the samples, the stencil nor the polar
-form there depend on U, so that stage is kept for the last kernel,
-window and S searched, and a search that repeats them, with any U, pays
-only for its own tracks (:func:`_sample_stage`).  Each crossing starts
-in the sample interval it lies in; where there is a stencil, a start
-stage closes most brackets in one kernel call, by inverse interpolation
-through it (:func:`_start`).  Every bracket is then refined on its own
-track by a two-point step that keeps it between its ends, down to
-adjacent doubles at most; the step's state is built only where the stop
-test leaves a bracket open (:func:`_refine`), so a search whose
-brackets the start stage closed refines nothing.  The turning points
-are where the tracks turn steeply: where |u| / v can exceed 1 the
-tracks are staircases that take almost all of a level's 2 pi near each
-zero of u, and the kernel names those spots, with the points on either
-side where |u| / v is 1 and 3, so no refinement round is spent finding
-the step.  |w| comes straight from
-(u, v), so the phases stay accurate to machine precision through
-degeneracies and double roots are located as sharply as simple ones.
-Two crossings closer than the separation tolerance merge into one root
-of multiplicity 2, the maximum for 2x2 unitaries; a larger cluster
-raises, since it would mean the dimension count failed.
+certify the root count.  |w| comes straight from (u, v), so the phases
+stay accurate to machine precision through degeneracies and double
+roots are located as sharply as simple ones.
 
-A kernel is anything with ``theory``, ``turning_points(lo, hi,
-limit)``, ``polar(x) -> (h, u, v)`` and ``spectral_values(x, u)``; the
-search calls nothing else, and never builds a 2x2 matrix per point.
-``turning_points`` returns energies strictly inside (lo, hi), sorted
-and distinct, that do not depend on U (none where the tracks do not
-turn steeply, or past ``limit`` spots).  ``turning_points`` and
-``polar`` must be pure functions of their arguments for the kernel's
-lifetime: a search may be served samples and a polar form computed for
-the same kernel object earlier.  The kernels here are immutable values
-(``mu0`` and ``rep`` are read-only).  The kernels evaluate every
-energy as itself, up to and on the zero-wavenumber points, so a root
-there is found, counted and placed like any other.
+A search (:func:`find_spectra`) runs in five stages:
 
-(h, u, v) do not depend on U, so the one search, :func:`find_spectra`,
-runs a batch of boundary conditions on one kernel call per refinement
-round, and verifies the roots of every U in one more;
-:func:`find_spectrum` is that search for a single U.  Memory grows with
-the number of roots, not with the window, plus the one sample stage
-kept: (S + 1 + turning points) x 4 doubles, a few KB for windows with
-few turning points and at most ~21 MB at MAX_ROOTS turning spots of 5
-points each, and where the start stage pays, (_STENCIL - 1) x (sample
-intervals) x 4 doubles for its stencil, ~57 KB at S = 256 and at most
-~0.2 MB (README).  U that share one invariant triple (a conjugation
-orbit) share one spectrum, so once one of them is searched,
-:func:`_certify` checks its roots for the others on their own tracks in
-one kernel call, with each U's own residuals from one more.  The
-reference grid search it replaced, and the complex eigenphase route it
-used, live on as oracles (:mod:`ring_spectra.oracles`).
+1. Samples (:func:`_sample_stage`, :func:`_levels`).  One kernel call
+   reads the polar form at S + 1 evenly spaced energies, S = max(64,
+   256 // (number of U)), so one U starts from narrow brackets and a
+   batch's call does not grow, merged with the kernel's turning points:
+   where |u| / v can exceed 1 the tracks are staircases that take almost
+   all of a level's 2 pi near each zero of u, and the kernel names those
+   spots, with the points on either side where |u| / v is 1 and 3, so
+   no refinement round is spent finding the step.  The tracks of every
+   U there count the crossings in each sample interval, off their
+   running minimum, so no count is negative and they add up to the
+   certificate of the two ends.  A U whose count exceeds MAX_ROOTS, or
+   is not finite, is refused before any bracket is allocated, and a
+   window with more than MAX_ROOTS spots to turn at gets no turning
+   points.  Each crossing becomes a bracket over the sample interval it
+   lies in.
+2. Stencil (:func:`_sample_stage`).  Where every track drops at most
+   _STENCIL_DROP over every sample interval (:func:`_start_pays`, read
+   off the polar form, so the same for every U), one more call evaluates
+   the polar form at the _STENCIL - 1 interior Chebyshev-Lobatto nodes
+   of every sample interval.  Neither the samples, the stencil nor the
+   polar form there depend on U, so they are kept for the last kernel,
+   window and S searched, and a search that repeats them, with any U,
+   pays only for its own tracks.
+3. Start (:func:`_start`).  Where there is a stencil, one kernel call
+   closes most brackets, by inverse interpolation through it.
+4. Refine (:func:`_refine`).  Every bracket is refined on its own track
+   by a two-point step that keeps it between its ends, down to |dx| <
+   tol_root * max(1, |x|) or to adjacent doubles, with one kernel call
+   per round for all U; the step's state is built only where the stop
+   test leaves a bracket open, so a search whose brackets the start
+   stage closed refines nothing.
+5. Collect (:func:`collect_spectra`).  Per U, two crossings closer than
+   the separation tolerance merge into one root of multiplicity 2, the
+   maximum for 2x2 unitaries; a larger cluster raises, since it would
+   mean the dimension count failed.  One more kernel call verifies the
+   roots of every U against |F_U| < tol_residual.
+
+A kernel speaks the protocol of :class:`~ring_spectra.dirac.DiracKernel`;
+the search calls nothing else of it, and never builds a 2x2 matrix per
+point.  :func:`find_spectrum` is the search for a single U.  Memory
+grows with the number of roots, not with the window, plus the one
+sample stage kept: (S + 1 + turning points) x 4 doubles, a few KB for
+windows with few turning points and at most ~21 MB at MAX_ROOTS turning
+spots of 5 points each, and where there is a stencil, (_STENCIL - 1) x
+(sample intervals) x 4 doubles, ~57 KB at S = 256.  A turning spot turns
+a track by about pi / 2 or more, against the _STENCIL_DROP a sample
+interval may drop, so a window with a stencil holds two evenly spaced
+samples per spot, and its stencil takes at most ~0.2 MB.  U that share
+one invariant triple (a conjugation orbit) share one spectrum, so once
+one of them is searched, :func:`_certify` checks its roots for the
+others on their own tracks in one kernel call, with each U's own
+residuals from one more.  The reference grid search it replaced, and
+the complex eigenphase route it used, live on as oracles
+(:mod:`ring_spectra.oracles`).
 
 Everything here is pure-function over value inputs but the sample stage
 kept, which is replaced whole; concurrent searches on shared kernels are
@@ -124,11 +128,12 @@ _MAX_ROUNDS = 200
 _SAMPLES, _BATCH_SAMPLES = 64, 256
 #: the start stage (:func:`_start`): the Chebyshev-Lobatto intervals of its
 #: stencil, where its interior nodes lie in a sample interval (the sample
-#: stage evaluates them), and its selection (:func:`_start_pays`)
+#: stage evaluates them), and the most a track may drop over a sample
+#: interval for the stage to run (:func:`_start_pays`)
 _STENCIL = 8
 _NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(1, _STENCIL) / _STENCIL)
 _EYE = np.eye(_STENCIL + 1)
-_STENCIL_DROP, _STENCIL_BEND = 0.4, 1e-2
+_STENCIL_DROP = 0.4
 
 
 class NumericalError(RuntimeError):
@@ -164,16 +169,16 @@ class SpectrumSlice:
     slices are equal when their window, columns, ``grid_points`` and
     theory are.
 
-    ``grid_points`` is the number of energies the search evaluated for
-    this U: the samples across the window (S + 1 evenly spaced energies,
-    S = max(64, 256 // the number of U searched together), merged with
-    the kernel's turning points; they count also when an earlier search
-    on the same kernel, window and S evaluated them and this one was
-    served them) plus, per bracket, the start stage's points where it
-    ran (the stencil's _STENCIL - 1 nodes, counted as the samples are,
-    and the pair's 2) and every refinement step (the grid size, for the
-    grid oracle; 2 + 2N, the window ends and the ends of its N brackets,
-    for a slice certified from another U's roots).
+    ``grid_points`` is the number of energies evaluated for this U, by
+    source (module docstring), counting served ones as evaluated:
+
+    - samples: all of them, the turning points merged in;
+    - start stage: per bracket it ran on, the stencil's _STENCIL - 1
+      nodes, and 2 more where it made its call;
+    - refinement: one per step of each bracket;
+    - grid oracle: the grid size, instead of all of the above;
+    - a slice certified from another U's roots: 2 + 2N, the window ends
+      and the ends of its N brackets, instead of all of the above.
     """
 
     window: tuple[float, float]
@@ -262,24 +267,30 @@ def _charts(us: Sequence[UnitaryBC]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def _spread(u, v, m0, m1, mperp2):
-    """atan2(|w|, w0), the spread of both tracks about h - eta, from the
-    kernel's (u, v) and U's (m0, m1, m_perp^2) (module docstring).  All
-    arguments broadcast."""
-    w0 = u * m0 - v * m1
-    q = v * m0 + u * m1
-    return np.arctan2(np.sqrt(q * q + mperp2 * (u * u + v * v)), w0)
-
-
 def _tracks(h, u, v, eta, m0, m1, mperp2, sign):
     """The eigenphase track h - eta + sign atan2(|w|, w0) of W = B U^H
     from the kernel's polar form (h, u, v) and U's (eta, m0, m1,
     m_perp^2) (module docstring): t_+ for sign = +1, t_- for sign = -1.
-    All arguments broadcast.  atan2 is odd in its first argument, so
-    sign * atan2(|w|, w0) is atan2(sign |w|, w0) bit for bit, signed
-    zeros and w0 < 0 included."""
+    All arguments broadcast, so with ``sign`` = _SIGNS on an axis of its
+    own both tracks share one arctan.  atan2 is odd in its first
+    argument, so sign * atan2(|w|, w0) is atan2(sign |w|, w0) bit for
+    bit, signed zeros and w0 < 0 included."""
+    w0 = u * m0 - v * m1
+    q = v * m0 + u * m1
     # the rounding order of oracles.eigenphases
-    return h + sign * _spread(u, v, m0, m1, mperp2) - eta
+    return h + sign * np.arctan2(np.sqrt(q * q + mperp2 * (u * u + v * v)), w0) - eta
+
+
+def _tol_x(mid, tol_root):
+    """The width tolerance of brackets with rounded midpoints ``mid``."""
+    return tol_root * np.maximum(1.0, np.abs(mid))
+
+
+def _tol1(tol_x, width, gl, gr, phase_tol):
+    """How far inside both its ends a bracket's next point lies: a quarter
+    of the width that meets both the width tolerance and, at the secant
+    slope, the phase tolerance."""
+    return 0.25 * np.fmin(tol_x, phase_tol * width / (gl - gr))
 
 
 def _open(xl, xr, gl, gr, tol_root, phase_tol):
@@ -288,7 +299,7 @@ def _open(xl, xr, gl, gr, tol_root, phase_tol):
     width = xr - xl
     mid = xl + 0.5 * width
     g_best = np.where(gl + gr >= 0.0, gr, gl)  # the better end's value
-    tol_x = tol_root * np.maximum(1.0, np.abs(mid))
+    tol_x = _tol_x(mid, tol_root)
     active = (
         (g_best != 0.0)
         & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
@@ -362,9 +373,7 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
                 )
                 consts = consts[:, active]
                 *track, goal = consts
-            # a quarter of the width that meets both the width tolerance
-            # and, at the secant slope, the phase tolerance
-            tol1 = 0.25 * np.fmin(tol_x, phase_tol * width / (gl - gr))
+            tol1 = _tol1(tol_x, width, gl, gr, phase_tol)
             x = xl + width * (fl / (fl - fr))
             x = np.minimum(np.maximum(x, xl + tol1), xr - tol1)
             x = np.where((xl < x) & (x < xr), x, mid)
@@ -398,8 +407,8 @@ def _start(kernel, consts, stencil, interval, xl, xr, gl, gr, tol_root, tol_resi
     estimate is all but exact.  A pair with an end on an exact zero stops
     there, as :func:`_refine`'s stop rule does, and if every pair
     stopped, so does the stage.  Otherwise one ``polar`` call evaluates
-    est -+ tol1 (``_refine``'s tol1 for the pair, the estimate clamped
-    into it; a stopped pair is read at its own ends, so it keeps them): a
+    est -+ tol1 (:func:`_tol1` for the pair, the estimate clamped into
+    it; a stopped pair is read at its own ends, so it keeps them): a
     crossing between the two points closes the bracket to half the width
     tolerance, else the nearer point replaces its end.  Returns the
     brackets (xl, xr, gl, gr), which straddle or keep an end on an exact
@@ -422,8 +431,7 @@ def _start(kernel, consts, stencil, interval, xl, xr, gl, gr, tol_root, tol_resi
     if stopped.all():
         return xl, xr, gl, gr, _STENCIL - 1
     width = xr - xl
-    tol_x = tol_root * np.maximum(1.0, np.abs(xl + 0.5 * width))
-    tol1 = 0.25 * np.fmin(tol_x, 0.125 * tol_residual * width / (gl - gr))
+    tol1 = _tol1(_tol_x(xl + 0.5 * width, tol_root), width, gl, gr, 0.125 * tol_residual)
     tol1[stopped] = np.inf  # a stopped pair is read at its own ends again
     est = np.fmin(np.fmax(est, xl), xr)  # a NaN estimate goes to xl
     p1, p2 = np.maximum(est - tol1, xl), np.minimum(est + tol1, xr)
@@ -535,14 +543,9 @@ def _start_pays(h, u, v) -> bool:
     most |dh| + |d phi|, phi = atan2(v, u) the angle of B's SU(2) part
     (the distance between two rotations bounds the change of the angle
     of their products with U's), so the stencil resolves every track where
-    that is at most _STENCIL_DROP.  And where h is a straight line and phi
-    does not turn (as for a massless particle), so are the tracks, and
-    false position alone is all but exact: the stage pays where |d^2 h| +
-    |d phi| reaches _STENCIL_BEND of the largest |dh|."""
-    dh, dphi = np.abs(np.diff(h)), np.abs(np.diff(np.arctan2(v, u)))
-    drop = (dh + dphi).max(initial=0.0)
-    bend = np.abs(np.diff(h, 2)).max(initial=0.0) + dphi.max(initial=0.0)
-    return bool(drop <= _STENCIL_DROP and bend >= _STENCIL_BEND * dh.max(initial=0.0))
+    that is at most _STENCIL_DROP over every sample interval."""
+    drop = np.abs(np.diff(h)) + np.abs(np.diff(np.arctan2(v, u)))
+    return bool(drop.max(initial=0.0) <= _STENCIL_DROP)
 
 
 def _sample_stage(kernel, lo, top, count):
@@ -601,7 +604,7 @@ def _levels(polar, chart):
     """
     h, u, v = (part[:, None] for part in polar)
     eta, m0, m1, mperp2 = chart.T[:, :, None, None]
-    tracks = h + _SIGNS * _spread(u, v, m0, m1, mperp2) - eta
+    tracks = _tracks(h, u, v, eta, m0, m1, mperp2, _SIGNS)
     level = np.ceil(tracks / TAU)
     level = np.maximum(np.minimum.accumulate(level, axis=1), level[:, -1:])
     return tracks, level, level[:, :-1] - level[:, 1:]
@@ -674,29 +677,14 @@ def find_spectra(
 ) -> list[SpectrumSlice]:
     """All zeros of F_U in the half-open window (lo, hi], for each U.
 
-    The tracks of every U are evaluated at S + 1 evenly spaced energies
-    from lo to the top end, S = max(64, 256 // len(us)), merged with the
-    kernel's turning points (one kernel call, which the next search on
-    the same kernel object, lo, top end and S does not repeat:
-    :func:`_sample_stage`); since they never increase, the multiples of
-    2 pi they cross between the two ends are the exact root count, and
-    each crossing becomes its own bracket over the one sample interval
-    it lies in.  The count per interval is read
-    off the running minimum of the tracks, so it is never negative and
-    the counts add up to the certificate of the two ends.  A U whose
-    count exceeds MAX_ROOTS, or is not finite, is refused before any
-    bracket is allocated; a window with more than MAX_ROOTS spots to
-    turn at gets no turning points, so none is built for it either.
-    Where the samples show that it pays (:func:`_start_pays`, the same for
-    every U), the sample stage holds a stencil in every sample interval
-    too, and the start stage tightens every bracket from it in one more
-    kernel call (:func:`_start`).  The brackets of all U are then refined
-    together (:func:`_refine`) to |dx| < tol_root * max(1, |x|), or to
-    adjacent doubles.  Per U, crossings
-    closer than the separation tolerance merge into a multiplicity-2
-    root, and the roots of every U are verified against |F_U| <
-    tol_residual in one kernel call.  Slices follow ``us``, which may be
-    any iterable.
+    Each root is located to tol_root * max(1, |x|), or to adjacent
+    doubles, has multiplicity 1 or 2 and meets |F_U| < tol_residual,
+    by the stages of the module docstring.  Raises
+    :class:`NumericalError` for the first U whose window holds more
+    than MAX_ROOTS roots or no finite count (before any bracket is
+    allocated), or that has a root failing verification or more than
+    two coincident crossings.  Slices follow ``us``, which may be any
+    iterable.
     """
     us = list(us)
     lo, hi = _validate(window, tol_root, tol_residual)

@@ -54,23 +54,17 @@ def _abc(core):
     return -a, -b, c
 
 
-def coefficient_arrays(e):
-    """Vectorized (a, b, c, h) over an array of energies, all regimes;
-    h is the half phase of c, e^{2ih} = c, continuous in e."""
-    core = _core(e)
-    return (*_abc(core), _phase(*core))
-
-
 class SchrodKernel:
-    """Non-relativistic kernel (no free parameters after rescaling);
-    same protocol as :class:`~ring_spectra.dirac.DiracKernel`, including
-    ``turning_points``: ``polar`` reads the phase h and (u, v) of the
-    real core, ``spectral_values`` its (a, b, c) without h."""
+    """Non-relativistic kernel (no free parameters after rescaling); it
+    speaks the kernel protocol of :class:`~ring_spectra.dirac.DiracKernel`."""
 
     theory = "schrod"
 
     def coefficients(self, e):
-        return coefficient_arrays(e)
+        """(a, b, c, h) over an array of energies, all regimes; h is the
+        half phase of c, e^{2ih} = c, continuous in e."""
+        core = _core(e)
+        return (*_abc(core), _phase(*core))
 
     def polar(self, e):
         """Polar form (h, u, v) of B: B = e^{ih} (u I - i v sx) /

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, from_matrix, spectral_function
-from .dirac import DiracKernel, coefficient_arrays
+from .dirac import DiracKernel, _core, _phase
 from .matalg import I2, SX, SZ, det2
 
 _REP_TOL = 1e-12
@@ -345,7 +345,7 @@ class RepKernel(DiracKernel):
             )
         c = det2(bmat)
         h = 0.5 * np.angle(c)
-        h += np.pi * np.round((coefficient_arrays(mu, mu0)[3] - h) / np.pi)
+        h += np.pi * np.round((_phase(*_core(mu, mu0)) - h) / np.pi)
         return (
             0.5 * (bmat[:, 0, 0] + bmat[:, 1, 1]),
             0.5 * (bmat[:, 0, 1] + bmat[:, 1, 0]),

@@ -181,9 +181,7 @@ def test_dirac_kernel_matches_high_precision(mu, mu0):
     # coefficients, not just roots: the double-precision kernel agrees
     # with 50-digit evaluation to ~1e-15 everywhere, including just
     # inside the gap edge and on it, by both routes
-    from ring_spectra.dirac import coefficient_arrays
-
-    a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([mu]), mu0))
+    a, b, c, _ = (v[0] for v in DiracKernel(mu0).coefficients(np.array([mu])))
     assert_close((a, b, c), dirac_mp(mu, mu0), dirac_expm_mp(mu, mu0))
 
 
@@ -191,9 +189,7 @@ def test_dirac_kernel_matches_high_precision(mu, mu0):
     "e", [-1e8, -1e4, -50.0, -2.0, -1.0, -1.0 + 1e-9, 1e-8, 0.5, 42.0, 333.0] + ZERO_WAVENUMBER_E
 )
 def test_schrod_kernel_matches_high_precision(e):
-    from ring_spectra.schrod import coefficient_arrays
-
-    a, b, c, _ = (v[0] for v in coefficient_arrays(np.array([e])))
+    a, b, c, _ = (v[0] for v in SchrodKernel().coefficients(np.array([e])))
     assert_close((a, b, c), schrod_mp(e), schrod_expm_mp(e))
 
 
@@ -213,9 +209,7 @@ def test_dirac_half_phase_matches_high_precision(mu, mu0):
     # of h, and h on the branch its regime puts it (so the lift holds).
     # The wavenumber is the exact 50-digit one, so the kernel's own
     # wavenumber (including at the gap edges) counts against it
-    from ring_spectra.dirac import coefficient_arrays
-
-    h = float(coefficient_arrays(np.array([mu]), mu0)[3][0])
+    h = float(DiracKernel(mu0).coefficients(np.array([mu]))[3][0])
     for c in (dirac_mp(mu, mu0)[2], dirac_expm_mp(mu, mu0)[2]):
         assert _half_phase_gap(h, c) < 1e-15
     if abs(mu) > mu0:
@@ -230,9 +224,7 @@ def test_dirac_half_phase_matches_high_precision(mu, mu0):
     "e", [-1e10, -1e4, -1e-9, 1e-9, 0.5, 1e4, 12345.678, 1e8, 1e10] + ZERO_WAVENUMBER_E
 )
 def test_schrod_half_phase_matches_high_precision(e):
-    from ring_spectra.schrod import coefficient_arrays
-
-    h = float(coefficient_arrays(np.array([e]))[3][0])
+    h = float(SchrodKernel().coefficients(np.array([e]))[3][0])
     for c in (schrod_mp(e)[2], schrod_expm_mp(e)[2]):
         assert _half_phase_gap(h, c) < 1e-15
     low = -mp.mpf(float(np.sqrt(e))) if e > 0 else 0.0

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ring_spectra import bc, dirac, iso, roots, schrod
-from ring_spectra.dirac import DiracKernel, coefficient_arrays
+from ring_spectra.dirac import DiracKernel
 from ring_spectra.matalg import TAU
 from ring_spectra.oracles import boundary_matrix, grid_spectra, snap_band
 from ring_spectra.roots import (
@@ -91,7 +91,7 @@ def test_profile_identity_at_matching_point():
     # U = B(mu*) makes W(mu*) = I: both phases vanish at that node
     mu0 = 1.0
     mu_star = 2.5
-    a, b, *_ = coefficient_arrays(np.array([mu_star]), mu0)
+    a, b, *_ = DiracKernel(mu0).coefficients(np.array([mu_star]))
     u = bc.from_matrix(boundary_matrix(a, b)[0])
     grid = np.linspace(2.0, 3.0, 101)  # includes 2.5
     tracks = phases_at(DiracKernel(mu0), grid, u)
@@ -1365,11 +1365,14 @@ def test_polar_calls_per_search_are_pinned():
     # before), and when the sample stage came to serve the start stage's
     # stencil: 215, one call for each random U; and the doubly degenerate
     # dpp at alpha in {0, pi}, whose stencil cannot interpolate across the
-    # kink, at 6 per search, against 7 before
+    # kink, at 6 per search, against 7 before; and the straight tracks of
+    # a massless particle when the start stage came to run on them: 26, the
+    # samples, the stencil and one call per search, against 41 before
     rng = np.random.default_rng(101)
     for kernel, window, us, pinned in (
         (DiracKernel(1.0), (-10.0, 10.0), sweep_bcs(101, 128), 215),
         (SchrodKernel(), (0.0, 1e4), [bc.random_unitary_bc(rng) for _ in range(8)], 53),
+        (DiracKernel(0.0), (0.0, 30.0), [bc.random_unitary_bc(rng) for _ in range(24)], 26),
     ):
         proxy = CountingKernel(kernel)
         for u in us:

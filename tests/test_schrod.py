@@ -12,12 +12,12 @@ from ring_spectra import bc
 from ring_spectra.matalg import I2, det2
 from ring_spectra.oracles import boundary_matrix, schrod_boundary_map
 from ring_spectra.roots import find_spectrum
-from ring_spectra.schrod import SchrodKernel, coefficient_arrays
+from ring_spectra.schrod import SchrodKernel
 
 
 def closed_form_B(e) -> np.ndarray:
     """B = a I + b sx from the production coefficients, shape (n, 2, 2)."""
-    a, b, *_ = coefficient_arrays(e)
+    a, b, *_ = SchrodKernel().coefficients(e)
     return boundary_matrix(a, b)
 
 

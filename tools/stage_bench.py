@@ -44,6 +44,10 @@ selection.  Per side it records:
 - the ``tracemalloc`` peak of an op (the largest over the inputs, in a
   separate pass, since tracing slows everything).
 
+Per row it also records, as ``bit_for_bit``, whether base and change
+returned equal slices, bit for bit in ``x``, ``multiplicity``,
+``residual`` and ``grid_points``, from the results of the warm-up pass.
+
 Times are the median over ``--runs`` runs (at least 9) of one pass over
 the inputs, in which base and change run each input back to back and
 alternate which goes first; ``other``, the rest of the op time, is taken
@@ -78,9 +82,9 @@ from workloads import WORKLOADS  # noqa: E402
 
 STAGES = ("samples", "ends", "start", "refine", "collect", "members", "certify")
 #: (theory, mu0, window) of the one-U searches: where the start stage runs
-#: (Dirac mu0 = 1 up to (-20, 20], Schroedinger (0, 100]) and where it does
-#: not (wider windows, the gap edge at mu0 = 20, and the straight tracks
-#: of a massless particle)
+#: (Dirac mu0 = 1 up to (-20, 20], Schroedinger (0, 100], and the straight
+#: tracks of a massless particle) and where it does not (wider windows and
+#: the gap edge at mu0 = 20)
 WINDOWS = (
     ("dirac", 1.0, (-10.0, 10.0)), ("dirac", 1.0, (-20.0, 20.0)), ("dirac", 1.0, (-40.0, 40.0)),
     ("dirac", 1.0, (-80.0, 80.0)), ("dirac", 20.0, (19.0, 60.0)), ("dirac", 0.0, (0.0, 30.0)),
@@ -204,16 +208,27 @@ def window_ops(side, theory, mu0, window):
     return [lambda u=u: side.lib.find_spectrum(u, window, kernel) for u in us]
 
 
-def measure(sides, make_ops, runs):
-    """Median per-op stage times (us), polar calls and tracemalloc peak
-    for each side, over ``runs`` passes, and the median and quartiles of
-    the second side's time over the first's within a pass.  Within a
-    pass the two sides run each input back to back, alternating which
-    goes first, so that drift of the machine hits both alike."""
+def slice_bits(result) -> list:
+    """The bits of every slice in an op's result (a slice, or lists and
+    tuples holding slices), as (x, multiplicity, residual, grid_points)."""
+    if hasattr(result, "grid_points"):
+        columns = (result.x, result.multiplicity, result.residual)
+        return [(*(np.asarray(c).tobytes() for c in columns), result.grid_points)]
+    if isinstance(result, (list, tuple)):
+        return [bits for part in result for bits in slice_bits(part)]
+    return []
+
+
+def measure(sides, make_ops, runs, key):
+    """The report row ``key``: median per-op stage times (us), polar
+    calls and tracemalloc peak for each side, over ``runs`` passes, the
+    median and quartiles of the second side's time over the first's
+    within a pass, and whether the two sides' warm-up results are equal
+    bit for bit.  Within a pass the two sides run each input back to
+    back, alternating which goes first, so that drift of the machine
+    hits both alike."""
     ops = [make_ops(side) for side in sides]
-    for side_ops in ops:
-        for op in side_ops:
-            op()  # warm-up
+    base_bits, change_bits = ([slice_bits(op()) for op in side_ops] for side_ops in ops)
     samples = [[] for _ in sides]
     for r in range(runs):
         totals = [0.0, 0.0]
@@ -251,7 +266,10 @@ def measure(sides, make_ops, runs):
         })
     ratios = [b["total"] / a["total"] for a, b in zip(*samples)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    return out, {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    ratio = {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    same = base_bits == change_bits
+    print(key, ratio, "bit for bit" if same else "outputs differ", flush=True)
+    return {"base": out[0], "change": out[1], "ratio": ratio, "bit_for_bit": same}
 
 
 def main(argv=None) -> int:
@@ -283,25 +301,20 @@ def main(argv=None) -> int:
     parts.append(("sweep: fresh kernel", sweep, "a new kernel per op",
                   lambda side: fresh_ops(side, sweep)))
     for name, w, part, make_ops in parts:
-        (base, change), ratio = measure(sides, make_ops, args.runs)
         report["workloads"][name] = {
             "inputs": f"perfbench {w.name}, seed 101" + (f", {part}" if part else ""),
-            "base": base, "change": change, "ratio": ratio,
+            **measure(sides, make_ops, args.runs, name),
         }
-        print(name, ratio, flush=True)
     for theory, window in (("dirac", (-10.0, 10.0)), ("schrod", (0.0, 1e4))):
         for size in (2, 3, 4, 16, 64, 256):
-            (base, change), ratio = measure(
-                sides, lambda side, s=size: batch_ops(side, theory, window, s), args.runs)
             key = f"{theory} {window} x{size}"
-            report["batches"][key] = {"base": base, "change": change, "ratio": ratio}
-            print(key, ratio, flush=True)
+            report["batches"][key] = measure(
+                sides, lambda side, s=size: batch_ops(side, theory, window, s), args.runs, key)
     for theory, mu0, window in WINDOWS:
-        (base, change), ratio = measure(
-            sides, lambda side, t=theory, m=mu0, w=window: window_ops(side, t, m, w), args.runs)
         key = f"{theory} mu0={mu0:g} {window}, 24 U one at a time"
-        report["windows"][key] = {"base": base, "change": change, "ratio": ratio}
-        print(key, ratio, flush=True)
+        report["windows"][key] = measure(
+            sides, lambda side, t=theory, m=mu0, w=window: window_ops(side, t, m, w), args.runs,
+            key)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
