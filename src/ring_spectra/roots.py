@@ -49,13 +49,13 @@ A search (:func:`find_spectra`) runs in five stages:
    points.  Each crossing becomes a bracket over the sample interval it
    lies in.
 2. Stencil (:func:`_sample_stage`).  Where every track drops at most
-   _STENCIL_DROP over every sample interval (:func:`_start_pays`, read
-   off the polar form, so the same for every U), one more call evaluates
-   the polar form at the _STENCIL - 1 interior Chebyshev-Lobatto nodes
-   of every sample interval.  Neither the samples, the stencil nor the
-   polar form there depend on U, so they are kept for the last kernel,
-   window and S searched, and a search that repeats them, with any U,
-   pays only for its own tracks.
+   _STENCIL_DROP over every sample interval and the tracks bend
+   (:func:`_start_pays`, read off the polar form, so the same for every
+   U), one more call evaluates the polar form at the _STENCIL - 1
+   interior Chebyshev-Lobatto nodes of every sample interval.  Neither
+   the samples, the stencil nor the polar form there depend on U, so
+   they are kept for the last kernel, window and S searched, and a
+   search that repeats them, with any U, pays only for its own tracks.
 3. Start (:func:`_start`).  Where there is a stencil, one kernel call
    closes most brackets, by inverse interpolation through it.
 4. Refine (:func:`_refine`).  Every bracket is refined on its own track
@@ -128,12 +128,11 @@ _MAX_ROUNDS = 200
 _SAMPLES, _BATCH_SAMPLES = 64, 256
 #: the start stage (:func:`_start`): the Chebyshev-Lobatto intervals of its
 #: stencil, where its interior nodes lie in a sample interval (the sample
-#: stage evaluates them), and the most a track may drop over a sample
-#: interval for the stage to run (:func:`_start_pays`)
+#: stage evaluates them), and its selection (:func:`_start_pays`)
 _STENCIL = 8
 _NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(1, _STENCIL) / _STENCIL)
 _EYE = np.eye(_STENCIL + 1)
-_STENCIL_DROP = 0.4
+_STENCIL_DROP, _STENCIL_BEND = 0.4, 1e-2
 
 
 class NumericalError(RuntimeError):
@@ -281,9 +280,16 @@ def _tracks(h, u, v, eta, m0, m1, mperp2, sign):
     return h + sign * np.arctan2(np.sqrt(q * q + mperp2 * (u * u + v * v)), w0) - eta
 
 
-def _tol_x(mid, tol_root):
-    """The width tolerance of brackets with rounded midpoints ``mid``."""
-    return tol_root * np.maximum(1.0, np.abs(mid))
+def _phase_tol(tol_residual):
+    """The phase a bracket's better end may keep, |F| ~ |phase| there."""
+    return 0.125 * tol_residual
+
+
+def _widths(xl, xr, tol_root):
+    """The brackets' widths, rounded midpoints and width tolerances."""
+    width = xr - xl
+    mid = xl + 0.5 * width
+    return width, mid, tol_root * np.maximum(1.0, np.abs(mid))
 
 
 def _tol1(tol_x, width, gl, gr, phase_tol):
@@ -296,10 +302,8 @@ def _tol1(tol_x, width, gl, gr, phase_tol):
 def _open(xl, xr, gl, gr, tol_root, phase_tol):
     """:func:`_refine`'s stop test: which brackets stay open, with their
     width, rounded midpoint and width tolerance."""
-    width = xr - xl
-    mid = xl + 0.5 * width
+    width, mid, tol_x = _widths(xl, xr, tol_root)
     g_best = np.where(gl + gr >= 0.0, gr, gl)  # the better end's value
-    tol_x = _tol_x(mid, tol_root)
     active = (
         (g_best != 0.0)
         & (xl < mid) & (mid < xr)  # a double lies strictly between the ends
@@ -345,7 +349,7 @@ def _refine(kernel, consts, xl, xr, gl, gr, tol_root, tol_residual):
     """
     xl, xr, gl, gr = (np.array(a, dtype=float) for a in (xl, xr, gl, gr))
     n = xl.size
-    phase_tol = 0.125 * tol_residual
+    phase_tol = _phase_tol(tol_residual)
     test = _open(xl, xr, gl, gr, tol_root, phase_tol)
     evals = np.zeros(n, dtype=int)
     if test[0].any():
@@ -430,8 +434,8 @@ def _start(kernel, consts, stencil, interval, xl, xr, gl, gr, tol_root, tol_resi
     stopped = (gl == 0.0) | (gr == 0.0)
     if stopped.all():
         return xl, xr, gl, gr, _STENCIL - 1
-    width = xr - xl
-    tol1 = _tol1(_tol_x(xl + 0.5 * width, tol_root), width, gl, gr, 0.125 * tol_residual)
+    width, _, tol_x = _widths(xl, xr, tol_root)
+    tol1 = _tol1(tol_x, width, gl, gr, _phase_tol(tol_residual))
     tol1[stopped] = np.inf  # a stopped pair is read at its own ends again
     est = np.fmin(np.fmax(est, xl), xr)  # a NaN estimate goes to xl
     p1, p2 = np.maximum(est - tol1, xl), np.minimum(est + tol1, xr)
@@ -543,9 +547,16 @@ def _start_pays(h, u, v) -> bool:
     most |dh| + |d phi|, phi = atan2(v, u) the angle of B's SU(2) part
     (the distance between two rotations bounds the change of the angle
     of their products with U's), so the stencil resolves every track where
-    that is at most _STENCIL_DROP over every sample interval."""
-    drop = np.abs(np.diff(h)) + np.abs(np.diff(np.arctan2(v, u)))
-    return bool(drop.max(initial=0.0) <= _STENCIL_DROP)
+    that is at most _STENCIL_DROP.  And where h is a straight line and phi
+    does not turn (as for a massless particle, or far above the rest
+    energy), so are the tracks, and false position closes a bracket in
+    less time than the stencil and the stage take (ROADMAP item 7): the
+    stage pays where |d^2 h| + |d phi| reaches _STENCIL_BEND of the
+    largest |dh|."""
+    dh, dphi = np.abs(np.diff(h)), np.abs(np.diff(np.arctan2(v, u)))
+    drop = (dh + dphi).max(initial=0.0)
+    bend = np.abs(np.diff(h, 2)).max(initial=0.0) + dphi.max(initial=0.0)
+    return bool(drop <= _STENCIL_DROP and bend >= _STENCIL_BEND * dh.max(initial=0.0))
 
 
 def _sample_stage(kernel, lo, top, count):

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bc import InvariantTriple, UnitaryBC, from_matrix, spectral_function
-from .dirac import DiracKernel, _core, _phase
+from .dirac import DiracKernel
 from .matalg import I2, SX, SZ, det2
 
 _REP_TOL = 1e-12
@@ -345,7 +345,8 @@ class RepKernel(DiracKernel):
             )
         c = det2(bmat)
         h = 0.5 * np.angle(c)
-        h += np.pi * np.round((_phase(*_core(mu, mu0)) - h) / np.pi)
+        # lifted onto the closed form's h (DiracKernel's polar; this kernel's own reads this h)
+        h += np.pi * np.round((DiracKernel.polar(self, mu)[0] - h) / np.pi)
         return (
             0.5 * (bmat[:, 0, 0] + bmat[:, 1, 1]),
             0.5 * (bmat[:, 0, 1] + bmat[:, 1, 0]),

@@ -19,7 +19,8 @@ sizes the library's own batches take (an orbit's members that fail
 certification, the four-U orbit of ``ring-spectra verify``, the README's
 three-U example); and one-U searches of 24 random U (``default_rng(5)``)
 on the windows of ``WINDOWS``, on either side of the start stage's
-selection.  Per side it records:
+selection, on one kernel per window, and on the windows of ``ONE_OFF``
+also on a new kernel per search.  Per side it records:
 
 - per-stage wall time per op: the U-independent samples of the ends
   call and the polar form there, and where the start stage pays the
@@ -82,14 +83,19 @@ from workloads import WORKLOADS  # noqa: E402
 
 STAGES = ("samples", "ends", "start", "refine", "collect", "members", "certify")
 #: (theory, mu0, window) of the one-U searches: where the start stage runs
-#: (Dirac mu0 = 1 up to (-20, 20], Schroedinger (0, 100], and the straight
-#: tracks of a massless particle) and where it does not (wider windows and
-#: the gap edge at mu0 = 20)
+#: (Dirac mu0 = 1 up to (-20, 20], Schroedinger (0, 100]) and where it does
+#: not (wider windows, the gap edge at mu0 = 20, and the straight tracks of
+#: a massless particle and of mu0 = 1 far above the rest energy)
 WINDOWS = (
     ("dirac", 1.0, (-10.0, 10.0)), ("dirac", 1.0, (-20.0, 20.0)), ("dirac", 1.0, (-40.0, 40.0)),
     ("dirac", 1.0, (-80.0, 80.0)), ("dirac", 20.0, (19.0, 60.0)), ("dirac", 0.0, (0.0, 30.0)),
+    ("dirac", 1.0, (1e6, 1e6 + 100.0)),
     ("schrod", 0.0, (0.0, 100.0)), ("schrod", 0.0, (0.0, 1e3)), ("schrod", 0.0, (-50.0, 400.0)),
 )
+#: the windows also searched one-off, on a new kernel per search, so that
+#: a stencil built for one search is not served to the next: the straight
+#: tracks, where the bend test of the start stage's selection holds it off
+ONE_OFF = (("dirac", 0.0, (0.0, 30.0)), ("dirac", 1.0, (1e6, 1e6 + 100.0)))
 #: stage -> (module, the names it may have there; the first one present is
 #: wrapped, and a tree with none of them reads 0 for the stage)
 _WRAPPED = {
@@ -201,11 +207,14 @@ def batch_ops(side, theory, window, size):
     return [lambda: side.lib.find_spectra(us, window, kernel)]
 
 
-def window_ops(side, theory, mu0, window):
+def window_ops(side, theory, mu0, window, fresh=False):
+    """One-U searches of 24 random U on one kernel, or on a new kernel
+    each, built inside the op, if ``fresh``."""
     rng = np.random.default_rng(5)
     us = [side.bc(ring_spectra.random_unitary_bc(rng)) for _ in range(24)]
     kernel = side.kernel(theory, mu0)
-    return [lambda u=u: side.lib.find_spectrum(u, window, kernel) for u in us]
+    return [lambda u=u: side.lib.find_spectrum(
+                u, window, side.kernel(theory, mu0) if fresh else kernel) for u in us]
 
 
 def slice_bits(result) -> list:
@@ -310,11 +319,13 @@ def main(argv=None) -> int:
             key = f"{theory} {window} x{size}"
             report["batches"][key] = measure(
                 sides, lambda side, s=size: batch_ops(side, theory, window, s), args.runs, key)
-    for theory, mu0, window in WINDOWS:
-        key = f"{theory} mu0={mu0:g} {window}, 24 U one at a time"
+    rows = [(*row, False) for row in WINDOWS] + [(*row, True) for row in ONE_OFF]
+    for theory, mu0, window, fresh in rows:
+        key = f"{theory} mu0={mu0:g} {window}, 24 U one at a time" + (
+            ", a new kernel each" if fresh else "")
         report["windows"][key] = measure(
-            sides, lambda side, t=theory, m=mu0, w=window: window_ops(side, t, m, w), args.runs,
-            key)
+            sides, lambda side, t=theory, m=mu0, w=window, f=fresh: window_ops(side, t, m, w, f),
+            args.runs, key)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
